@@ -232,7 +232,6 @@ def cmd_verify(args) -> int:
         print(
             f"sigma={comp.sigma}: support {'ok' if report.support_ok else 'FAIL'}, "
             f"decodable {'ok' if report.decodable_ok else 'FAIL'}, "
-            f"product {'ok' if report.product_ok else 'FAIL'}, "
             f"max residual {report.max_residual:.3e}"
         )
     nested, violation = verify_nesting(ngc)

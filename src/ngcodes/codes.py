@@ -235,12 +235,11 @@ def decode_row(code: EncodingMatrix, responsive_set, tol: float = DECODE_TOL) ->
 class VerificationReport:
     support_ok: bool
     decodable_ok: bool
-    product_ok: bool
     max_residual: float
 
     @property
     def passed(self) -> bool:
-        return self.support_ok and self.decodable_ok and self.product_ok
+        return self.support_ok and self.decodable_ok
 
 
 def verify_gradient_code(
@@ -249,25 +248,17 @@ def verify_gradient_code(
     """Exhaustively check the defining properties for tolerance sigma.
 
     Enumerates every (n - sigma)-subset of rows, so n is capped (CapExceeded
-    above ``cap``). The report records support sizes, per-subset decodability,
-    and the stacked combination product.
+    above ``cap``). The report records support sizes and per-subset
+    decodability; a NaN residual counts as undecodable.
     """
     n = code.n
     if n > cap:
         raise CapExceeded(f"n={n} above exhaustive verification cap {cap}")
     support_ok = all(np.count_nonzero(code.entries[i]) >= sigma + 1 for i in range(n))
-    decode_rows = []
-    max_residual = 0.0
-    decodable_ok = True
-    for subset in itertools.combinations(range(n), n - sigma):
-        a, residual = _combination(code, subset)
-        max_residual = max(max_residual, residual)
-        if residual > tol:
-            decodable_ok = False
-        decode_rows.append(a)
-    stacked = np.array(decode_rows)
-    product_ok = bool(np.abs(stacked @ code.entries - 1.0).max() <= tol)
-    return VerificationReport(support_ok, decodable_ok, product_ok, max_residual)
+    subsets = itertools.combinations(range(n), n - sigma)
+    # np.max propagates a NaN residual, which then fails the tolerance check
+    max_residual = float(np.max([_combination(code, subset)[1] for subset in subsets]))
+    return VerificationReport(support_ok, bool(max_residual <= tol), max_residual)
 
 
 def verify_nesting(ngc: NestedGradientCode):

@@ -2,17 +2,27 @@
 
 Each non-failing worker needs gamma + eps + u*rho plus an Erlang(u, lambda)
 stochastic part to deliver its u-th response; workers fail outright with
-probability p_e. A fixed-tolerance code decodes once n - sigma workers have
-finished sigma + 1 tasks; the nested scheme decodes at the first task count u
-for which n - u + 1 workers are done. Both iteration-latency CDFs are computed
-in closed form by marginalizing over the failure count and over worker
-order statistics (fixed tolerance) or layer occupancy vectors (nested).
+probability p_e. Layer u is decodable once n - u + 1 workers have finished u
+tasks: a fixed-tolerance code may only decode at layer sigma + 1 (uncoded is
+sigma = 0), the nested scheme at the first of layers 1..s_max + 1.
+
+Every scheme is evaluated by one engine. Failures fold into the per-worker
+probability q_u(t) = (1 - p_e) F_u(t) of having finished at least u tasks by
+t, so a failed worker is one that never reaches any layer. The quorum counts
+N_u (workers with >= u tasks) are nested, N_u >= N_v for u < v, and the engine
+walks the allowed layers top down: N_top ~ Bin(n, q_top), and given N_v the
+next lower allowed layer adds N_u - N_v ~ Bin(n - N_v, (q_u - q_v)/(1 - q_v)).
+The mass with N_u > n - u decodes at layer u and leaves the recursion; what
+leaves, summed over the layers, is the CDF. With more than s_max failures no
+layer can reach its quorum, so no separate sum over failure counts is needed.
+The binomials are evaluated in log space in saddle-point form, so nothing
+overflows and no precision is lost at large n. The work is O(layers * n^2)
+per grid point and the memory O(n) per grid point.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -131,19 +141,55 @@ def task_time_cdf(u: int, t: float, p: ClusterParams) -> float:
     return float(_layer_cdf(int(u), np.asarray([t], dtype=float), p)[0])
 
 
+def _stirling_errors(n: int) -> np.ndarray:
+    """log k! - (k + 1/2) log k + k - log sqrt(2 pi) for k = 1..n (entry 0 unused).
+
+    Exact through lgamma for k <= 15, the Stirling series beyond.
+    """
+    k = np.arange(n + 1, dtype=float)
+    k[0] = 1.0
+    k2 = 1.0 / (k * k)
+    out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - k2 / 1188) * k2) * k2) * k2) / k
+    small = range(1, min(n, 15) + 1)
+    out[1 : len(small) + 1] = [
+        math.lgamma(i + 1) - (i + 0.5) * math.log(i) + i - 0.5 * math.log(2 * math.pi) for i in small
+    ]
+    return out
+
+
+def _deviance(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """x log(x / m) + m - x, free of cancellation when x is close to m."""
+    d = x - m
+    return x * np.log1p(d / m) - d
+
+
+def _binom_pmf(size: int, j: np.ndarray, p: np.ndarray, stirling: np.ndarray) -> np.ndarray:
+    """P(Binomial(size, p) = j), shape (len(j), len(p)), in log space.
+
+    Interior counts use the saddle-point form (Loader, "Fast and accurate
+    computation of binomial probabilities", 2000): only small Stirling
+    corrections and deviances enter, never log-factorials, so the relative
+    error stays near machine precision at any size. ``stirling`` is
+    ``_stirling_errors(n)`` for some n >= size.
+    """
+    col = j[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pmf = (
+            stirling[size] - stirling[col] - stirling[size - col]
+            - _deviance(col, size * p) - _deviance(size - col, size * (1.0 - p))
+            - 0.5 * np.log(2 * math.pi * col * (size - col) / size)
+        )
+        # the end points are single powers; 0 * log(0) counts as 0
+        log_pmf[j == 0] = size * np.log1p(-p) if size else 0.0
+        log_pmf[j == size] = size * np.log(p) if size else 0.0
+    return np.exp(log_pmf)
+
+
 def failure_count_pmf(kappa: int, n: int, p_e: float) -> float:
     """Binomial probability that exactly kappa of n workers fail outright."""
     if not 0 <= kappa <= n:
         raise InvalidParams(f"kappa must lie in [0, {n}], got {kappa}")
-    return math.comb(n, kappa) * p_e**kappa * (1.0 - p_e) ** (n - kappa)
-
-
-def _binom_tail(n_alive: int, need: int, f: np.ndarray) -> np.ndarray:
-    """P(Binomial(n_alive, f) >= need), elementwise in f."""
-    total = np.zeros_like(f, dtype=float)
-    for tau in range(need, n_alive + 1):
-        total += math.comb(n_alive, tau) * f**tau * (1.0 - f) ** (n_alive - tau)
-    return np.clip(total, 0.0, 1.0)
+    return float(_binom_pmf(n, np.array([kappa]), np.array([p_e]), _stirling_errors(n))[0, 0])
 
 
 def _check_tolerance(value: int, p: ClusterParams, name: str):
@@ -151,134 +197,62 @@ def _check_tolerance(value: int, p: ClusterParams, name: str):
         raise InvalidParams(f"{name} must lie in [0, n-1], got {value} with n={p.n}")
 
 
-def _gc_cdf_grid(ts: np.ndarray, sigma: int, p: ClusterParams) -> np.ndarray:
-    f = _layer_cdf(sigma + 1, ts, p)
-    out = np.zeros_like(ts, dtype=float)
-    for kappa in range(sigma + 1):
-        weight = failure_count_pmf(kappa, p.n, p.p_e)
-        if weight == 0.0:
-            continue
-        out += weight * _binom_tail(p.n - kappa, p.n - sigma, f)
-    return np.clip(out, 0.0, 1.0)
+def _decode_cdf(reach: np.ndarray, layers: list[int], p: ClusterParams) -> np.ndarray:
+    """P(some allowed layer is decodable by t), elementwise over the grid.
+
+    ``layers`` ascends and ``reach[i]`` is F_{layers[i]}(t), shape
+    (len(layers), len(grid)). Walking down from the top, ``mass[k]`` is
+    P(N_v = k and no allowed layer >= v decodable), so k <= n - v. Mass that
+    reaches a layer's quorum is summed rather than subtracted from 1, which
+    keeps small probabilities accurate.
+    """
+    n = p.n
+    q = (1.0 - p.p_e) * reach
+    stirling = _stirling_errors(n)
+    decoded = np.zeros(q.shape[1])
+    mass = np.ones((1, q.shape[1]))  # no worker sits above the top layer
+    above = np.zeros(q.shape[1])
+    for u, q_u in zip(reversed(layers), q[::-1]):
+        # a worker short of the layer above reaches layer u with probability r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.clip(np.nan_to_num((q_u - above) / (1.0 - above)), 0.0, 1.0)
+        keep = n - u + 1
+        lower = np.zeros((keep, q.shape[1]))
+        for k in range(mass.shape[0]):
+            joint = mass[k] * _binom_pmf(n - k, np.arange(n - k + 1), r, stirling)
+            lower[k:] += joint[: keep - k]
+            decoded += joint[keep - k :].sum(axis=0)
+        mass, above = lower, q_u
+    return np.clip(decoded, 0.0, 1.0)
 
 
 def gc_latency_cdf(t: float, sigma: int, p: ClusterParams) -> float:
-    """P(T <= t) for a fixed-tolerance code: the (n - sigma)-th order statistic
-    of the sigma+1-task completion times, marginalized over failures."""
-    _check_tolerance(sigma, p, "sigma")
-    return float(_gc_cdf_grid(np.asarray([t], dtype=float), sigma, p)[0])
-
-
-@lru_cache(maxsize=None)
-def _no_decode_profiles(n: int, kappa: int, s_bar: int):
-    """Occupancy vectors of the n - kappa alive workers that block every layer.
-
-    A vector (i_0, ..., i_{s_bar+1}) counts workers that have finished exactly
-    that many tasks. Layer u is decodable once n - u + 1 workers hold >= u
-    tasks, so blocking all layers means sum_{v>=u} i_v <= n - u for every
-    u >= 1. Enumerated top layer down with the recursive limit
-    i_u <= min(n - u, alive) - sum_{v>u} i_v; i_0 takes the remainder.
-    Returns (occupancies, log multinomial coefficients).
-    """
-    alive = n - kappa
-    rows = []
-    vec = [0] * (s_bar + 2)
-
-    def walk(u: int, committed: int):
-        if u == 0:
-            vec[0] = alive - committed
-            rows.append(tuple(vec))
-            return
-        cap = min(n - u, alive) - committed
-        for count in range(cap + 1):
-            vec[u] = count
-            walk(u - 1, committed + count)
-        vec[u] = 0
-
-    walk(s_bar + 1, 0)
-    occupancy = np.array(rows, dtype=np.int64)
-    lg = np.array([math.lgamma(i + 1) for i in range(alive + 1)])
-    logcoef = lg[alive] - lg[occupancy].sum(axis=1)
-    return occupancy, logcoef
-
-
-def _conditional_decode_prob(weights: np.ndarray, n: int, kappa: int, s_bar: int) -> np.ndarray:
-    """P(some layer decodable by t | kappa failures) from per-layer weights.
-
-    ``weights[u]`` is the probability one alive worker has finished exactly u
-    tasks by t (row s_bar+1 means all tasks), shape (s_bar + 2, len(grid)).
-    """
-    occupancy, logcoef = _no_decode_profiles(n, kappa, s_bar)
-    # 0 * log(0) counts as 0: layers an occupancy vector never uses cannot
-    # zero the whole term even when their weight vanishes
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logw = np.log(weights)
-        exponents = np.where(
-            occupancy[:, :, None] > 0, occupancy[:, :, None] * logw[None, :, :], 0.0
-        ).sum(axis=1)
-    no_decode = np.exp(logcoef[:, None] + exponents).sum(axis=0)
-    return np.clip(1.0 - no_decode, 0.0, 1.0)
-
-
-def _ngc_weights(ts: np.ndarray, s_bar: int, p: ClusterParams) -> np.ndarray:
-    layer = np.stack([_layer_cdf(u, ts, p) for u in range(1, s_bar + 2)])
-    w = np.empty((s_bar + 2, ts.size))
-    w[0] = 1.0 - layer[0]
-    for u in range(1, s_bar + 1):
-        w[u] = layer[u - 1] - layer[u]
-    w[s_bar + 1] = layer[s_bar]
-    return np.clip(w, 0.0, 1.0)
-
-
-def _ngc_cdf_grid(ts: np.ndarray, s_max: int, p: ClusterParams) -> np.ndarray:
-    weights = _ngc_weights(ts, s_max, p)
-    out = np.zeros_like(ts, dtype=float)
-    for kappa in range(s_max + 1):
-        pmf = failure_count_pmf(kappa, p.n, p.p_e)
-        if pmf == 0.0:
-            continue
-        out += pmf * _conditional_decode_prob(weights, p.n, kappa, s_max)
-    return np.clip(out, 0.0, 1.0)
+    """P(T <= t) for a fixed-tolerance code: n - sigma workers with sigma + 1 tasks."""
+    return float(latency_curve(Scheme("gc", sigma), [t], p).values[0])
 
 
 def ngc_latency_cdf(t: float, s_max: int, p: ClusterParams) -> float:
     """P(T <= t) for the nested scheme with maximum tolerance s_max."""
-    _check_tolerance(s_max, p, "s_max")
-    return float(_ngc_cdf_grid(np.asarray([t], dtype=float), s_max, p)[0])
+    return float(latency_curve(Scheme("ngc", s_max), [t], p).values[0])
 
 
-def _zero_shift_weights(ts: np.ndarray, s_bar: int, p: ClusterParams) -> np.ndarray:
-    """Per-layer weights in closed Poisson form, valid only for rho = 0.
+def _zero_shift_reach(ts: np.ndarray, s_bar: int, p: ClusterParams) -> np.ndarray:
+    """F_u(t) for u = 1..s_bar+1 in closed Poisson form, valid only for rho = 0.
 
     With no per-task shift all layers share the offset gamma + eps, and the
-    probability of exactly u finished tasks collapses to the Poisson term
-    exp(-x) x^u / u! with x = lam * (t - gamma - eps).
+    probability of exactly v finished tasks collapses to the Poisson term
+    exp(-x) x^v / v! with x = lam * (t - gamma - eps); F_u sums the terms v >= u.
     """
     x = p.lam * (ts - (p.gamma + p.eps))
-    w = np.zeros((s_bar + 2, ts.size))
-    w[0] = 1.0
+    reach = np.zeros((s_bar + 1, ts.size))
     pos = x > 0
     if not np.any(pos):
-        return w
-    xp = x[pos]
+        return reach
+    xp = np.minimum(x[pos], 1e300)  # t = inf evaluates to 1 instead of NaN
     logx = np.log(xp)
-    poisson = np.empty((s_bar + 1, xp.size))
-    for u in range(s_bar + 1):
-        poisson[u] = np.exp(u * logx - math.lgamma(u + 1) - xp)
-    w[: s_bar + 1, pos] = poisson
-    w[s_bar + 1, pos] = 1.0 - poisson.sum(axis=0)
-    return np.clip(w, 0.0, 1.0)
-
-
-def _ngc_zero_shift_grid(ts: np.ndarray, s_max: int, p: ClusterParams) -> np.ndarray:
-    weights = _zero_shift_weights(ts, s_max, p)
-    out = np.zeros_like(ts, dtype=float)
-    for kappa in range(s_max + 1):
-        pmf = failure_count_pmf(kappa, p.n, p.p_e)
-        if pmf == 0.0:
-            continue
-        out += pmf * _conditional_decode_prob(weights, p.n, kappa, s_max)
-    return np.clip(out, 0.0, 1.0)
+    poisson = np.stack([np.exp(v * logx - math.lgamma(v + 1) - xp) for v in range(s_bar + 1)])
+    reach[:, pos] = 1.0 - np.cumsum(poisson, axis=0)
+    return np.clip(reach, 0.0, 1.0)
 
 
 def ngc_latency_cdf_zero_shift(t: float, s_max: int, p: ClusterParams) -> float:
@@ -286,7 +260,8 @@ def ngc_latency_cdf_zero_shift(t: float, s_max: int, p: ClusterParams) -> float:
     if p.rho != 0:
         raise InvalidParams(f"zero-shift form requires rho = 0, got rho={p.rho}")
     _check_tolerance(s_max, p, "s_max")
-    return float(_ngc_zero_shift_grid(np.asarray([t], dtype=float), s_max, p)[0])
+    reach = _zero_shift_reach(np.asarray([t], dtype=float), s_max, p)
+    return float(_decode_cdf(reach, list(range(1, s_max + 2)), p)[0])
 
 
 def latency_curve(scheme: Scheme, grid, p: ClusterParams) -> LatencyCurve:
@@ -296,12 +271,11 @@ def latency_curve(scheme: Scheme, grid, p: ClusterParams) -> LatencyCurve:
         raise InvalidParams("grid must be a non-empty 1-d array")
     if ts.size >= 2 and not np.all(np.diff(ts) > 0):
         raise InvalidParams("grid must be strictly increasing")
-    if scheme.kind == "uncoded":
-        values = _gc_cdf_grid(ts, 0, p)
-    elif scheme.kind == "gc":
-        _check_tolerance(scheme.tolerance, p, "sigma")
-        values = _gc_cdf_grid(ts, scheme.tolerance, p)
-    else:
+    if scheme.kind == "ngc":
         _check_tolerance(scheme.tolerance, p, "s_max")
-        values = _ngc_cdf_grid(ts, scheme.tolerance, p)
-    return LatencyCurve(grid=ts, values=values, label=scheme.label)
+        layers = list(range(1, scheme.tolerance + 2))
+    else:
+        _check_tolerance(scheme.tolerance, p, "sigma")
+        layers = [scheme.tolerance + 1]
+    reach = np.stack([_layer_cdf(u, ts, p) for u in layers])
+    return LatencyCurve(grid=ts, values=_decode_cdf(reach, layers, p), label=scheme.label)

@@ -106,6 +106,17 @@ def test_analyze_nested_scheme_dominates_fixed(tmp_path):
     assert all(b >= a - 1e-12 for a, b in zip(gc, ngc))
 
 
+def test_analyze_fixed_code_beyond_float_binomials(tmp_path):
+    # C(1100, 550) does not fit a double
+    for grid in ([], ["--t-min", "1200", "--t-max", "1600", "--steps", "41"]):
+        out = tmp_path / "wide.csv"
+        assert main(["analyze", "--n", "1100", "--schemes", "gc:550", *grid, "--out", str(out)]) == 0
+        probs = [p for _, p in curve_columns(read_csv(out)[1])["gc:550"]]
+        assert all(0.0 <= p <= 1.0 for p in probs)
+        assert all(b >= a - 1e-12 for a, b in zip(probs, probs[1:]))
+    assert probs[0] < 1e-12 and probs[-1] > 1.0 - 1e-12
+
+
 def test_analyze_minimal_grid(tmp_path):
     out = tmp_path / "two.csv"
     main(["analyze", "--schemes", "gc:1", "--steps", "2", "--out", str(out)])

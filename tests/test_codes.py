@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ngcodes.codes
 from ngcodes.codes import (
     CapExceeded,
     CodeParams,
@@ -155,10 +157,15 @@ def test_verify_identity_passes_at_sigma_zero():
     assert report.passed and report.max_residual <= 1e-12
 
 
-def test_verify_built_code_passes():
+def test_verify_built_code_passes(monkeypatch):
     matrix = build_cyclic_encoding(8, 3, seed=4)
     report = verify_gradient_code(matrix, sigma=3)
-    assert report.support_ok and report.decodable_ok and report.product_ok
+    assert report.support_ok and report.decodable_ok
+    # a NaN residual compares false against any tolerance: it must not pass
+    monkeypatch.setattr(ngcodes.codes, "_combination", lambda code, chosen: (np.zeros(code.n), math.nan))
+    report = verify_gradient_code(matrix, sigma=3)
+    assert report.support_ok and not report.decodable_ok and not report.passed
+    assert math.isnan(report.max_residual)
 
 
 def test_verify_identity_fails_at_sigma_one():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -51,6 +52,27 @@ def mc_latency_cdf(ts, kind, tolerance, p, trials, seed, chunk=100_000):
 
 def dkw_band(trials, confidence=0.99):
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * trials))
+
+
+def exact_cdf(scheme, ts, p):
+    """Oracle: brute-force sum over every joint per-worker state, each worker
+    failed or done with exactly 0..u_max tasks (u_max meaning all of them),
+    of the probability that an allowed layer has its quorum."""
+    u_max = scheme.tolerance + 1
+    layers = range(1, u_max + 1) if scheme.kind == "ngc" else [u_max]
+    reach = [np.ones(len(ts))]
+    reach += [np.array([task_time_cdf(u, t, p) for t in ts]) for u in range(1, u_max + 1)]
+    reach.append(np.zeros(len(ts)))
+    # row 0: failed; row 1 + u: alive with exactly u tasks done
+    state_prob = np.vstack([np.full(len(ts), p.p_e), -(1.0 - p.p_e) * np.diff(reach, axis=0)])
+    states = np.array(list(itertools.product(range(-1, u_max + 1), repeat=p.n)))
+    decodable = np.zeros(len(states), dtype=bool)
+    for u in layers:
+        decodable |= (states >= u).sum(axis=1) >= p.n - u + 1
+    prob = np.ones((int(decodable.sum()), len(ts)))
+    for worker in range(p.n):
+        prob *= state_prob[states[decodable, worker] + 1]
+    return prob.sum(axis=0)
 
 
 def test_task_cdf_zero_at_support_boundary():
@@ -108,6 +130,9 @@ def test_failure_pmf_values():
     assert abs(failure_count_pmf(3, 8, 0.05) - expected) < 1e-15
     assert abs(sum(failure_count_pmf(k, 8, 0.23) for k in range(9)) - 1.0) < 1e-12
     assert abs(failure_count_pmf(5, 11, 0.3) - scipy.stats.binom.pmf(5, 11, 0.3)) < 1e-12
+    for kappa in (55, 275, 550):  # binomial coefficients beyond the float range
+        expected = scipy.stats.binom.pmf(kappa, 1100, 0.25)
+        assert abs(failure_count_pmf(kappa, 1100, 0.25) - expected) <= 1e-12 * expected
 
 
 def test_gc_terminal_probability():
@@ -158,6 +183,34 @@ def test_ngc_matches_monte_carlo_at_larger_n():
     emp = mc_latency_cdf(ts, "ngc", 8, p, trials=100_000, seed=23)
     ana = np.array([ngc_latency_cdf(t, 8, p) for t in ts])
     assert np.abs(ana - emp).max() <= 0.01
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_latency_curve_matches_exhaustive_state_sum(n):
+    ts = np.array([-1.0, 0.8, 1.5, 3.0, 6.0, 1e6, np.inf])
+    schemes = [Scheme("uncoded")] + [Scheme(k, s) for k in ("gc", "ngc") for s in range(n)]
+    for scheme, rho, p_e in itertools.product(schemes, (0.0, 0.5), (0.0, 0.3, 1.0)):
+        p = ClusterParams(lam=0.8, rho=rho, gamma=0.2, eps=0.1, p_e=p_e, n=n)
+        gap = np.abs(latency_curve(scheme, ts, p).values - exact_cdf(scheme, ts, p)).max()
+        assert gap <= 1e-12, (scheme.label, rho, p_e, gap)
+
+
+def test_gc_matches_scipy_binomial_tail_at_large_n():
+    p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=1024)
+    sigma = 128
+    ts = np.linspace(9.0, 366.0, 100)
+    q = (1.0 - p.p_e) * np.array([task_time_cdf(sigma + 1, t, p) for t in ts])
+    expected = scipy.stats.binom.sf(p.n - sigma - 1, p.n, q)
+    assert np.abs(latency_curve(Scheme("gc", sigma), ts, p).values - expected).max() <= 1e-12
+
+
+def test_ngc_matches_monte_carlo_at_n64():
+    p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=64)
+    ts = np.linspace(8.0, 40.0, 17)
+    trials = 20_000
+    emp = mc_latency_cdf(ts, "ngc", 31, p, trials=trials, seed=64, chunk=1_000)
+    ana = latency_curve(Scheme("ngc", 31), ts, p).values
+    assert np.abs(ana - emp).max() <= dkw_band(trials)
 
 
 def test_zero_shift_requires_rho_zero():
