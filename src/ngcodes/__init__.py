@@ -44,14 +44,6 @@ from .latency import (
     parse_scheme,
     task_time_cdf,
 )
-from .simulator import (
-    IterationOutcome,
-    WorkerTrace,
-    run_experiment,
-    sample_worker_trace,
-    simulate_gc_iteration,
-    simulate_ngc_iteration,
-    trial_rng,
-)
+from .simulator import IterationOutcome, run_experiment, simulate_ngc_iteration
 
 __version__ = "0.1.0"

@@ -22,11 +22,7 @@ import numpy as np
 from .codes import (
     CapExceeded,
     CodeError,
-    ConstructionFailed,
-    MissingGradient,
-    NotDecodable,
     NumericalFailure,
-    SingularSystem,
     VERIFY_CAP,
     build_ngc,
     load_code,
@@ -34,12 +30,7 @@ from .codes import (
     verify_gradient_code,
     verify_nesting,
 )
-from .descent import (
-    UndecodableIteration,
-    make_dataset,
-    run_descent,
-    default_learning_rate,
-)
+from .descent import make_dataset, run_descent, default_learning_rate
 from .latency import ClusterParams, Scheme, latency_curve, parse_scheme
 from .simulator import run_experiment
 
@@ -390,16 +381,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, CapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConstructionFailed, NumericalFailure, NotDecodable, SingularSystem,
-            MissingGradient, UndecodableIteration) as exc:
+    except CodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CapExceeded, CodeError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

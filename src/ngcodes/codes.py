@@ -112,6 +112,11 @@ class EncodingMatrix:
     sigma: int
     h: np.ndarray | None = None
 
+    def __post_init__(self):
+        # a NaN would send the least-squares decode into a solver that never returns
+        if not np.all(np.isfinite(self.entries)):
+            raise ValueError("encoding matrix entries must be finite")
+
     @property
     def n(self) -> int:
         return self.entries.shape[0]
@@ -323,8 +328,8 @@ def code_from_json(text: str) -> NestedGradientCode:
         if int(comp["sigma"]) != sigma:
             raise ValueError(f"component {sigma} labelled sigma={comp['sigma']}")
         entries = np.array(comp["entries"], dtype=float)
-        if entries.size != n * n or not np.all(np.isfinite(entries)):
-            raise ValueError(f"component {sigma}: expected {n * n} finite entries")
+        if entries.size != n * n:
+            raise ValueError(f"component {sigma}: expected {n * n} entries")
         components.append(EncodingMatrix(entries=entries.reshape(n, n), sigma=sigma))
     return NestedGradientCode(n=n, s_max=s_max, seed=seed, components=tuple(components))
 

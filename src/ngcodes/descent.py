@@ -12,12 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import NestedGradientCode, decode_row, encode_response
+from .codes import CodeError, NestedGradientCode, decode_row, encode_response
 from .latency import ClusterParams
 from .simulator import IterationOutcome, simulate_ngc_iteration
 
 
-class UndecodableIteration(Exception):
+class UndecodableIteration(CodeError):
     """No component code could decode the sampled iteration."""
 
 

@@ -47,6 +47,8 @@ class ClusterParams:
     n: int        # worker count
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.lam, self.rho, self.gamma, self.eps)):
+            raise InvalidParams("lam, rho, gamma, eps must be finite")
         if self.lam <= 0:
             raise InvalidParams(f"lam must be positive, got {self.lam}")
         if self.rho < 0 or self.gamma < 0 or self.eps < 0:
@@ -77,6 +79,17 @@ class Scheme:
         if self.kind == "uncoded":
             return "uncoded"
         return f"{self.kind}:{self.tolerance}"
+
+    @property
+    def layers(self) -> list[int]:
+        """The layers u the scheme may decode at, ascending.
+
+        Uncoded decodes only at layer 1, gc:sigma only at sigma + 1 and
+        ngc:s_max at any of 1..s_max + 1.
+        """
+        if self.kind == "ngc":
+            return list(range(1, self.tolerance + 2))
+        return [self.tolerance + 1]
 
 
 def parse_scheme(text: str) -> Scheme:
@@ -192,9 +205,10 @@ def failure_count_pmf(kappa: int, n: int, p_e: float) -> float:
     return float(_binom_pmf(n, np.array([kappa]), np.array([p_e]), _stirling_errors(n))[0, 0])
 
 
-def _check_tolerance(value: int, p: ClusterParams, name: str):
-    if not 0 <= value <= p.n - 1:
-        raise InvalidParams(f"{name} must lie in [0, n-1], got {value} with n={p.n}")
+def _check_tolerance(scheme: Scheme, p: ClusterParams):
+    if scheme.tolerance > p.n - 1:  # Scheme itself rejects negative tolerances
+        name = "s_max" if scheme.kind == "ngc" else "sigma"
+        raise InvalidParams(f"{name} must lie in [0, n-1], got {scheme.tolerance} with n={p.n}")
 
 
 def _decode_cdf(reach: np.ndarray, layers: list[int], p: ClusterParams) -> np.ndarray:
@@ -259,9 +273,10 @@ def ngc_latency_cdf_zero_shift(t: float, s_max: int, p: ClusterParams) -> float:
     """Specialized nested-scheme CDF for rho = 0; agrees with ngc_latency_cdf."""
     if p.rho != 0:
         raise InvalidParams(f"zero-shift form requires rho = 0, got rho={p.rho}")
-    _check_tolerance(s_max, p, "s_max")
+    scheme = Scheme("ngc", s_max)
+    _check_tolerance(scheme, p)
     reach = _zero_shift_reach(np.asarray([t], dtype=float), s_max, p)
-    return float(_decode_cdf(reach, list(range(1, s_max + 2)), p)[0])
+    return float(_decode_cdf(reach, scheme.layers, p)[0])
 
 
 def latency_curve(scheme: Scheme, grid, p: ClusterParams) -> LatencyCurve:
@@ -271,11 +286,6 @@ def latency_curve(scheme: Scheme, grid, p: ClusterParams) -> LatencyCurve:
         raise InvalidParams("grid must be a non-empty 1-d array")
     if ts.size >= 2 and not np.all(np.diff(ts) > 0):
         raise InvalidParams("grid must be strictly increasing")
-    if scheme.kind == "ngc":
-        _check_tolerance(scheme.tolerance, p, "s_max")
-        layers = list(range(1, scheme.tolerance + 2))
-    else:
-        _check_tolerance(scheme.tolerance, p, "sigma")
-        layers = [scheme.tolerance + 1]
-    reach = np.stack([_layer_cdf(u, ts, p) for u in layers])
-    return LatencyCurve(grid=ts, values=_decode_cdf(reach, layers, p), label=scheme.label)
+    _check_tolerance(scheme, p)
+    reach = np.stack([_layer_cdf(u, ts, p) for u in scheme.layers])
+    return LatencyCurve(grid=ts, values=_decode_cdf(reach, scheme.layers, p), label=scheme.label)

@@ -1,10 +1,18 @@
-"""Monte Carlo simulation of one coded gradient-descent iteration.
+"""Monte Carlo simulation of coded gradient-descent iterations.
 
-Each trial samples per-worker failure flags and task completion times from the
-shifted-exponential model, applies the decode rule of the chosen scheme, and
-reports the iteration latency together with the work each worker completed by
-the time the iteration could stop. Trials are seeded individually
-(sub-seed = seed XOR trial index) so results do not depend on execution order.
+One array kernel serves every scheme. For a batch of trials it draws each
+worker's failure flag and the exponential waits of its tasks from the
+shifted-exponential model, builds the finish times (infinite for a failed
+worker), and takes the earliest moment at which a layer the scheme may decode
+at (``Scheme.layers``) has its quorum of n - u + 1 workers with u tasks done.
+An infinite latency is exactly "more workers failed than the scheme
+tolerates".
+
+Stream contract: ``run_experiment`` splits the trials into chunks of
+max(1, 2**15 // (n * u_max)) trials, u_max being the largest layer, and
+chunk c draws from ``default_rng(SeedSequence([seed, c]))``. Results are a
+function of (scheme, trials, seed, cluster) alone, and distinct seeds give
+independent streams.
 """
 from __future__ import annotations
 
@@ -13,19 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .latency import ClusterParams, InvalidParams, LatencyCurve, Scheme
+from .latency import ClusterParams, InvalidParams, LatencyCurve, Scheme, _check_tolerance
 
-
-@dataclass(frozen=True)
-class WorkerTrace:
-    """One worker's iteration: failure flag plus cumulative completion times.
-
-    ``finish_times[j]`` is the time at which task j+1 completes; empty when the
-    worker failed.
-    """
-
-    failed: bool
-    finish_times: np.ndarray
+CHUNK_ELEMENTS = 2**15  # finish times drawn per chunk; bounds the kernel's memory
 
 
 @dataclass(frozen=True)
@@ -43,82 +41,50 @@ class IterationOutcome:
     kappa: int
 
 
-def sample_worker_trace(rng: np.random.Generator, p: ClusterParams, u_max: int) -> WorkerTrace:
-    """Draw one worker: Bernoulli(p_e) failure, else shifted-Erlang finish times."""
-    if u_max < 1:
-        raise InvalidParams(f"u_max must be at least 1, got {u_max}")
-    if rng.random() < p.p_e:
-        return WorkerTrace(failed=True, finish_times=np.empty(0))
-    waits = rng.exponential(scale=1.0 / p.lam, size=u_max)
-    tasks = np.arange(1, u_max + 1)
-    times = p.gamma + p.eps + p.rho * tasks + np.cumsum(waits)
-    return WorkerTrace(failed=False, finish_times=times)
+def _draw(rng: np.random.Generator, p: ClusterParams, trials: int, u_max: int):
+    """Alive flags (trials, n) and finish times (trials, n, u_max), inf when failed."""
+    alive = rng.random((trials, p.n)) >= p.p_e
+    waits = rng.exponential(scale=1.0 / p.lam, size=(trials, p.n, u_max))
+    times = np.cumsum(waits, axis=2, out=waits)  # in place: one array of this size at a time
+    times += p.gamma + p.eps + p.rho * np.arange(1, u_max + 1)
+    times[~alive] = math.inf
+    return alive, times
 
 
-def _draw_traces(rng, p: ClusterParams, u_max: int) -> list[WorkerTrace]:
-    return [sample_worker_trace(rng, p, u_max) for _ in range(p.n)]
+def _simulate(rng: np.random.Generator, scheme: Scheme, p: ClusterParams, trials: int):
+    """Per-trial latency, decoded sigma (-1 if none), tasks done (trials, n), failures.
+
+    The nested scheme stops every worker at the latency, so it counts the tasks
+    finished by then; fixed-load schemes count all u_max tasks of every alive
+    worker. Ties between layers go to the smaller one.
+    """
+    _check_tolerance(scheme, p)
+    layers = np.array(scheme.layers)
+    u_max = int(layers[-1])
+    alive, times = _draw(rng, p, trials, u_max)
+    order = np.sort(times[:, :, layers - 1], axis=1)
+    quorum = order[:, p.n - layers, np.arange(layers.size)]
+    best = np.argmin(quorum, axis=1)
+    latency = quorum[np.arange(trials), best]
+    sigma = np.where(np.isinf(latency), -1, layers[best] - 1)
+    if scheme.kind == "ngc":
+        tasks = np.sum(times <= latency[:, None, None], axis=2) * alive
+    else:
+        tasks = u_max * alive
+    return latency, sigma, tasks, p.n - alive.sum(axis=1)
 
 
-def _tasks_at(traces, latency: float | None, u_max: int) -> np.ndarray:
-    done = np.zeros(len(traces), dtype=np.int64)
-    for i, tr in enumerate(traces):
-        if tr.failed:
-            continue
-        if latency is None:
-            done[i] = u_max  # no stop signal ever arrives; the schedule runs out
-        else:
-            done[i] = int(np.searchsorted(tr.finish_times, latency, side="right"))
-    return done
-
-
-def simulate_ngc_iteration(
-    rng: np.random.Generator, s_max: int, p: ClusterParams, final_signal_delay: float = 0.0
-) -> IterationOutcome:
+def simulate_ngc_iteration(rng: np.random.Generator, s_max: int, p: ClusterParams) -> IterationOutcome:
     """One nested-scheme iteration: stop at the first layer reaching quorum.
 
     Layer u (u = 1..s_max+1) is decodable once n - u + 1 alive workers have
     finished u tasks; the latency is the earliest such moment and the component
     used is sigma = u - 1, ties resolved toward the smaller tolerance.
-    ``final_signal_delay`` adds an optional terminal signaling round trip.
     """
-    if not 0 <= s_max <= p.n - 1:
-        raise InvalidParams(f"s_max must lie in [0, n-1], got {s_max} with n={p.n}")
-    u_max = s_max + 1
-    traces = _draw_traces(rng, p, u_max)
-    kappa = sum(tr.failed for tr in traces)
-    if kappa > s_max:
-        return IterationOutcome(None, None, _tasks_at(traces, None, u_max), kappa)
-    times = np.stack([tr.finish_times for tr in traces if not tr.failed])
-    order = np.sort(times, axis=0)
-    best_time, best_u = math.inf, None
-    for u in range(1, u_max + 1):
-        need = p.n - u + 1
-        if order.shape[0] < need:
-            continue
-        quorum_time = order[need - 1, u - 1]
-        if quorum_time < best_time:
-            best_time, best_u = quorum_time, u
-    tasks_done = _tasks_at(traces, best_time, u_max)
-    return IterationOutcome(float(best_time) + final_signal_delay, best_u - 1, tasks_done, kappa)
-
-
-def simulate_gc_iteration(rng: np.random.Generator, sigma: int, p: ClusterParams) -> IterationOutcome:
-    """One fixed-tolerance iteration: wait for n - sigma full responses.
-
-    Every alive worker computes all sigma + 1 assigned tasks regardless of the
-    decode time (fixed computation load).
-    """
-    if not 0 <= sigma <= p.n - 1:
-        raise InvalidParams(f"sigma must lie in [0, n-1], got {sigma} with n={p.n}")
-    u_max = sigma + 1
-    traces = _draw_traces(rng, p, u_max)
-    kappa = sum(tr.failed for tr in traces)
-    tasks_done = np.array([0 if tr.failed else u_max for tr in traces], dtype=np.int64)
-    if kappa > sigma:
-        return IterationOutcome(None, None, tasks_done, kappa)
-    finals = np.sort([tr.finish_times[-1] for tr in traces if not tr.failed])
-    latency = float(finals[p.n - sigma - 1])
-    return IterationOutcome(latency, sigma, tasks_done, kappa)
+    latency, sigma, tasks, kappa = _simulate(rng, Scheme("ngc", s_max), p, 1)
+    if math.isinf(latency[0]):
+        return IterationOutcome(None, None, tasks[0], int(kappa[0]))
+    return IterationOutcome(float(latency[0]), int(sigma[0]), tasks[0], int(kappa[0]))
 
 
 @dataclass(frozen=True)
@@ -134,23 +100,12 @@ class ExperimentResult:
     loads: LoadStats
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """The per-trial generator: independent stream keyed by seed XOR trial."""
-    return np.random.default_rng(np.random.SeedSequence(seed ^ trial))
-
-
-def run_experiment(
-    scheme: Scheme,
-    trials: int,
-    seed: int,
-    p: ClusterParams,
-    grid,
-    final_signal_delay: float = 0.0,
-) -> ExperimentResult:
+def run_experiment(scheme: Scheme, trials: int, seed: int, p: ClusterParams, grid) -> ExperimentResult:
     """Empirical latency CDF and load statistics over independent trials.
 
     Undecodable trials count as infinite latency (never <= t). Deterministic
-    for fixed (seed, trials) because every trial owns its sub-seeded stream.
+    for fixed (seed, trials): chunk c of the trials owns the stream
+    ``SeedSequence([seed, c])``.
     """
     if trials < 1:
         raise InvalidParams(f"trials must be at least 1, got {trials}")
@@ -160,24 +115,20 @@ def run_experiment(
     if ts.ndim != 1 or ts.size < 1 or (ts.size >= 2 and not np.all(np.diff(ts) > 0)):
         raise InvalidParams("grid must be a non-empty strictly increasing 1-d array")
 
+    chunk = max(1, CHUNK_ELEMENTS // (p.n * (scheme.tolerance + 1)))
     latencies = np.empty(trials)
     loads = np.empty((trials, p.n), dtype=np.int64)
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
-        if scheme.kind == "ngc":
-            out = simulate_ngc_iteration(rng, scheme.tolerance, p, final_signal_delay)
-        else:
-            sigma = 0 if scheme.kind == "uncoded" else scheme.tolerance
-            out = simulate_gc_iteration(rng, sigma, p)
-        latencies[trial] = math.inf if out.latency is None else out.latency
-        loads[trial] = out.tasks_done
+    for c, start in enumerate(range(0, trials, chunk)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
+        stop = min(start + chunk, trials)
+        latencies[start:stop], _, loads[start:stop], _ = _simulate(rng, scheme, p, stop - start)
 
     ordered = np.sort(latencies)
     values = np.searchsorted(ordered, ts, side="right") / trials
     curve = LatencyCurve(grid=ts, values=values, label=scheme.label)
     stats = LoadStats(
         mean_load=float(loads.mean()),
-        p95_load=float(np.percentile(loads.reshape(-1), 95)),
+        p95_load=float(np.percentile(loads.reshape(-1), 95, overwrite_input=True)),
         undecodable_rate=float(np.mean(np.isinf(latencies))),
     )
     return ExperimentResult(curve=curve, loads=stats)

@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-report. The heavyweight empirical/analytic comparison (criterion 4) runs
-100k trials per scheme and dominates the runtime (a few minutes total).
+report. The empirical/analytic comparison (criterion 4) runs 100k trials per
+scheme, about a second in all.
 """
 import itertools
 from functools import lru_cache

@@ -3,6 +3,8 @@ import json
 import math
 
 import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ngcodes.cli import main
 from ngcodes.codes import load_code
@@ -236,3 +238,52 @@ def test_config_file_must_be_json_object(tmp_path):
 
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
+
+
+def test_non_finite_cluster_parameters_are_validation_errors(tmp_path, capsys):
+    out = str(tmp_path / "x.csv")
+    for argv in (["analyze", "--schemes", "ngc:3", "--lambda", "nan"],
+                 ["analyze", "--schemes", "ngc:3", "--rho", "nan"],
+                 ["analyze", "--schemes", "ngc:3", "--eps", "inf"],
+                 ["simulate", "--schemes", "ngc:3", "--lambda", "nan", "--trials", "10"]):
+        assert main([*argv, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+# any float, or None to leave the flag at its default so that valid runs stay common
+ANY_FLOAT = st.none() | st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def cli_invocations(draw):
+    """Small invocations; FLAG=VALUE keeps negative values from reading as flags."""
+    command = draw(st.sampled_from(["analyze", "simulate", "gd-demo"]))
+    flags = {"n": draw(st.integers(-1, 10)), "seed": draw(st.integers(-1, 2**31))}
+    for name in ("lambda", "rho", "gamma", "eps", "pe"):
+        flags[name] = draw(ANY_FLOAT)
+    tolerance = st.integers(-1, 12)
+    if command == "gd-demo":
+        flags.update(smax=draw(tolerance), m=draw(st.integers(1, 20)), c=draw(st.integers(1, 4)),
+                     iterations=draw(st.integers(0, 5)))
+    else:
+        kinds = st.lists(st.sampled_from(["uncoded", "gc", "ngc"]), min_size=1, max_size=3)
+        flags["schemes"] = ",".join(k if k == "uncoded" else f"{k}:{draw(tolerance)}" for k in draw(kinds))
+        flags.update({"steps": draw(st.integers(1, 50)), "t-min": draw(ANY_FLOAT), "t-max": draw(ANY_FLOAT)})
+        if command == "simulate":
+            flags["trials"] = draw(st.integers(0, 200))
+    return [command, *(f"--{name}={value!r}" for name, value in flags.items() if value is not None)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_invocations())
+@example(argv=["simulate", "--schemes=ngc:3", "--lambda=nan", "--trials=10"])
+def test_exit_code_is_always_0_1_or_2(argv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("prop") / "out.csv"
+    assert main([*argv, "--out", str(out)]) in (0, 1, 2)
+
+
+def test_gd_demo_without_a_decodable_draw_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "gd.csv"
+    assert main(["gd-demo", "--m", "8", "--c", "2", "--iterations", "1", "--pe", "1",
+                 "--out", str(out)]) == 2
+    assert "no decodable draw" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from ngcodes.codes import (
     CapExceeded,
     CodeParams,
     ConstructionFailed,
+    EncodingMatrix,
     MissingGradient,
     NotDecodable,
     StorageParams,
@@ -244,6 +245,14 @@ def test_deserialization_rejects_bad_documents():
     doc["components"] = doc["components"][:1]
     with pytest.raises(ValueError):
         code_from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_encoding_matrix_rejects_non_finite_entries(bad):
+    entries = np.eye(4)
+    entries[1, 2] = bad
+    with pytest.raises(ValueError):
+        EncodingMatrix(entries=entries, sigma=0)
 
 
 @st.composite

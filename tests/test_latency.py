@@ -317,6 +317,12 @@ def test_cluster_params_validation():
         ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=1.05, n=8)
     with pytest.raises(InvalidParams):
         ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=0)
+    for field in ("lam", "rho", "gamma", "eps"):
+        for value in (math.nan, math.inf):
+            fields = dict(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=8)
+            fields[field] = value
+            with pytest.raises(InvalidParams):
+                ClusterParams(**fields)
 
 
 @settings(max_examples=30, deadline=None)

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ngcodes.latency import ClusterParams, InvalidParams, Scheme, gc_latency_cdf, ngc_latency_cdf, task_time_cdf
+from ngcodes.latency import ClusterParams, Scheme, gc_latency_cdf, ngc_latency_cdf, task_time_cdf
 from ngcodes.simulator import (
+    CHUNK_ELEMENTS,
+    IterationOutcome,
+    _draw,
+    _simulate,
     run_experiment,
-    sample_worker_trace,
-    simulate_gc_iteration,
     simulate_ngc_iteration,
-    trial_rng,
 )
 
 FIG_PARAMS = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=8)
@@ -19,51 +20,54 @@ def dkw_band(trials, confidence=0.99):
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * trials))
 
 
-def test_trial_rng_streams_are_reproducible():
-    first = trial_rng(42, 7).random(4)
-    again = trial_rng(42, 7).random(4)
-    other = trial_rng(42, 8).random(4)
-    assert np.array_equal(first, again)
-    assert not np.array_equal(first, other)
+def one_trial(scheme, seed, p):
+    """The kernel on a single trial drawn from default_rng(seed)."""
+    latency, sigma, tasks, kappa = _simulate(np.random.default_rng(seed), scheme, p, 1)
+    if math.isinf(latency[0]):
+        return IterationOutcome(None, None, tasks[0], int(kappa[0]))
+    return IterationOutcome(float(latency[0]), int(sigma[0]), tasks[0], int(kappa[0]))
+
+
+def test_chunk_streams_are_reproducible():
+    # chunk c of run_experiment draws from SeedSequence([seed, c])
+    scheme, grid = Scheme("ngc", 3), np.linspace(2.0, 18.0, 40)
+    chunk = CHUNK_ELEMENTS // (FIG_PARAMS.n * 4)
+    latencies = np.concatenate([
+        _simulate(np.random.default_rng(np.random.SeedSequence([42, c])), scheme, FIG_PARAMS, chunk)[0]
+        for c in range(2)
+    ])
+    result = run_experiment(scheme, 2 * chunk, 42, FIG_PARAMS, grid)
+    expected = np.searchsorted(np.sort(latencies), grid, side="right") / (2 * chunk)
+    assert np.array_equal(result.curve.values, expected)
+    assert not np.array_equal(latencies[:chunk], latencies[chunk:])
 
 
 def test_trace_always_fails_at_pe_one():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=1.0, n=4)
-    trace = sample_worker_trace(np.random.default_rng(0), p, 3)
-    assert trace.failed and trace.finish_times.size == 0
+    alive, times = _draw(np.random.default_rng(0), p, 1, 3)
+    assert not alive.any() and np.all(np.isinf(times))
 
 
 def test_trace_reduces_to_deterministic_shift():
     p = ClusterParams(lam=1e9, rho=0.5, gamma=0.2, eps=0.1, p_e=0.0, n=4)
-    trace = sample_worker_trace(np.random.default_rng(1), p, 4)
+    _, times = _draw(np.random.default_rng(1), p, 1, 4)
     expected = p.gamma + p.eps + p.rho * np.arange(1, 5)
-    assert np.allclose(trace.finish_times, expected, atol=1e-5)
+    assert np.allclose(times[0], expected, atol=1e-5)
 
 
 def test_trace_is_increasing_and_shift_bounded():
-    rng = np.random.default_rng(2)
-    for _ in range(200):
-        trace = sample_worker_trace(rng, FIG_PARAMS, 5)
-        if trace.failed:
-            continue
-        assert np.all(np.diff(trace.finish_times) > 0)
-        lower = FIG_PARAMS.gamma + FIG_PARAMS.eps + FIG_PARAMS.rho * np.arange(1, 6)
-        assert np.all(trace.finish_times >= lower)
-
-
-def test_trace_rejects_bad_u_max():
-    with pytest.raises(InvalidParams):
-        sample_worker_trace(np.random.default_rng(0), FIG_PARAMS, 0)
+    alive, times = _draw(np.random.default_rng(2), FIG_PARAMS, 200, 5)
+    finish = times[alive]
+    assert np.all(np.diff(finish, axis=1) > 0)
+    lower = FIG_PARAMS.gamma + FIG_PARAMS.eps + FIG_PARAMS.rho * np.arange(1, 6)
+    assert np.all(finish >= lower)
 
 
 def test_trace_empirical_cdf_matches_analytic():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.0, n=4)
-    rng = np.random.default_rng(3)
     trials = 1_000_000
-    samples = np.empty(trials)
-    for i in range(trials):
-        samples[i] = sample_worker_trace(rng, p, 1).finish_times[0]
-    samples.sort()
+    _, times = _draw(np.random.default_rng(3), p, trials // p.n, 1)
+    samples = np.sort(times.reshape(-1))
     ts = np.linspace(0.5, 12.0, 60)
     empirical = np.searchsorted(samples, ts, side="right") / trials
     analytic = np.array([task_time_cdf(1, t, p) for t in ts])
@@ -74,9 +78,8 @@ def test_ngc_with_zero_tolerance_waits_for_everyone():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.0, n=8)
     for seed in range(20):
         outcome = simulate_ngc_iteration(np.random.default_rng(seed), 0, p)
-        replay = np.random.default_rng(seed)
-        times = [sample_worker_trace(replay, p, 1).finish_times[0] for _ in range(8)]
-        assert outcome.latency == pytest.approx(max(times))
+        _, times = _draw(np.random.default_rng(seed), p, 1, 1)
+        assert outcome.latency == pytest.approx(times.max())
         assert outcome.decoded_sigma == 0
 
 
@@ -100,59 +103,48 @@ def test_ngc_quorum_and_no_earlier_layer():
         assert 0 <= sigma <= s_max
         assert np.sum(outcome.tasks_done >= sigma + 1) >= p.n - sigma
         assert np.all(outcome.tasks_done <= s_max + 1)
-        # replay the identical stream to inspect raw traces
-        rng = np.random.default_rng(seed)
-        traces = [sample_worker_trace(rng, p, s_max + 1) for _ in range(p.n)]
+        # replay the identical stream to inspect raw finish times
+        alive, times = _draw(np.random.default_rng(seed), p, 1, s_max + 1)
+        alive, times = alive[0], times[0]
         for u in range(1, sigma + 1):  # u < sigma + 1
-            strictly_before = sum(
-                1 for tr in traces if not tr.failed and tr.finish_times[u - 1] < outcome.latency
-            )
+            strictly_before = int(np.sum(alive & (times[:, u - 1] < outcome.latency)))
             assert strictly_before < p.n - u + 1
-        for i, tr in enumerate(traces):
-            expected = 0 if tr.failed else int(np.searchsorted(tr.finish_times, outcome.latency, side="right"))
+        for i in range(p.n):
+            expected = int(np.searchsorted(times[i], outcome.latency, side="right")) if alive[i] else 0
             assert outcome.tasks_done[i] == expected
 
 
 def test_gc_fixed_load_and_order_statistic():
     p = FIG_PARAMS
     for seed in range(200):
-        outcome = simulate_gc_iteration(np.random.default_rng(seed), 3, p)
+        outcome = one_trial(Scheme("gc", 3), seed, p)
         alive = outcome.tasks_done > 0
         assert np.all(outcome.tasks_done[alive] == 4)
         if outcome.latency is None:
             assert outcome.kappa > 3
             continue
-        rng = np.random.default_rng(seed)
-        traces = [sample_worker_trace(rng, p, 4) for _ in range(p.n)]
-        finals = sorted(tr.finish_times[-1] for tr in traces if not tr.failed)
+        replay_alive, times = _draw(np.random.default_rng(seed), p, 1, 4)
+        finals = sorted(times[0, replay_alive[0], -1])
         assert outcome.latency == pytest.approx(finals[p.n - 3 - 1])
 
 
 def test_gc_and_ngc_agree_at_zero_tolerance():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.0, n=8)
     for seed in range(50):
-        a = simulate_gc_iteration(np.random.default_rng(seed), 0, p)
-        b = simulate_ngc_iteration(np.random.default_rng(seed), 0, p)
+        a = one_trial(Scheme("gc", 0), seed, p)
+        b = one_trial(Scheme("ngc", 0), seed, p)
         assert a.latency == pytest.approx(b.latency)
 
 
 def test_ngc_never_slower_than_gc_on_shared_draws():
     p = FIG_PARAMS
     for seed in range(2000):
-        gc_out = simulate_gc_iteration(np.random.default_rng(seed), 3, p)
-        ngc_out = simulate_ngc_iteration(np.random.default_rng(seed), 3, p)
+        gc_out = one_trial(Scheme("gc", 3), seed, p)
+        ngc_out = one_trial(Scheme("ngc", 3), seed, p)
         if gc_out.latency is None:
             assert ngc_out.latency is None
             continue
         assert ngc_out.latency <= gc_out.latency + 1e-12
-
-
-def test_final_signal_delay_is_additive():
-    p = FIG_PARAMS
-    base = simulate_ngc_iteration(np.random.default_rng(7), 3, p)
-    shifted = simulate_ngc_iteration(np.random.default_rng(7), 3, p, final_signal_delay=0.25)
-    assert shifted.latency == pytest.approx(base.latency + 0.25)
-    assert np.array_equal(shifted.tasks_done, base.tasks_done)
 
 
 def test_run_experiment_single_trial_is_step_function():
@@ -168,6 +160,24 @@ def test_run_experiment_deterministic():
     b = run_experiment(Scheme("gc", 2), 500, 9, FIG_PARAMS, grid)
     assert np.array_equal(a.curve.values, b.curve.values)
     assert a.loads == b.loads
+
+
+def test_run_experiment_deterministic_across_chunks():
+    grid = np.linspace(2.0, 18.0, 25)
+    trials = 3 * CHUNK_ELEMENTS // (FIG_PARAMS.n * 4) - 7  # three chunks, the last one short
+    a = run_experiment(Scheme("ngc", 3), trials, 9, FIG_PARAMS, grid)
+    b = run_experiment(Scheme("ngc", 3), trials, 9, FIG_PARAMS, grid)
+    assert a.curve.values.tobytes() == b.curve.values.tobytes()
+    assert a.loads == b.loads
+
+
+def test_distinct_seeds_give_distinct_curves():
+    grid = np.linspace(2.0, 18.0, 100)
+    curves = [run_experiment(Scheme("ngc", 3), 1000, seed, FIG_PARAMS, grid).curve.values
+              for seed in (0, 1, 5)]
+    for i in range(3):
+        for j in range(i + 1, 3):
+            assert not np.array_equal(curves[i], curves[j])
 
 
 def test_run_experiment_matches_analytic_gc():
