@@ -1,10 +1,16 @@
 """Coded distributed gradient descent on a synthetic least-squares problem.
 
 The data matrix is split into n contiguous row blocks (zero-padded to a
-multiple of n). Each simulated iteration decides which component code decoded
-first, reconstructs the full gradient from the responsive workers' encoded
-responses, checks it against the directly summed gradient, and applies the
-standard update theta -= (eta / m) * gradient.
+multiple of n), held as one (n, size, c) stack. Each simulated iteration
+decides which component code decoded first, reconstructs the full gradient
+from the responsive workers' encoded responses, checks it against the directly
+summed gradient, and applies the standard update theta -= (eta / m) * gradient.
+
+A run computes one residual X theta - y per theta, which gives both the
+recorded loss and all n block gradients of the next iteration (one batched
+product). The responses of the workers a decoding uses are one product of
+their encoding rows with the block gradients, and the decoding of each
+(sigma, responsive set) is solved once per run.
 """
 from __future__ import annotations
 
@@ -12,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeError, NestedGradientCode, decode_row, encode_response
+from .codes import CodeError, EncodingMatrix, MissingGradient, NestedGradientCode, decode_row
+from .codes import encode_response  # noqa: F401 -- bench/workloads.py traces it under this module
 from .latency import ClusterParams
 from .simulator import IterationOutcome, simulate_ngc_iteration
 
@@ -52,19 +59,19 @@ def make_dataset(m: int, c: int, noise: float, seed: int) -> Dataset:
 
 @dataclass(frozen=True)
 class DataBlock:
-    index: int
+    """Rows of one block, data (size, c) with labels (size,), or of a stack of
+    blocks along a leading axis, data (n, size, c) with labels (n, size)."""
+
     data: np.ndarray
     labels: np.ndarray
 
 
-@dataclass(frozen=True)
-class GradientBlock:
-    index: int
-    value: np.ndarray
+def partition(dataset: Dataset, n: int) -> DataBlock:
+    """Split into n contiguous equal blocks, zero-padding the tail if needed.
 
-
-def partition(dataset: Dataset, n: int) -> tuple[DataBlock, ...]:
-    """Split into n contiguous equal blocks, zero-padding the tail if needed."""
+    The blocks come back as one stack: a reshape of the padded data, not a copy
+    per block. Block i is ``DataBlock(blocks.data[i], blocks.labels[i])``.
+    """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     m = dataset.m
@@ -73,17 +80,22 @@ def partition(dataset: Dataset, n: int) -> tuple[DataBlock, ...]:
     if rows != m:
         data = np.vstack([data, np.zeros((rows - m, dataset.c))])
         labels = np.concatenate([labels, np.zeros(rows - m)])
-    size = rows // n
-    return tuple(
-        DataBlock(i, data[i * size : (i + 1) * size], labels[i * size : (i + 1) * size])
-        for i in range(n)
-    )
+    return DataBlock(data.reshape(n, rows // n, dataset.c), labels.reshape(n, rows // n))
 
 
-def partial_gradient(block: DataBlock, theta: np.ndarray) -> GradientBlock:
-    """Squared-error gradient summed over the block's rows."""
-    residual = block.data @ theta - block.labels
-    return GradientBlock(index=block.index, value=block.data.T @ residual)
+def _residual(block: DataBlock, theta: np.ndarray) -> np.ndarray:
+    return block.data @ theta - block.labels
+
+
+def _block_gradients(block: DataBlock, residual: np.ndarray) -> np.ndarray:
+    # residual^T X of each block, as one batched product over the leading block axis
+    return (residual[..., None, :] @ block.data)[..., 0, :]
+
+
+def partial_gradient(block: DataBlock, theta: np.ndarray) -> np.ndarray:
+    """Squared-error gradient summed over the block's rows: (c,) for one block,
+    (n, c) for a stack of blocks."""
+    return _block_gradients(block, _residual(block, theta))
 
 
 def dataset_loss(dataset: Dataset, theta: np.ndarray) -> float:
@@ -106,38 +118,68 @@ class RecoveryReport:
     kappa: int
 
 
+@dataclass(frozen=True)
+class _Decoder:
+    """How one (sigma, responsive set) decodes: which workers answer, and how."""
+
+    workers: np.ndarray  # the responsive workers the decoding row uses, ascending
+    reach: np.ndarray    # tasks each must have finished to hold its row's blocks
+    rows: np.ndarray     # their rows of the component's encoding matrix
+    weights: np.ndarray  # their decoding coefficients
+
+
+def _decoder(component: EncodingMatrix, responsive: np.ndarray) -> _Decoder:
+    row = decode_row(component, responsive)  # NumericalFailure unless within the residual gate
+    workers = np.array(sorted(row.responsive_set))
+    rows = component.entries[workers]
+    # task r of worker i computes block (i + r) mod n, so block j needs (j - i) mod n + 1 tasks
+    offsets = (np.arange(component.n) - workers[:, None]) % component.n
+    reach = np.where(rows != 0, offsets + 1, 0).max(axis=1)
+    return _Decoder(workers, reach, rows, row.coefficients[workers])
+
+
 def coded_iteration(
     state: DescentState,
     ngc: NestedGradientCode,
     outcome: IterationOutcome,
-    blocks: tuple[DataBlock, ...],
+    gradients: np.ndarray,
     m: int,
+    decoders: dict | None = None,
 ) -> tuple[DescentState, RecoveryReport]:
     """Apply one update from the decoded gradient of a simulated iteration.
 
-    Workers hold gradients for the cyclic block window their completed tasks
-    cover; responses are formed with the decoded component's rows and combined
-    with its decoding coefficients. The report compares the decoded gradient
-    against the directly summed one.
+    ``gradients`` holds the n block gradients at ``state.theta``, one row per
+    block. Workers hold gradients for the cyclic block window their completed
+    tasks cover; responses are formed with the decoded component's rows and
+    combined with its decoding coefficients (MissingGradient if a row reaches
+    past its worker's window). The report compares the decoded gradient
+    against the directly summed one. ``decoders`` keeps the decoding of each
+    (sigma, responsive set) for later calls; ``run_descent`` passes one dict
+    per run.
     """
     if outcome.decoded_sigma is None:
         raise UndecodableIteration(f"{outcome.kappa} failures exceed s_max={ngc.s_max}")
+    if gradients.shape != (ngc.n, state.theta.size):
+        raise ValueError(f"gradients must be ({ngc.n}, {state.theta.size}), got {gradients.shape}")
     sigma = outcome.decoded_sigma
-    component = ngc.components[sigma]
-    n = ngc.n
-    gradients = [partial_gradient(block, state.theta).value for block in blocks]
+    tasks_done = outcome.tasks_done
+    responsive = np.flatnonzero(tasks_done >= sigma + 1)
+    decoders = {} if decoders is None else decoders
+    key = (sigma, tuple(responsive.tolist()))
+    decoder = decoders.get(key)
+    if decoder is None:
+        decoder = decoders[key] = _decoder(ngc.components[sigma], responsive)
 
-    responsive = [i for i in range(n) if outcome.tasks_done[i] >= sigma + 1]
-    row = decode_row(component, responsive)
-    decoded = np.zeros_like(state.theta)
-    for i in sorted(row.responsive_set):
-        available = [None] * n
-        for r in range(int(outcome.tasks_done[i])):
-            j = (i + r) % n
-            available[j] = gradients[j]
-        decoded += row.coefficients[i] * encode_response(component.entries[i], available)
+    short = tasks_done[decoder.workers] < decoder.reach
+    if short.any():
+        k = int(np.argmax(short))
+        raise MissingGradient(
+            f"worker {decoder.workers[k]} finished {tasks_done[decoder.workers[k]]} tasks, "
+            f"but its encoding row needs {decoder.reach[k]}"
+        )
+    decoded = decoder.weights @ (decoder.rows @ gradients)
 
-    full = np.sum(gradients, axis=0)
+    full = gradients.sum(axis=0)
     denom = float(np.abs(full).max()) or 1.0
     report = RecoveryReport(
         relative_error=float(np.abs(decoded - full).max()) / denom,
@@ -204,15 +246,19 @@ def run_descent(
         raise ValueError(f"cluster has n={cluster.n} workers but code expects {ngc.n}")
     blocks = partition(dataset, ngc.n)
     state = DescentState(theta=np.zeros(dataset.c), eta=eta, iteration=0)
+    residual = _residual(blocks, state.theta)  # one per theta: its loss and the next gradients
+    decoders = {}
     thetas, records = [], []
     for t in range(iterations):
         outcome, resamples = _decodable_outcome(cluster, ngc.s_max, seed, t, max_resamples)
-        state, report = coded_iteration(state, ngc, outcome, blocks, dataset.m)
+        gradients = _block_gradients(blocks, residual)
+        state, report = coded_iteration(state, ngc, outcome, gradients, dataset.m, decoders)
+        residual = _residual(blocks, state.theta)
         thetas.append(state.theta)
         records.append(
             IterationRecord(
                 iteration=t,
-                loss=dataset_loss(dataset, state.theta),
+                loss=0.5 * float(np.vdot(residual, residual)),
                 recovery_error=report.relative_error,
                 decoded_sigma=report.decoded_sigma,
                 latency=report.latency,

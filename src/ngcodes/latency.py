@@ -57,6 +57,12 @@ class ClusterParams:
             raise InvalidParams(f"p_e must lie in [0, 1], got {self.p_e}")
         if self.n < 1:
             raise InvalidParams(f"n must be at least 1, got {self.n}")
+        # finite parameters can still overflow the task times: then every draw is
+        # undecodable, which would read as "more workers failed than tolerated"
+        if math.isinf(1.0 / self.lam):
+            raise InvalidParams(f"lam={self.lam} is too small: its mean task time 1/lam overflows")
+        if not math.isfinite(self.gamma + self.eps + self.n * self.rho):
+            raise InvalidParams("gamma + eps + n * rho overflows: the n-th task's shift is not finite")
 
 
 @dataclass(frozen=True)

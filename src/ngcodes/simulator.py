@@ -98,10 +98,13 @@ class LoadStats:
 class ExperimentResult:
     curve: LatencyCurve
     loads: LoadStats
+    decoded: tuple[int, ...]  # trials decoded at sigma = 0, 1, ..., tolerance
+    undecodable: int          # trials no layer of the scheme could decode
 
 
 def run_experiment(scheme: Scheme, trials: int, seed: int, p: ClusterParams, grid) -> ExperimentResult:
-    """Empirical latency CDF and load statistics over independent trials.
+    """Empirical latency CDF, load statistics and decode counts per sigma over
+    independent trials.
 
     Undecodable trials count as infinite latency (never <= t). Deterministic
     for fixed (seed, trials): chunk c of the trials owns the stream
@@ -115,13 +118,16 @@ def run_experiment(scheme: Scheme, trials: int, seed: int, p: ClusterParams, gri
     if ts.ndim != 1 or ts.size < 1 or (ts.size >= 2 and not np.all(np.diff(ts) > 0)):
         raise InvalidParams("grid must be a non-empty strictly increasing 1-d array")
 
-    chunk = max(1, CHUNK_ELEMENTS // (p.n * (scheme.tolerance + 1)))
+    u_max = scheme.tolerance + 1
+    chunk = max(1, CHUNK_ELEMENTS // (p.n * u_max))
     latencies = np.empty(trials)
     loads = np.empty((trials, p.n), dtype=np.int64)
+    counts = np.zeros(u_max + 1, dtype=np.int64)  # [undecodable, decoded at sigma = 0, 1, ...]
     for c, start in enumerate(range(0, trials, chunk)):
         rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
         stop = min(start + chunk, trials)
-        latencies[start:stop], _, loads[start:stop], _ = _simulate(rng, scheme, p, stop - start)
+        latencies[start:stop], sigma, loads[start:stop], _ = _simulate(rng, scheme, p, stop - start)
+        counts += np.bincount(sigma + 1, minlength=u_max + 1)
 
     ordered = np.sort(latencies)
     values = np.searchsorted(ordered, ts, side="right") / trials
@@ -131,4 +137,5 @@ def run_experiment(scheme: Scheme, trials: int, seed: int, p: ClusterParams, gri
         p95_load=float(np.percentile(loads.reshape(-1), 95, overwrite_input=True)),
         undecodable_rate=float(np.mean(np.isinf(latencies))),
     )
-    return ExperimentResult(curve=curve, loads=stats)
+    return ExperimentResult(curve=curve, loads=stats, decoded=tuple(counts[1:].tolist()),
+                            undecodable=int(counts[0]))

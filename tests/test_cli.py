@@ -250,6 +250,20 @@ def test_non_finite_cluster_parameters_are_validation_errors(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_overflowing_cluster_parameters_are_validation_errors(tmp_path, capsys):
+    # finite flags whose task times overflow: before they were rejected, simulate
+    # reported every trial undecodable and gd-demo gave up after 1000 resamples
+    out = str(tmp_path / "x.csv")
+    for argv in (["simulate", "--schemes", "ngc:1", "--n", "4", "--lambda", "5e-324"],
+                 ["simulate", "--schemes", "ngc:1", "--rho", "1e308", "--eps", "1e308"],
+                 ["analyze", "--schemes", "ngc:3", "--lambda", "5e-324"],
+                 ["gd-demo", "--m", "8", "--c", "2", "--iterations", "1", "--lambda", "5e-324"],
+                 ["gd-demo", "--m", "8", "--c", "2", "--iterations", "1",
+                  "--rho", "1e308", "--eps", "1e308"]):
+        assert main([*argv, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 # any float, or None to leave the flag at its default so that valid runs stay common
 ANY_FLOAT = st.none() | st.floats(allow_nan=True, allow_infinity=True)
 

@@ -3,11 +3,22 @@ import itertools
 import numpy as np
 import pytest
 
-from ngcodes.codes import build_ngc
+import ngcodes.descent as descent
+from ngcodes.codes import (
+    EncodingMatrix,
+    MissingGradient,
+    NestedGradientCode,
+    build_ngc,
+    decode_row,
+    encode_response,
+    identity_encoding,
+)
 from ngcodes.descent import (
+    DataBlock,
     Dataset,
     DescentState,
     UndecodableIteration,
+    _decodable_outcome,
     coded_iteration,
     dataset_loss,
     make_dataset,
@@ -48,38 +59,38 @@ def outcome_for(tasks_done, sigma, kappa=0, latency=1.0):
 def test_partition_one_row_blocks():
     ds = make_dataset(8, 3, 0.1, seed=0)
     blocks = partition(ds, 8)
-    assert len(blocks) == 8
-    assert all(b.data.shape == (1, 3) for b in blocks)
-    assert np.array_equal(np.vstack([b.data for b in blocks]), ds.data)
+    assert blocks.data.shape == (8, 1, 3) and blocks.labels.shape == (8, 1)
+    assert np.array_equal(blocks.data.reshape(-1, 3), ds.data)
 
 
 def test_partition_pads_with_zero_rows():
     ds = make_dataset(10, 3, 0.1, seed=1)
     blocks = partition(ds, 8)
-    stacked = np.vstack([b.data for b in blocks])
-    labels = np.concatenate([b.labels for b in blocks])
+    stacked = blocks.data.reshape(-1, 3)
+    labels = blocks.labels.reshape(-1)
     assert stacked.shape == (16, 3)
-    assert all(b.data.shape == (2, 3) for b in blocks)
+    assert blocks.data.shape == (8, 2, 3)
     assert np.array_equal(stacked[:10], ds.data)
     assert np.all(stacked[10:] == 0.0) and np.all(labels[10:] == 0.0)
     # padded rows contribute nothing to the gradient sum
     theta = np.ones(3)
-    total = np.sum([partial_gradient(b, theta).value for b in blocks], axis=0)
+    total = partial_gradient(blocks, theta).sum(axis=0)
     direct = ds.data.T @ (ds.data @ theta - ds.labels)
     assert np.allclose(total, direct, atol=1e-12)
 
 
 def test_partial_gradient_closed_form():
-    block = partition(Dataset(np.array([[1.0, 0.0]]), np.array([1.0])), 1)[0]
-    grad = partial_gradient(block, np.zeros(2))
-    assert np.array_equal(grad.value, np.array([-1.0, 0.0]))
+    blocks = partition(Dataset(np.array([[1.0, 0.0]]), np.array([1.0])), 1)
+    block = DataBlock(blocks.data[0], blocks.labels[0])
+    assert np.array_equal(partial_gradient(block, np.zeros(2)), np.array([-1.0, 0.0]))
+    assert np.array_equal(partial_gradient(blocks, np.zeros(2)), np.array([[-1.0, 0.0]]))
 
 
 def test_gradient_sum_vanishes_at_least_squares_solution():
     ds = make_dataset(40, 5, 0.3, seed=2)
     theta_star, *_ = np.linalg.lstsq(ds.data, ds.labels, rcond=None)
     blocks = partition(ds, 8)
-    total = np.sum([partial_gradient(b, theta_star).value for b in blocks], axis=0)
+    total = partial_gradient(blocks, theta_star).sum(axis=0)
     assert np.abs(total).max() <= 1e-8
 
 
@@ -87,9 +98,11 @@ def test_partial_gradient_matches_finite_differences():
     ds = make_dataset(24, 4, 0.2, seed=3)
     rng = np.random.default_rng(4)
     theta = rng.standard_normal(4)
-    for block in partition(ds, 8):
-        exact = partial_gradient(block, theta).value
-        approx = finite_difference_gradient(block, theta)
+    blocks = partition(ds, 8)
+    stacked = partial_gradient(blocks, theta)
+    for i in range(8):
+        exact = stacked[i]
+        approx = finite_difference_gradient(DataBlock(blocks.data[i], blocks.labels[i]), theta)
         scale = max(1.0, np.abs(exact).max())
         assert np.abs(exact - approx).max() / scale <= 1e-5
 
@@ -100,7 +113,7 @@ def test_coded_iteration_identity_component_is_exact():
     blocks = partition(ds, 8)
     state = DescentState(theta=np.zeros(4), eta=0.5, iteration=0)
     outcome = outcome_for([4, 4, 4, 4, 4, 4, 4, 4], sigma=0)
-    _, report = coded_iteration(state, ngc, outcome, blocks, ds.m)
+    _, report = coded_iteration(state, ngc, outcome, partial_gradient(blocks, state.theta), ds.m)
     assert report.relative_error < 1e-12
 
 
@@ -113,7 +126,7 @@ def test_coded_iteration_recovers_for_every_straggler_triple():
         tasks = np.full(8, 4)
         tasks[list(stragglers)] = 0
         outcome = outcome_for(tasks, sigma=3)
-        _, report = coded_iteration(state, ngc, outcome, blocks, ds.m)
+        _, report = coded_iteration(state, ngc, outcome, partial_gradient(blocks, state.theta), ds.m)
         assert report.relative_error < 1e-8
 
 
@@ -124,7 +137,7 @@ def test_coded_iteration_rejects_undecodable():
     state = DescentState(theta=np.zeros(2), eta=0.5, iteration=0)
     outcome = IterationOutcome(latency=None, decoded_sigma=None, tasks_done=np.zeros(8, int), kappa=3)
     with pytest.raises(UndecodableIteration):
-        coded_iteration(state, ngc, outcome, blocks, ds.m)
+        coded_iteration(state, ngc, outcome, partial_gradient(blocks, state.theta), ds.m)
 
 
 def test_two_coded_steps_follow_plain_gradient_descent():
@@ -191,3 +204,96 @@ def test_dataset_validation():
         Dataset(np.zeros((4, 2)), np.zeros(3))
     with pytest.raises(ValueError):
         partition(make_dataset(8, 2, 0.1, seed=0), 0)
+
+
+def reach_past_window_code():
+    """n=4 family whose sigma=1 row 0 uses block 2, two blocks past worker 0's
+    own: decodable (rows 0, 1, 2 sum to ones) but needing worker 0's third task."""
+    rows = np.array([[1.0, 0.0, 1.0, 0.0],
+                     [0.0, 1.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 1.0],
+                     [1.0, 0.0, 0.0, 1.0]])
+    return NestedGradientCode(n=4, s_max=1, seed=0,
+                              components=(identity_encoding(4), EncodingMatrix(rows, sigma=1)))
+
+
+def test_coded_iteration_rejects_row_past_finished_window():
+    ds = make_dataset(16, 3, 0.1, seed=14)
+    ngc = reach_past_window_code()
+    state = DescentState(theta=np.full(3, 0.2), eta=0.5, iteration=0)
+    gradients = partial_gradient(partition(ds, 4), state.theta)
+    with pytest.raises(MissingGradient):
+        coded_iteration(state, ngc, outcome_for([2, 2, 2, 2], sigma=1), gradients, ds.m)
+    # a decoding already solved for this responsive set is checked again
+    decoders = {}
+    _, report = coded_iteration(state, ngc, outcome_for([3, 2, 2, 2], sigma=1), gradients, ds.m,
+                                decoders)
+    assert report.relative_error < 1e-12
+    with pytest.raises(MissingGradient):
+        coded_iteration(state, ngc, outcome_for([2, 2, 2, 2], sigma=1), gradients, ds.m, decoders)
+
+
+def reference_descent(ds, ngc, iterations, eta, cluster, seed):
+    """Oracle: one update per outcome from per-block gradients, a fresh decoding
+    row and per-worker responses over each worker's finished window."""
+    n = ngc.n
+    blocks = partition(ds, n)
+    theta = np.zeros(ds.c)
+    thetas, records = [], []
+    for t in range(iterations):
+        outcome, _ = _decodable_outcome(cluster, ngc.s_max, seed, t, 1000)
+        sigma = outcome.decoded_sigma
+        component = ngc.components[sigma]
+        gradients = [partial_gradient(DataBlock(blocks.data[i], blocks.labels[i]), theta)
+                     for i in range(n)]
+        row = decode_row(component, [i for i in range(n) if outcome.tasks_done[i] >= sigma + 1])
+        decoded = np.zeros(ds.c)
+        for i in sorted(row.responsive_set):
+            available = [None] * n
+            for r in range(int(outcome.tasks_done[i])):
+                available[(i + r) % n] = gradients[(i + r) % n]
+            decoded += row.coefficients[i] * encode_response(component.entries[i], available)
+        theta = theta - (eta / ds.m) * decoded
+        thetas.append(theta)
+        records.append((dataset_loss(ds, theta), sigma, float(outcome.latency)))
+    return thetas, records
+
+
+def test_run_descent_matches_per_block_reference():
+    ds = make_dataset(600, 8, 0.2, seed=15)
+    ngc = build_ngc(12, 5, seed=15)
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=12)
+    eta = default_learning_rate(ds, 50)
+    run = run_descent(ds, ngc, 50, eta, cluster, seed=15)
+    thetas, records = reference_descent(ds, ngc, 50, eta, cluster, seed=15)
+    assert [r.decoded_sigma for r in run.records] == [sigma for _, sigma, _ in records]
+    assert [r.latency for r in run.records] == [latency for _, _, latency in records]
+    assert len({r.decoded_sigma for r in run.records}) > 1
+    losses = np.array([loss for loss, _, _ in records])
+    assert np.all(np.abs(run.losses - losses) <= 1e-10 * losses)
+    for a, b in zip(run.thetas, thetas):
+        assert np.abs(a - b).max() <= 1e-12
+
+
+def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
+    calls = []
+
+    def counted(code, responsive_set, *args, **kwargs):
+        calls.append((code.sigma, frozenset(int(i) for i in responsive_set)))
+        return decode_row(code, responsive_set, *args, **kwargs)
+
+    monkeypatch.setattr(descent, "decode_row", counted)
+    ds = make_dataset(96, 4, 0.1, seed=16)
+    ngc = build_ngc(12, 5, seed=16)
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=12)
+    run = run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
+    keys = set()
+    for t, record in enumerate(run.records):
+        outcome, _ = _decodable_outcome(cluster, ngc.s_max, 16, t, 1000)
+        sigma = outcome.decoded_sigma
+        keys.add((sigma, frozenset(np.flatnonzero(outcome.tasks_done >= sigma + 1).tolist())))
+    assert len(calls) == len(set(calls)) == len(keys) < len(run.records)
+    assert set(calls) == keys
+    # a fresh run solves its decodings again: nothing is kept between runs
+    run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
+    assert len(calls) == 2 * len(keys)

@@ -220,3 +220,42 @@ def test_undecodable_rate_matches_binomial_tail():
     tail = sum(math.comb(8, k) * 0.3**k * 0.7 ** (8 - k) for k in range(2, 9))
     margin = 4.0 * math.sqrt(tail * (1.0 - tail) / trials)
     assert abs(result.loads.undecodable_rate - tail) <= margin
+
+
+def test_decode_counts_sum_to_trials():
+    p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.3, n=8)
+    trials = 3 * CHUNK_ELEMENTS // (p.n * 4) - 7  # three chunks, the last one short
+    result = run_experiment(Scheme("ngc", 3), trials, 17, p, np.linspace(2.0, 18.0, 10))
+    assert len(result.decoded) == 4
+    assert sum(result.decoded) + result.undecodable == trials
+    assert result.undecodable > 0 and all(count > 0 for count in result.decoded)
+
+
+def test_decode_counts_match_the_kernel_streams():
+    scheme = Scheme("ngc", 3)
+    chunk = CHUNK_ELEMENTS // (FIG_PARAMS.n * 4)
+    sigma = np.concatenate([
+        _simulate(np.random.default_rng(np.random.SeedSequence([42, c])), scheme, FIG_PARAMS, chunk)[1]
+        for c in range(2)
+    ])
+    result = run_experiment(scheme, 2 * chunk, 42, FIG_PARAMS, np.linspace(2.0, 18.0, 10))
+    assert result.decoded == tuple(int(np.sum(sigma == s)) for s in range(4))
+    assert result.undecodable == int(np.sum(sigma == -1))
+
+
+def test_fixed_code_without_failures_decodes_every_trial_at_its_sigma():
+    p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.0, n=8)
+    for sigma in (0, 2, 5):
+        result = run_experiment(Scheme("gc", sigma), 3000, 4, p, np.linspace(2.0, 18.0, 10))
+        assert result.decoded == (0,) * sigma + (3000,)
+        assert result.undecodable == 0
+    assert run_experiment(Scheme("uncoded"), 500, 4, p, np.linspace(2.0, 18.0, 10)).decoded == (500,)
+
+
+def test_undecodable_count_matches_undecodable_rate():
+    p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.3, n=8)
+    trials = 20_000
+    result = run_experiment(Scheme("gc", 1), trials, 3, p, np.linspace(2.0, 18.0, 10))
+    assert result.undecodable > 0
+    assert result.undecodable / trials == result.loads.undecodable_rate
+    assert result.decoded == (0, trials - result.undecodable)
