@@ -151,15 +151,18 @@ def identity_encoding(n: int) -> EncodingMatrix:
 def _attempt_cyclic(n: int, sigma: int, rng: np.random.Generator) -> EncodingMatrix:
     h = rng.standard_normal((sigma, n))
     h[:, -1] = -h[:, :-1].sum(axis=1)  # rows sum to zero, so ones lies in null(H)
+    # row i puts 1 on block i and solves H[:, tail] x = -H[:, i] over the rest
+    # of its window; the n systems are stacked as one (n, sigma, sigma) batch
+    windows = cyclic_support(np.arange(n)[:, None], sigma, n)
+    heads, tails = windows[:, 0], windows[:, 1:]
+    systems = h[:, tails].transpose(1, 0, 2)
+    ill = np.flatnonzero(np.linalg.cond(systems) > COND_LIMIT)
+    if ill.size:
+        raise SingularSystem(f"row {ill[0]}: coefficient system condition number above {COND_LIMIT:g}")
     b = np.zeros((n, n))
-    for i in range(n):
-        support = cyclic_support(i, sigma, n)
-        head, tail = support[0], support[1:]
-        system = h[:, tail]
-        if np.linalg.cond(system) > COND_LIMIT:
-            raise SingularSystem(f"row {i}: coefficient system condition number above {COND_LIMIT:g}")
-        b[i, head] = 1.0
-        b[i, tail] = np.linalg.solve(system, -h[:, head])
+    rows = np.arange(n)
+    b[rows, heads] = 1.0
+    b[rows[:, None], tails] = np.linalg.solve(systems, -h[:, heads].T[:, :, None])[:, :, 0]
     residual = np.abs(h @ b.T).max()
     if residual > NULLSPACE_TOL:
         raise SingularSystem(f"null-space residual {residual:.3e} above {NULLSPACE_TOL:g}")

@@ -6,6 +6,13 @@ decides which component code decoded first, reconstructs the full gradient
 from the responsive workers' encoded responses, checks it against the directly
 summed gradient, and applies the standard update theta -= (eta / m) * gradient.
 
+Stream contract: iteration t, attempt a draws its stragglers from
+``default_rng(SeedSequence([seed, t, a]))``, exactly as one
+``simulate_ngc_iteration`` trial on that generator would; an undecodable draw
+is redrawn with a + 1. No outcome depends on theta, so a run draws them all
+before the first update, deciding each round's draws in one simulator kernel
+call.
+
 A run computes one residual X theta - y per theta, which gives both the
 recorded loss and all n block gradients of the next iteration (one batched
 product). The responses of the workers a decoding uses are one product of
@@ -20,8 +27,9 @@ import numpy as np
 
 from .codes import CodeError, EncodingMatrix, MissingGradient, NestedGradientCode, decode_row
 from .codes import encode_response  # noqa: F401 -- bench/workloads.py traces it under this module
-from .latency import ClusterParams
-from .simulator import IterationOutcome, simulate_ngc_iteration
+from .latency import ClusterParams, Scheme, _check_tolerance
+from .simulator import CHUNK_ELEMENTS, IterationOutcome, _decide, _finish_times
+from .simulator import simulate_ngc_iteration  # noqa: F401 -- bench/workloads.py traces it under this module
 
 
 class UndecodableIteration(CodeError):
@@ -219,15 +227,45 @@ class DescentRun:
         return np.array([r.loss for r in self.records])
 
 
-def _decodable_outcome(cluster: ClusterParams, s_max: int, seed: int, iteration: int,
-                       max_resamples: int) -> tuple[IterationOutcome, int]:
-    # Undecodable draws (kappa > s_max) are resampled with a fresh sub-seed.
-    for attempt in range(max_resamples + 1):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, iteration, attempt]))
-        outcome = simulate_ngc_iteration(rng, s_max, cluster)
-        if outcome.decoded_sigma is not None:
-            return outcome, attempt
-    raise UndecodableIteration(f"iteration {iteration}: no decodable draw in {max_resamples} resamples")
+def _decodable_outcomes(cluster: ClusterParams, s_max: int, seed: int, iterations: int,
+                        max_resamples: int) -> tuple[list[IterationOutcome], np.ndarray]:
+    """The outcome of every iteration and how often it was resampled.
+
+    Each round draws the next attempt of the lowest pending iterations, at most
+    a simulator chunk of them, and decides them in one kernel call. A round
+    that decodes nothing leaves the lowest pending iteration to resample alone
+    until it decodes, so a cluster that never decodes draws about iterations +
+    max_resamples streams before the first iteration gives up.
+    """
+    scheme = Scheme("ngc", s_max)
+    _check_tolerance(scheme, cluster)
+    u_max = s_max + 1
+    chunk = max(1, CHUNK_ELEMENTS // (cluster.n * u_max))
+    latency, sigma, kappa = np.empty(iterations), np.empty(iterations, int), np.empty(iterations, int)
+    tasks = np.empty((iterations, cluster.n), dtype=int)
+    attempts = np.zeros(iterations, dtype=int)
+    pending, alone = np.arange(iterations), False
+    while pending.size:
+        rows = pending[:1] if alone else pending[:chunk]
+        if attempts[rows[0]] > max_resamples:  # the lowest pending iteration has drawn the most
+            raise UndecodableIteration(
+                f"iteration {rows[0]}: no decodable draw in {max_resamples} resamples")
+        uniforms, waits = np.empty((rows.size, cluster.n)), np.empty((rows.size, cluster.n, u_max))
+        for k, t in enumerate(rows.tolist()):  # in the order of a one-trial simulator._draw
+            rng = np.random.default_rng(np.random.SeedSequence([seed, t, int(attempts[t])]))
+            rng.random(out=uniforms[k])
+            rng.standard_exponential(out=waits[k])
+        decided = _decide(scheme, cluster, *_finish_times(cluster, uniforms, waits))
+        ok = decided[1] >= 0
+        for out, values in zip((latency, sigma, tasks, kappa), decided):
+            out[rows[ok]] = values[ok]
+        attempts[rows[~ok]] += 1
+        alone = not ok.any()
+        if not alone:
+            pending = np.concatenate((rows[~ok], pending[rows.size:]))
+    outcomes = [IterationOutcome(float(latency[t]), int(sigma[t]), tasks[t], int(kappa[t]))
+                for t in range(iterations)]
+    return outcomes, attempts
 
 
 def run_descent(
@@ -239,18 +277,24 @@ def run_descent(
     seed: int,
     max_resamples: int = 1000,
 ) -> DescentRun:
-    """Run coded gradient descent from theta = 0; deterministic given seed."""
+    """Run coded gradient descent from theta = 0; deterministic given seed.
+
+    UndecodableIteration names the first iteration with no decodable draw in
+    ``max_resamples`` resamples (see the module's stream contract).
+    """
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
+    if max_resamples < 0:
+        raise ValueError(f"max_resamples must be non-negative, got {max_resamples}")
     if cluster.n != ngc.n:
         raise ValueError(f"cluster has n={cluster.n} workers but code expects {ngc.n}")
+    outcomes, resamples = _decodable_outcomes(cluster, ngc.s_max, seed, iterations, max_resamples)
     blocks = partition(dataset, ngc.n)
     state = DescentState(theta=np.zeros(dataset.c), eta=eta, iteration=0)
     residual = _residual(blocks, state.theta)  # one per theta: its loss and the next gradients
     decoders = {}
     thetas, records = [], []
-    for t in range(iterations):
-        outcome, resamples = _decodable_outcome(cluster, ngc.s_max, seed, t, max_resamples)
+    for t, outcome in enumerate(outcomes):
         gradients = _block_gradients(blocks, residual)
         state, report = coded_iteration(state, ngc, outcome, gradients, dataset.m, decoders)
         residual = _residual(blocks, state.theta)
@@ -262,7 +306,7 @@ def run_descent(
                 recovery_error=report.relative_error,
                 decoded_sigma=report.decoded_sigma,
                 latency=report.latency,
-                resamples=resamples,
+                resamples=int(resamples[t]),
             )
         )
     return DescentRun(thetas=tuple(thetas), records=tuple(records))

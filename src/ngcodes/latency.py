@@ -27,6 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 
+WAIT_BOUND = 50.0  # above lam times any exponential wait the simulator can draw
+
+
 class InvalidTaskCount(ValueError):
     """Task counts must be positive integers."""
 
@@ -57,12 +60,14 @@ class ClusterParams:
             raise InvalidParams(f"p_e must lie in [0, 1], got {self.p_e}")
         if self.n < 1:
             raise InvalidParams(f"n must be at least 1, got {self.n}")
-        # finite parameters can still overflow the task times: then every draw is
-        # undecodable, which would read as "more workers failed than tolerated"
-        if math.isinf(1.0 / self.lam):
-            raise InvalidParams(f"lam={self.lam} is too small: its mean task time 1/lam overflows")
-        if not math.isfinite(self.gamma + self.eps + self.n * self.rho):
-            raise InvalidParams("gamma + eps + n * rho overflows: the n-th task's shift is not finite")
+        # finite parameters can still overflow the finish times: then a draw is
+        # undecodable although no worker failed, which would read as "more workers
+        # failed than tolerated". A finish time is at most gamma + eps + n * rho
+        # plus n exponential waits, each below 50/lam: numpy's largest standard
+        # exponential draw is 7.70 + 53 ln 2, about 44.4.
+        if not math.isfinite(self.gamma + self.eps + self.n * (self.rho + WAIT_BOUND / self.lam)):
+            raise InvalidParams(f"finish times overflow: gamma + eps + n * (rho + {WAIT_BOUND:g}/lam) "
+                                f"is not finite at lam={self.lam:g}, n={self.n}")
 
 
 @dataclass(frozen=True)

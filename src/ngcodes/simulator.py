@@ -1,12 +1,14 @@
 """Monte Carlo simulation of coded gradient-descent iterations.
 
-One array kernel serves every scheme. For a batch of trials it draws each
-worker's failure flag and the exponential waits of its tasks from the
-shifted-exponential model, builds the finish times (infinite for a failed
-worker), and takes the earliest moment at which a layer the scheme may decode
-at (``Scheme.layers``) has its quorum of n - u + 1 workers with u tasks done.
-An infinite latency is exactly "more workers failed than the scheme
-tolerates".
+One array kernel serves every scheme. Its draw (``_draw``) gives each worker's
+failure flag and the standard exponential waits of its tasks for a batch of
+trials; ``_finish_times`` turns them into finish times under the
+shifted-exponential model (infinite for a failed worker); its decision
+(``_decide``) takes, per trial, the earliest moment at which a layer the
+scheme may decode at (``Scheme.layers``) has its quorum of n - u + 1 workers
+with u tasks done. An infinite latency is exactly "more workers failed than
+the scheme tolerates". The decision reads each trial's row alone, so coded
+descent decides rows drawn from per-iteration streams in the same call.
 
 Stream contract: ``run_experiment`` splits the trials into chunks of
 max(1, 2**15 // (n * u_max)) trials, u_max being the largest layer, and
@@ -41,37 +43,56 @@ class IterationOutcome:
     kappa: int
 
 
-def _draw(rng: np.random.Generator, p: ClusterParams, trials: int, u_max: int):
-    """Alive flags (trials, n) and finish times (trials, n, u_max), inf when failed."""
-    alive = rng.random((trials, p.n)) >= p.p_e
-    waits = rng.exponential(scale=1.0 / p.lam, size=(trials, p.n, u_max))
+def _finish_times(p: ClusterParams, uniforms: np.ndarray, waits: np.ndarray):
+    """Alive flags and finish times from uniforms (trials, n) and standard
+    exponential waits (trials, n, u_max); the finish times overwrite ``waits``.
+
+    A worker is alive when its uniform is at least p_e; task r ends at
+    gamma + eps + r * rho plus the first r waits scaled by 1/lam, and never
+    (inf) on a failed worker.
+    """
+    alive = uniforms >= p.p_e
+    waits *= 1.0 / p.lam  # equals rng.exponential(1/lam) bit for bit
     times = np.cumsum(waits, axis=2, out=waits)  # in place: one array of this size at a time
-    times += p.gamma + p.eps + p.rho * np.arange(1, u_max + 1)
+    times += p.gamma + p.eps + p.rho * np.arange(1, waits.shape[2] + 1)
     times[~alive] = math.inf
     return alive, times
 
 
-def _simulate(rng: np.random.Generator, scheme: Scheme, p: ClusterParams, trials: int):
-    """Per-trial latency, decoded sigma (-1 if none), tasks done (trials, n), failures.
+def _draw(rng: np.random.Generator, p: ClusterParams, trials: int, u_max: int):
+    """Alive flags (trials, n) and finish times (trials, n, u_max), inf when failed."""
+    uniforms = rng.random((trials, p.n))
+    return _finish_times(p, uniforms, rng.standard_exponential((trials, p.n, u_max)))
+
+
+def _decide(scheme: Scheme, p: ClusterParams, alive: np.ndarray, times: np.ndarray):
+    """Per-trial latency, decoded sigma (-1 if none), tasks done (trials, n),
+    failures, from drawn alive flags and finish times (u_max = the largest layer).
 
     The nested scheme stops every worker at the latency, so it counts the tasks
     finished by then; fixed-load schemes count all u_max tasks of every alive
-    worker. Ties between layers go to the smaller one.
+    worker. Ties between layers go to the smaller one. Each trial is decided
+    from its own row alone. The caller checks the tolerance against n.
     """
-    _check_tolerance(scheme, p)
     layers = np.array(scheme.layers)
     u_max = int(layers[-1])
-    alive, times = _draw(rng, p, trials, u_max)
     order = np.sort(times[:, :, layers - 1], axis=1)
     quorum = order[:, p.n - layers, np.arange(layers.size)]
     best = np.argmin(quorum, axis=1)
-    latency = quorum[np.arange(trials), best]
+    latency = quorum[np.arange(len(quorum)), best]
     sigma = np.where(np.isinf(latency), -1, layers[best] - 1)
     if scheme.kind == "ngc":
         tasks = np.sum(times <= latency[:, None, None], axis=2) * alive
     else:
         tasks = u_max * alive
     return latency, sigma, tasks, p.n - alive.sum(axis=1)
+
+
+def _simulate(rng: np.random.Generator, scheme: Scheme, p: ClusterParams, trials: int):
+    """``_decide`` on ``trials`` fresh draws from ``rng``."""
+    _check_tolerance(scheme, p)
+    alive, times = _draw(rng, p, trials, scheme.tolerance + 1)
+    return _decide(scheme, p, alive, times)
 
 
 def simulate_ngc_iteration(rng: np.random.Generator, s_max: int, p: ClusterParams) -> IterationOutcome:

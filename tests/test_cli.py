@@ -264,6 +264,17 @@ def test_overflowing_cluster_parameters_are_validation_errors(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_finish_times_that_overflow_their_waits_are_validation_errors(tmp_path, capsys):
+    # 1/lam is finite, but the sum of eight exponential waits overflows: before
+    # this was rejected, simulate reported 14% undecodable with no worker failing
+    out = str(tmp_path / "x.csv")
+    cluster = ["--n", "8", "--lambda", "3e-308", "--pe", "0"]
+    for argv in (["simulate", "--schemes", "gc:7", *cluster, "--trials", "100"],
+                 ["gd-demo", "--smax", "7", *cluster]):
+        assert main([*argv, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 # any float, or None to leave the flag at its default so that valid runs stay common
 ANY_FLOAT = st.none() | st.floats(allow_nan=True, allow_infinity=True)
 

@@ -224,6 +224,51 @@ def test_construction_failure_is_reachable(monkeypatch):
         build_cyclic_encoding(8, 3, seed=0)
 
 
+def per_row_attempt(n, sigma, rng):
+    """Oracle: one construction attempt a row at a time, each row's condition
+    check before its solve. Returns the entries, or the first ill-conditioned row."""
+    h = rng.standard_normal((sigma, n))
+    h[:, -1] = -h[:, :-1].sum(axis=1)
+    b = np.zeros((n, n))
+    for i in range(n):
+        head, *tail = cyclic_support(i, sigma, n)
+        system = h[:, tail]
+        if np.linalg.cond(system) > ngcodes.codes.COND_LIMIT:
+            return None, i
+        b[i, head] = 1.0
+        b[i, tail] = np.linalg.solve(system, -h[:, head])
+    return b, None
+
+
+def per_row_encoding(n, sigma, seed):
+    for attempt in range(ngcodes.codes.MAX_BUILD_ATTEMPTS):
+        b, _ = per_row_attempt(n, sigma, np.random.default_rng(np.random.SeedSequence([seed, attempt])))
+        if b is not None:
+            return b
+
+
+def test_batched_construction_matches_per_row_solves():
+    for n in range(2, 17):
+        for sigma in range(1, n):
+            for seed in range(3):
+                built = build_cyclic_encoding(n, sigma, seed).entries
+                assert built.tobytes() == per_row_encoding(n, sigma, seed).tobytes(), (n, sigma, seed)
+
+
+def test_batched_construction_names_the_first_ill_conditioned_row(monkeypatch):
+    rows_named = set()
+    for n, sigma, seed in [(8, 3, 0), (12, 5, 1), (16, 7, 2), (16, 12, 0)]:
+        h = np.random.default_rng(seed).standard_normal((sigma, n))
+        h[:, -1] = -h[:, :-1].sum(axis=1)
+        conds = [np.linalg.cond(h[:, cyclic_support(i, sigma, n)[1:]]) for i in range(n)]
+        monkeypatch.setattr(ngcodes.codes, "COND_LIMIT", float(np.median(conds)))
+        _, first = per_row_attempt(n, sigma, np.random.default_rng(seed))
+        with pytest.raises(ngcodes.codes.SingularSystem, match=f"^row {first}: "):
+            ngcodes.codes._attempt_cyclic(n, sigma, np.random.default_rng(seed))
+        rows_named.add(first)
+    assert rows_named != {0}
+
+
 def test_serialization_roundtrip_bit_identical(tmp_path):
     ngc = build_ngc(8, 3, seed=42)
     loaded = code_from_json(code_to_json(ngc))

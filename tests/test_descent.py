@@ -18,7 +18,6 @@ from ngcodes.descent import (
     Dataset,
     DescentState,
     UndecodableIteration,
-    _decodable_outcome,
     coded_iteration,
     dataset_loss,
     make_dataset,
@@ -29,7 +28,7 @@ from ngcodes.descent import (
     default_learning_rate,
 )
 from ngcodes.latency import ClusterParams
-from ngcodes.simulator import IterationOutcome
+from ngcodes.simulator import IterationOutcome, simulate_ngc_iteration
 
 FIG_PARAMS = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=8)
 
@@ -233,6 +232,18 @@ def test_coded_iteration_rejects_row_past_finished_window():
         coded_iteration(state, ngc, outcome_for([2, 2, 2, 2], sigma=1), gradients, ds.m, decoders)
 
 
+def oracle_outcome(cluster, s_max, seed, iteration, max_resamples=1000):
+    """Oracle: iteration t resampled one stream at a time, attempt a drawing from
+    SeedSequence([seed, t, a]) through the one-trial simulator. Returns the first
+    decodable outcome and its attempt, or None when no attempt decodes."""
+    for attempt in range(max_resamples + 1):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, iteration, attempt]))
+        outcome = simulate_ngc_iteration(rng, s_max, cluster)
+        if outcome.decoded_sigma is not None:
+            return outcome, attempt
+    return None, max_resamples + 1
+
+
 def reference_descent(ds, ngc, iterations, eta, cluster, seed):
     """Oracle: one update per outcome from per-block gradients, a fresh decoding
     row and per-worker responses over each worker's finished window."""
@@ -241,7 +252,7 @@ def reference_descent(ds, ngc, iterations, eta, cluster, seed):
     theta = np.zeros(ds.c)
     thetas, records = [], []
     for t in range(iterations):
-        outcome, _ = _decodable_outcome(cluster, ngc.s_max, seed, t, 1000)
+        outcome, _ = oracle_outcome(cluster, ngc.s_max, seed, t)
         sigma = outcome.decoded_sigma
         component = ngc.components[sigma]
         gradients = [partial_gradient(DataBlock(blocks.data[i], blocks.labels[i]), theta)
@@ -289,7 +300,7 @@ def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
     run = run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
     keys = set()
     for t, record in enumerate(run.records):
-        outcome, _ = _decodable_outcome(cluster, ngc.s_max, 16, t, 1000)
+        outcome, _ = oracle_outcome(cluster, ngc.s_max, 16, t)
         sigma = outcome.decoded_sigma
         keys.add((sigma, frozenset(np.flatnonzero(outcome.tasks_done >= sigma + 1).tolist())))
     assert len(calls) == len(set(calls)) == len(keys) < len(run.records)
@@ -297,3 +308,61 @@ def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
     # a fresh run solves its decodings again: nothing is kept between runs
     run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
     assert len(calls) == 2 * len(keys)
+
+
+@pytest.fixture(params=["chunk-rounds", "one-row-rounds"])
+def round_rows(request, monkeypatch):
+    """Draw rounds of up to a simulator chunk of iterations, or of one each."""
+    if request.param == "one-row-rounds":
+        monkeypatch.setattr(descent, "CHUNK_ELEMENTS", 1)
+
+
+@pytest.mark.parametrize("s_max", [0, 3, 5])
+@pytest.mark.parametrize("p_e", [0.05, 0.3])
+def test_run_descent_draws_the_per_iteration_streams(s_max, p_e, round_rows):
+    ds = make_dataset(48, 3, 0.1, seed=17)
+    ngc = build_ngc(12, s_max, seed=17)
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=p_e, n=12)
+    run = run_descent(ds, ngc, 40, default_learning_rate(ds, 40), cluster, seed=17)
+    expected = [oracle_outcome(cluster, s_max, 17, t) for t in range(40)]
+    assert [r.decoded_sigma for r in run.records] == [o.decoded_sigma for o, _ in expected]
+    assert [r.latency for r in run.records] == [o.latency for o, _ in expected]
+    assert [r.resamples for r in run.records] == [a for _, a in expected]
+    if p_e == 0.3:
+        assert sum(r.resamples for r in run.records) > 0
+
+
+@pytest.mark.parametrize("max_resamples", [0, 1, 2])
+def test_run_descent_gives_up_on_the_first_undecodable_iteration(max_resamples, round_rows):
+    ds = make_dataset(16, 2, 0.1, seed=18)
+    ngc = build_ngc(8, 3, seed=18)
+    flaky = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.3, n=8)
+    first = next(t for t in range(500) if oracle_outcome(flaky, 3, 18, t, max_resamples)[0] is None)
+    assert first > 0  # earlier iterations decode, later ones are still pending
+    with pytest.raises(UndecodableIteration, match=f"^iteration {first}: .* in {max_resamples} resamples"):
+        run_descent(ds, ngc, 500, 0.1, flaky, seed=18, max_resamples=max_resamples)
+
+
+def test_run_descent_that_never_decodes_draws_few_streams(monkeypatch):
+    ds = make_dataset(48, 3, 0.1, seed=19)
+    ngc = build_ngc(12, 5, seed=19)
+    dead = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=1.0, n=12)
+    streams = []
+    default_rng = np.random.default_rng
+
+    def counted(seed):
+        streams.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counted)
+    with pytest.raises(UndecodableIteration, match="^iteration 0: no decodable draw in 1000 resamples"):
+        run_descent(ds, ngc, 200, 0.1, dead, seed=19)
+    # one round over the 200 iterations, then iteration 0 alone: not 200 x 1001 streams
+    assert len(streams) <= 200 + 1000
+
+
+def test_run_descent_rejects_negative_max_resamples():
+    ds = make_dataset(16, 2, 0.1, seed=20)
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=4)
+    with pytest.raises(ValueError, match="max_resamples"):
+        run_descent(ds, build_ngc(4, 1, seed=20), 5, 0.1, cluster, seed=20, max_resamples=-1)

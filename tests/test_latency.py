@@ -325,7 +325,7 @@ def test_cluster_params_validation():
                 ClusterParams(**fields)
     # finite parameters whose task times overflow
     for overflow in (dict(lam=5e-324), dict(rho=1e308, eps=1e308), dict(rho=1e308),
-                     dict(rho=1e307, eps=1.7e308), dict(gamma=1e308, eps=1e308)):
+                     dict(rho=1e307, eps=1.7e308), dict(gamma=1e308, eps=1e308), dict(lam=3e-308)):
         fields = {**dict(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=8), **overflow}
         with pytest.raises(InvalidParams):
             ClusterParams(**fields)

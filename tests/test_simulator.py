@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from ngcodes.latency import ClusterParams, Scheme, gc_latency_cdf, ngc_latency_cdf, task_time_cdf
+from ngcodes.latency import WAIT_BOUND, ClusterParams, Scheme, gc_latency_cdf, ngc_latency_cdf, task_time_cdf
 from ngcodes.simulator import (
     CHUNK_ELEMENTS,
     IterationOutcome,
+    _decide,
     _draw,
     _simulate,
     run_experiment,
@@ -259,3 +260,24 @@ def test_undecodable_count_matches_undecodable_rate():
     assert result.undecodable > 0
     assert result.undecodable / trials == result.loads.undecodable_rate
     assert result.decoded == (0, trials - result.undecodable)
+
+
+def test_decision_of_a_stack_equals_the_decision_of_each_row():
+    # descent decides all its iterations in one call on rows drawn one at a time
+    p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.3, n=8)
+    for scheme in (Scheme("ngc", 3), Scheme("gc", 2), Scheme("uncoded")):
+        alive, times = _draw(np.random.default_rng(5), p, 300, scheme.tolerance + 1)
+        stacked = _decide(scheme, p, alive, times)
+        assert np.any(stacked[1] == -1) and np.any(stacked[1] >= 0)
+        for k in range(0, 300, 7):
+            alone = _decide(scheme, p, alive[k:k + 1], times[k:k + 1])
+            for a, b in zip(stacked, alone):
+                assert np.array_equal(a[k:k + 1], b)
+
+
+def test_accepted_cluster_parameters_never_overflow():
+    # about the smallest lam the overflow rule admits at n=8: no draw reaches inf
+    p = ClusterParams(lam=8 * WAIT_BOUND / 1e308, rho=0.0, gamma=0.0, eps=0.0, p_e=0.0, n=8)
+    with np.errstate(over="raise"):
+        result = run_experiment(Scheme("gc", 7), 20_000, 1, p, np.linspace(1.0, 2.0, 3))
+    assert result.undecodable == 0
