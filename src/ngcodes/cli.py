@@ -298,12 +298,12 @@ def cmd_gd_demo(args) -> int:
             for r in run.records
         ],
     )
-    worst = max(r.recovery_error for r in run.records)
+    worst = float(np.max([r.recovery_error for r in run.records]))  # nan if any is nan
     print(
         f"wrote {args.out}: {iterations} iterations, eta={eta:.6g}, "
         f"final loss {run.records[-1].loss:.6g}, max recovery error {worst:.3e}"
     )
-    if worst > RECOVERY_GATE:
+    if not worst <= RECOVERY_GATE:
         raise NumericalFailure(f"recovery error {worst:.3e} above gate {RECOVERY_GATE:g}")
     return 0
 

@@ -21,6 +21,7 @@ their encoding rows with the block gradients, and the decoding of each
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,10 @@ class Dataset:
 
 def make_dataset(m: int, c: int, noise: float, seed: int) -> Dataset:
     """Gaussian design with labels from a random linear model plus noise."""
+    if m < 1 or c < 1:
+        raise ValueError(f"need at least one data row and one feature column, got m={m}, c={c}")
+    if not (math.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((m, c))
     truth = rng.standard_normal(c)
@@ -255,7 +260,8 @@ def _decodable_outcomes(cluster: ClusterParams, s_max: int, seed: int, iteration
             rng = np.random.default_rng(np.random.SeedSequence([seed, t, int(attempts[t])]))
             rng.random(out=uniforms[k])
             rng.standard_exponential(out=waits[k])
-        decided = _decide(scheme, cluster, *_finish_times(cluster, uniforms, waits))
+        alive, times = _finish_times(cluster, uniforms, waits, scheme.layers)
+        decided = (*_decide(scheme, cluster, alive, times), cluster.n - alive.sum(axis=1))
         ok = decided[1] >= 0
         for out, values in zip((latency, sigma, tasks, kappa), decided):
             out[rows[ok]] = values[ok]
@@ -286,6 +292,8 @@ def run_descent(
         raise ValueError(f"iterations must be at least 1, got {iterations}")
     if max_resamples < 0:
         raise ValueError(f"max_resamples must be non-negative, got {max_resamples}")
+    if not (math.isfinite(eta) and eta > 0):
+        raise ValueError(f"eta must be finite and positive, got {eta}")
     if cluster.n != ngc.n:
         raise ValueError(f"cluster has n={cluster.n} workers but code expects {ngc.n}")
     outcomes, resamples = _decodable_outcomes(cluster, ngc.s_max, seed, iterations, max_resamples)

@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 import json
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ngcodes import cli
 from ngcodes.cli import main
 from ngcodes.codes import load_code
 
@@ -288,8 +291,8 @@ def cli_invocations(draw):
         flags[name] = draw(ANY_FLOAT)
     tolerance = st.integers(-1, 12)
     if command == "gd-demo":
-        flags.update(smax=draw(tolerance), m=draw(st.integers(1, 20)), c=draw(st.integers(1, 4)),
-                     iterations=draw(st.integers(0, 5)))
+        flags.update(smax=draw(tolerance), m=draw(st.integers(0, 20)), c=draw(st.integers(0, 4)),
+                     iterations=draw(st.integers(0, 5)), eta=draw(ANY_FLOAT), noise=draw(ANY_FLOAT))
     else:
         kinds = st.lists(st.sampled_from(["uncoded", "gc", "ngc"]), min_size=1, max_size=3)
         flags["schemes"] = ",".join(k if k == "uncoded" else f"{k}:{draw(tolerance)}" for k in draw(kinds))
@@ -312,3 +315,34 @@ def test_gd_demo_without_a_decodable_draw_is_exit_2(tmp_path, capsys):
     assert main(["gd-demo", "--m", "8", "--c", "2", "--iterations", "1", "--pe", "1",
                  "--out", str(out)]) == 2
     assert "no decodable draw" in capsys.readouterr().err
+
+
+def test_gd_demo_rejects_empty_datasets_and_bad_step_sizes(tmp_path, capsys):
+    out = str(tmp_path / "gd.csv")
+    for argv in (["--m", "0"], ["--c", "0"], ["--eta", "nan", "--iterations", "3"],
+                 ["--noise", "nan"], ["--eta", "0"], ["--eta", "-inf"], ["--noise", "-1"]):
+        assert main(["gd-demo", *argv, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_gd_demo_that_diverges_fails_the_recovery_gate(tmp_path, capsys):
+    # the recovery errors turn nan; a nan must not pass the gate
+    out = tmp_path / "gd.csv"
+    assert main(["gd-demo", "--eta", "1e300", "--iterations", "30", "--out", str(out)]) == 2
+    assert "recovery error nan" in capsys.readouterr().err
+
+
+def test_a_nan_recovery_error_after_the_first_fails_the_gate(tmp_path, monkeypatch, capsys):
+    real_run_descent = cli.run_descent
+
+    def with_a_nan(*args, **kwargs):
+        run = real_run_descent(*args, **kwargs)
+        records = list(run.records)
+        records[1] = dataclasses.replace(records[1], recovery_error=math.nan)
+        return dataclasses.replace(run, records=tuple(records))
+
+    monkeypatch.setattr(cli, "run_descent", with_a_nan)
+    out = tmp_path / "gd.csv"
+    assert main(["gd-demo", "--iterations", "5", "--out", str(out)]) == 2
+    assert "max recovery error nan" in capsys.readouterr().out

@@ -366,3 +366,19 @@ def test_run_descent_rejects_negative_max_resamples():
     cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=4)
     with pytest.raises(ValueError, match="max_resamples"):
         run_descent(ds, build_ngc(4, 1, seed=20), 5, 0.1, cluster, seed=20, max_resamples=-1)
+
+
+def test_run_descent_rejects_non_finite_or_non_positive_eta():
+    ds = make_dataset(16, 2, 0.1, seed=20)
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=4)
+    for eta in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eta"):
+            run_descent(ds, build_ngc(4, 1, seed=20), 5, eta, cluster, seed=20)
+
+
+def test_make_dataset_rejects_empty_shapes_and_bad_noise():
+    for m, c, noise in ((0, 2, 0.1), (4, 0, 0.1), (-1, 2, 0.1), (4, 2, float("nan")),
+                        (4, 2, float("inf")), (4, 2, -0.1)):
+        with pytest.raises(ValueError):
+            make_dataset(m, c, noise, seed=0)
+    assert make_dataset(1, 1, 0.0, seed=0).data.shape == (1, 1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from ngcodes.simulator import (
     IterationOutcome,
     _decide,
     _draw,
+    _finish_times,
+    _percentile,
     _simulate,
     run_experiment,
     simulate_ngc_iteration,
@@ -19,6 +22,12 @@ FIG_PARAMS = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=8)
 
 def dkw_band(trials, confidence=0.99):
     return math.sqrt(math.log(2.0 / (1.0 - confidence)) / (2.0 * trials))
+
+
+def draw_all(rng, p, trials, u_max):
+    """The kernel's draw with every task column stored, as (trials, n, u_max)."""
+    alive, times = _draw(rng, p, trials, range(1, u_max + 1))
+    return alive, np.moveaxis(times, 0, -1)
 
 
 def one_trial(scheme, seed, p):
@@ -45,19 +54,19 @@ def test_chunk_streams_are_reproducible():
 
 def test_trace_always_fails_at_pe_one():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=1.0, n=4)
-    alive, times = _draw(np.random.default_rng(0), p, 1, 3)
+    alive, times = draw_all(np.random.default_rng(0), p, 1, 3)
     assert not alive.any() and np.all(np.isinf(times))
 
 
 def test_trace_reduces_to_deterministic_shift():
     p = ClusterParams(lam=1e9, rho=0.5, gamma=0.2, eps=0.1, p_e=0.0, n=4)
-    _, times = _draw(np.random.default_rng(1), p, 1, 4)
+    _, times = draw_all(np.random.default_rng(1), p, 1, 4)
     expected = p.gamma + p.eps + p.rho * np.arange(1, 5)
     assert np.allclose(times[0], expected, atol=1e-5)
 
 
 def test_trace_is_increasing_and_shift_bounded():
-    alive, times = _draw(np.random.default_rng(2), FIG_PARAMS, 200, 5)
+    alive, times = draw_all(np.random.default_rng(2), FIG_PARAMS, 200, 5)
     finish = times[alive]
     assert np.all(np.diff(finish, axis=1) > 0)
     lower = FIG_PARAMS.gamma + FIG_PARAMS.eps + FIG_PARAMS.rho * np.arange(1, 6)
@@ -67,7 +76,7 @@ def test_trace_is_increasing_and_shift_bounded():
 def test_trace_empirical_cdf_matches_analytic():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.0, n=4)
     trials = 1_000_000
-    _, times = _draw(np.random.default_rng(3), p, trials // p.n, 1)
+    _, times = draw_all(np.random.default_rng(3), p, trials // p.n, 1)
     samples = np.sort(times.reshape(-1))
     ts = np.linspace(0.5, 12.0, 60)
     empirical = np.searchsorted(samples, ts, side="right") / trials
@@ -79,7 +88,7 @@ def test_ngc_with_zero_tolerance_waits_for_everyone():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.0, n=8)
     for seed in range(20):
         outcome = simulate_ngc_iteration(np.random.default_rng(seed), 0, p)
-        _, times = _draw(np.random.default_rng(seed), p, 1, 1)
+        _, times = draw_all(np.random.default_rng(seed), p, 1, 1)
         assert outcome.latency == pytest.approx(times.max())
         assert outcome.decoded_sigma == 0
 
@@ -105,7 +114,7 @@ def test_ngc_quorum_and_no_earlier_layer():
         assert np.sum(outcome.tasks_done >= sigma + 1) >= p.n - sigma
         assert np.all(outcome.tasks_done <= s_max + 1)
         # replay the identical stream to inspect raw finish times
-        alive, times = _draw(np.random.default_rng(seed), p, 1, s_max + 1)
+        alive, times = draw_all(np.random.default_rng(seed), p, 1, s_max + 1)
         alive, times = alive[0], times[0]
         for u in range(1, sigma + 1):  # u < sigma + 1
             strictly_before = int(np.sum(alive & (times[:, u - 1] < outcome.latency)))
@@ -124,7 +133,7 @@ def test_gc_fixed_load_and_order_statistic():
         if outcome.latency is None:
             assert outcome.kappa > 3
             continue
-        replay_alive, times = _draw(np.random.default_rng(seed), p, 1, 4)
+        replay_alive, times = draw_all(np.random.default_rng(seed), p, 1, 4)
         finals = sorted(times[0, replay_alive[0], -1])
         assert outcome.latency == pytest.approx(finals[p.n - 3 - 1])
 
@@ -266,11 +275,11 @@ def test_decision_of_a_stack_equals_the_decision_of_each_row():
     # descent decides all its iterations in one call on rows drawn one at a time
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.3, n=8)
     for scheme in (Scheme("ngc", 3), Scheme("gc", 2), Scheme("uncoded")):
-        alive, times = _draw(np.random.default_rng(5), p, 300, scheme.tolerance + 1)
+        alive, times = _draw(np.random.default_rng(5), p, 300, scheme.layers)
         stacked = _decide(scheme, p, alive, times)
         assert np.any(stacked[1] == -1) and np.any(stacked[1] >= 0)
         for k in range(0, 300, 7):
-            alone = _decide(scheme, p, alive[k:k + 1], times[k:k + 1])
+            alone = _decide(scheme, p, alive[k:k + 1], times[:, k:k + 1])
             for a, b in zip(stacked, alone):
                 assert np.array_equal(a[k:k + 1], b)
 
@@ -281,3 +290,66 @@ def test_accepted_cluster_parameters_never_overflow():
     with np.errstate(over="raise"):
         result = run_experiment(Scheme("gc", 7), 20_000, 1, p, np.linspace(1.0, 2.0, 3))
     assert result.undecodable == 0
+
+
+def chunk_loads(scheme, trials, seed, p):
+    """Per-worker loads (trials, n) and latencies of run_experiment, rebuilt
+    from its chunk streams."""
+    chunk = max(1, CHUNK_ELEMENTS // (p.n * (scheme.tolerance + 1)))
+    parts = [_simulate(np.random.default_rng(np.random.SeedSequence([seed, c])), scheme, p,
+                       min(chunk, trials - start))
+             for c, start in enumerate(range(0, trials, chunk))]
+    return np.concatenate([x[2] for x in parts]), np.concatenate([x[0] for x in parts])
+
+
+@pytest.mark.parametrize("n, tolerance", [(1, 0), (8, 3), (64, 5)])
+@pytest.mark.parametrize("p_e", [0.0, 0.3, 1.0])
+def test_load_histogram_statistics_equal_numpy_on_the_full_loads(n, tolerance, p_e):
+    p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=p_e, n=n)
+    grid = np.linspace(2.0, 18.0, 10)
+    for scheme in (Scheme("uncoded"), Scheme("gc", tolerance), Scheme("ngc", tolerance)):
+        chunk = max(1, CHUNK_ELEMENTS // (n * (scheme.tolerance + 1)))
+        for trials in (1, 7, chunk + 1, 20_000):
+            result = run_experiment(scheme, trials, 3, p, grid)
+            loads, latencies = chunk_loads(scheme, trials, 3, p)
+            assert result.loads.mean_load == float(np.mean(loads))
+            assert result.loads.p95_load == float(np.percentile(loads, 95))
+            assert result.loads.undecodable_rate == float(np.mean(np.isinf(latencies)))
+
+
+def test_histogram_percentile_equals_numpy_percentile():
+    rng = np.random.default_rng(8)
+    for size in (1, 2, 3, 19, 20, 21, 1000, 20_000):
+        for top in (0, 1, 4, 40):
+            samples = rng.integers(0, top + 1, size)
+            histogram = np.bincount(samples, minlength=top + 1)
+            for q in (0, 5, 50, 95, 100):
+                assert _percentile(histogram, q) == float(np.percentile(samples, q))
+
+
+@pytest.mark.parametrize("p_e", [0.0, 0.3, 1.0])
+def test_stored_layer_columns_equal_the_cumsum_reference(p_e):
+    p = ClusterParams(lam=0.7, rho=0.3, gamma=0.2, eps=0.1, p_e=p_e, n=8)
+    for layers in ([1], [4], [1, 2, 3, 4], [2, 5], [3, 4, 9]):
+        uniforms = np.random.default_rng(1).random((50, p.n))
+        waits = np.random.default_rng(2).standard_exponential((50, p.n, layers[-1]))
+        reference = np.cumsum(waits * (1.0 / p.lam), axis=2)
+        reference += p.gamma + p.eps + p.rho * np.arange(1, layers[-1] + 1)
+        reference[uniforms < p.p_e] = math.inf
+        alive, times = _finish_times(p, uniforms, waits.copy(), layers)
+        assert np.array_equal(alive, uniforms >= p.p_e)
+        assert times.shape == (len(layers), 50, p.n)
+        for k, u in enumerate(layers):
+            assert times[k].tobytes() == reference[:, :, u - 1].tobytes()
+
+
+def test_run_experiment_memory_does_not_grow_with_trials_times_workers():
+    # a (trials, n) int64 loads array alone would take 41 MB here
+    p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=256)
+    tracemalloc.start()
+    try:
+        run_experiment(Scheme("ngc", 3), 20_000, 7, p, np.linspace(2.0, 18.0, 100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
