@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -213,8 +214,10 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     _prepare(args)
-    ngc = load_code(args.path)
     tol = float(_resolve(args, "tol"))
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"--tol must be finite and positive, got {tol}")
+    ngc = load_code(args.path)
     cap = int(_resolve(args, "cap"))
     all_ok = True
     for comp in ngc.components:
@@ -305,6 +308,9 @@ def cmd_gd_demo(args) -> int:
     )
     if not worst <= RECOVERY_GATE:
         raise NumericalFailure(f"recovery error {worst:.3e} above gate {RECOVERY_GATE:g}")
+    bad = next((r for r in run.records if not math.isfinite(r.loss)), None)
+    if bad is not None:
+        raise NumericalFailure(f"loss {bad.loss:g} at iteration {bad.iteration} is not finite")
     return 0
 
 

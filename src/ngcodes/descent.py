@@ -13,11 +13,14 @@ is redrawn with a + 1. No outcome depends on theta, so a run draws them all
 before the first update, deciding each round's draws in one simulator kernel
 call.
 
-A run computes one residual X theta - y per theta, which gives both the
-recorded loss and all n block gradients of the next iteration (one batched
-product). The responses of the workers a decoding uses are one product of
-their encoding rows with the block gradients, and the decoding of each
-(sigma, responsive set) is solved once per run.
+The decodings are resolved for the whole run before the first update too:
+each (sigma, responsive set) is solved once, and every iteration's finished
+tasks are checked against the rows its decoding uses, so a run that cannot
+decode fails before it starts. The update loop then runs only the data
+products, the decode and the update. It computes one residual X theta - y
+per theta, which gives both the recorded loss and all n block gradients of
+the next iteration (one batched product); the responses of the workers a
+decoding uses are one product of their encoding rows with those gradients.
 """
 from __future__ import annotations
 
@@ -151,6 +154,35 @@ def _decoder(component: EncodingMatrix, responsive: np.ndarray) -> _Decoder:
     return _Decoder(workers, reach, rows, row.coefficients[workers])
 
 
+def _resolve(ngc: NestedGradientCode, outcome: IterationOutcome, decoders: dict) -> _Decoder:
+    """The decoding of a decodable outcome, solved once per (sigma, responsive
+    set) in ``decoders``; MissingGradient if a row it uses reaches past its
+    worker's finished tasks."""
+    sigma = outcome.decoded_sigma
+    tasks_done = outcome.tasks_done
+    responsive = np.flatnonzero(tasks_done >= sigma + 1)
+    key = (sigma, tuple(responsive.tolist()))
+    decoder = decoders.get(key)
+    if decoder is None:
+        decoder = decoders[key] = _decoder(ngc.components[sigma], responsive)
+    short = tasks_done[decoder.workers] < decoder.reach
+    if short.any():
+        k = int(np.argmax(short))
+        raise MissingGradient(
+            f"worker {decoder.workers[k]} finished {tasks_done[decoder.workers[k]]} tasks, "
+            f"but its encoding row needs {decoder.reach[k]}"
+        )
+    return decoder
+
+
+def _decode(decoder: _Decoder, gradients: np.ndarray) -> tuple[np.ndarray, float]:
+    """The decoded gradient sum and its relative error against the direct sum."""
+    decoded = decoder.weights @ (decoder.rows @ gradients)
+    full = gradients.sum(axis=0)
+    denom = float(np.abs(full).max()) or 1.0
+    return decoded, float(np.abs(decoded - full).max()) / denom
+
+
 def coded_iteration(
     state: DescentState,
     ngc: NestedGradientCode,
@@ -167,36 +199,17 @@ def coded_iteration(
     combined with its decoding coefficients (MissingGradient if a row reaches
     past its worker's window). The report compares the decoded gradient
     against the directly summed one. ``decoders`` keeps the decoding of each
-    (sigma, responsive set) for later calls; ``run_descent`` passes one dict
-    per run.
+    (sigma, responsive set) for later calls.
     """
     if outcome.decoded_sigma is None:
         raise UndecodableIteration(f"{outcome.kappa} failures exceed s_max={ngc.s_max}")
     if gradients.shape != (ngc.n, state.theta.size):
         raise ValueError(f"gradients must be ({ngc.n}, {state.theta.size}), got {gradients.shape}")
-    sigma = outcome.decoded_sigma
-    tasks_done = outcome.tasks_done
-    responsive = np.flatnonzero(tasks_done >= sigma + 1)
-    decoders = {} if decoders is None else decoders
-    key = (sigma, tuple(responsive.tolist()))
-    decoder = decoders.get(key)
-    if decoder is None:
-        decoder = decoders[key] = _decoder(ngc.components[sigma], responsive)
-
-    short = tasks_done[decoder.workers] < decoder.reach
-    if short.any():
-        k = int(np.argmax(short))
-        raise MissingGradient(
-            f"worker {decoder.workers[k]} finished {tasks_done[decoder.workers[k]]} tasks, "
-            f"but its encoding row needs {decoder.reach[k]}"
-        )
-    decoded = decoder.weights @ (decoder.rows @ gradients)
-
-    full = gradients.sum(axis=0)
-    denom = float(np.abs(full).max()) or 1.0
+    decoder = _resolve(ngc, outcome, {} if decoders is None else decoders)
+    decoded, relative_error = _decode(decoder, gradients)
     report = RecoveryReport(
-        relative_error=float(np.abs(decoded - full).max()) / denom,
-        decoded_sigma=sigma,
+        relative_error=relative_error,
+        decoded_sigma=outcome.decoded_sigma,
         latency=float(outcome.latency),
         kappa=outcome.kappa,
     )
@@ -286,7 +299,10 @@ def run_descent(
     """Run coded gradient descent from theta = 0; deterministic given seed.
 
     UndecodableIteration names the first iteration with no decodable draw in
-    ``max_resamples`` resamples (see the module's stream contract).
+    ``max_resamples`` resamples (see the module's stream contract). A decoding
+    that fails (NumericalFailure, MissingGradient) raises as one
+    ``coded_iteration`` per outcome would at its first failing iteration, but
+    before the first update.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
@@ -297,23 +313,25 @@ def run_descent(
     if cluster.n != ngc.n:
         raise ValueError(f"cluster has n={cluster.n} workers but code expects {ngc.n}")
     outcomes, resamples = _decodable_outcomes(cluster, ngc.s_max, seed, iterations, max_resamples)
-    blocks = partition(dataset, ngc.n)
-    state = DescentState(theta=np.zeros(dataset.c), eta=eta, iteration=0)
-    residual = _residual(blocks, state.theta)  # one per theta: its loss and the next gradients
     decoders = {}
+    plan = [_resolve(ngc, outcome, decoders) for outcome in outcomes]
+    blocks = partition(dataset, ngc.n)
+    step = eta / dataset.m
+    theta = np.zeros(dataset.c)
+    residual = _residual(blocks, theta)  # one per theta: its loss and the next gradients
     thetas, records = [], []
-    for t, outcome in enumerate(outcomes):
-        gradients = _block_gradients(blocks, residual)
-        state, report = coded_iteration(state, ngc, outcome, gradients, dataset.m, decoders)
-        residual = _residual(blocks, state.theta)
-        thetas.append(state.theta)
+    for t, (outcome, decoder) in enumerate(zip(outcomes, plan)):
+        decoded, relative_error = _decode(decoder, _block_gradients(blocks, residual))
+        theta = theta - step * decoded
+        residual = _residual(blocks, theta)
+        thetas.append(theta)
         records.append(
             IterationRecord(
                 iteration=t,
                 loss=0.5 * float(np.vdot(residual, residual)),
-                recovery_error=report.relative_error,
-                decoded_sigma=report.decoded_sigma,
-                latency=report.latency,
+                recovery_error=relative_error,
+                decoded_sigma=outcome.decoded_sigma,
+                latency=outcome.latency,
                 resamples=int(resamples[t]),
             )
         )

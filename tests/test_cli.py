@@ -75,6 +75,17 @@ def test_verify_missing_file_is_validation_error(tmp_path):
     assert main(["verify", str(tmp_path / "nope.json")]) == 1
 
 
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys):
+    out = tmp_path / "code.json"
+    main(["construct", "--n", "6", "--smax", "2", "--seed", "3", "--out", str(out)])
+    capsys.readouterr()
+    for tol in ("nan", "-1", "inf"):
+        assert main(["verify", str(out), f"--tol={tol}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--tol" in captured.err
+        assert "all checks passed" not in captured.out
+
+
 def test_analyze_headline_configuration(tmp_path):
     out = tmp_path / "curves.csv"
     schemes = "uncoded,gc:1,gc:2,gc:4,gc:6,ngc:2,ngc:4,ngc:6"
@@ -331,6 +342,18 @@ def test_gd_demo_that_diverges_fails_the_recovery_gate(tmp_path, capsys):
     out = tmp_path / "gd.csv"
     assert main(["gd-demo", "--eta", "1e300", "--iterations", "30", "--out", str(out)]) == 2
     assert "recovery error nan" in capsys.readouterr().err
+
+
+def test_gd_demo_with_a_non_finite_loss_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "gd.csv"
+    argv = ["gd-demo", "--n", "8", "--smax", "3", "--iterations", "1", "--m", "8", "--c", "2",
+            "--noise", "1e300", "--seed", "3", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "final loss inf" in captured.out
+    assert captured.err == "error: loss inf at iteration 0 is not finite\n"
+    # the CSV is written before the gate, as for the recovery gate
+    assert read_csv(out)[1][0][:2] == ["0", "inf"]
 
 
 def test_a_nan_recovery_error_after_the_first_fails_the_gate(tmp_path, monkeypatch, capsys):

@@ -8,6 +8,7 @@ from ngcodes.codes import (
     EncodingMatrix,
     MissingGradient,
     NestedGradientCode,
+    NumericalFailure,
     build_ngc,
     decode_row,
     encode_response,
@@ -17,6 +18,7 @@ from ngcodes.descent import (
     DataBlock,
     Dataset,
     DescentState,
+    IterationRecord,
     UndecodableIteration,
     coded_iteration,
     dataset_loss,
@@ -330,6 +332,97 @@ def test_run_descent_draws_the_per_iteration_streams(s_max, p_e, round_rows):
     assert [r.resamples for r in run.records] == [a for _, a in expected]
     if p_e == 0.3:
         assert sum(r.resamples for r in run.records) > 0
+
+
+def coded_iteration_loop(ds, ngc, iterations, eta, cluster, seed):
+    """Reference: one coded_iteration per drawn outcome, sharing one decoders dict,
+    with the loss of the residual at each new theta."""
+    outcomes, resamples = descent._decodable_outcomes(cluster, ngc.s_max, seed, iterations, 1000)
+    blocks = partition(ds, ngc.n)
+    state = DescentState(theta=np.zeros(ds.c), eta=eta, iteration=0)
+    decoders = {}
+    thetas, records = [], []
+    for t, outcome in enumerate(outcomes):
+        gradients = partial_gradient(blocks, state.theta)
+        state, report = coded_iteration(state, ngc, outcome, gradients, ds.m, decoders)
+        residual = blocks.data @ state.theta - blocks.labels
+        thetas.append(state.theta)
+        records.append(IterationRecord(t, 0.5 * float(np.vdot(residual, residual)),
+                                       report.relative_error, report.decoded_sigma, report.latency,
+                                       int(resamples[t])))
+    return thetas, records
+
+
+@pytest.mark.parametrize("s_max", [0, 3, 5])
+@pytest.mark.parametrize("p_e", [0.05, 0.3])
+def test_run_descent_equals_one_coded_iteration_per_outcome(s_max, p_e, round_rows):
+    ds = make_dataset(60, 4, 0.2, seed=21)
+    ngc = build_ngc(12, s_max, seed=21)
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=p_e, n=12)
+    eta = default_learning_rate(ds, 40)
+    run = run_descent(ds, ngc, 40, eta, cluster, seed=21)
+    thetas, records = coded_iteration_loop(ds, ngc, 40, eta, cluster, seed=21)
+    assert list(run.records) == records
+    assert len(run.thetas) == len(thetas)
+    assert all(np.array_equal(a, b) for a, b in zip(run.thetas, thetas))
+
+
+def raised_by(call):
+    """The exception type and message ``call()`` raises; fails if it returns."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.fixture
+def updates(monkeypatch):
+    """Counts block-gradient products, one per update."""
+    calls = []
+    real = descent._block_gradients
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(descent, "_block_gradients", counted)
+    return calls
+
+
+def test_run_descent_raises_the_first_missing_gradient_before_any_update(updates):
+    ds = make_dataset(16, 3, 0.1, seed=22)
+    ngc = reach_past_window_code()
+    # iteration 0 decodes at sigma 0, iteration 1 at sigma 1 with worker 0 a task short of block 2
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=4)
+    expected = raised_by(lambda: coded_iteration_loop(ds, ngc, 40, 0.1, cluster, seed=2))
+    assert expected[0] is MissingGradient and len(updates) > 0
+    updates.clear()
+    assert raised_by(lambda: run_descent(ds, ngc, 40, 0.1, cluster, seed=2)) == expected
+    assert updates == []
+
+
+@pytest.mark.parametrize("k", [1, 4, 15])
+def test_run_descent_raises_the_first_failed_decoding_before_any_update(k, monkeypatch, updates):
+    def failing_on_key_k():
+        keys = []
+
+        def decode(code, responsive_set, *args, **kwargs):
+            keys.append((code.sigma, sorted(int(i) for i in responsive_set)))
+            if len(keys) == k:
+                raise NumericalFailure(f"decoding {k}: sigma {keys[-1][0]}, set {keys[-1][1]}")
+            return decode_row(code, responsive_set, *args, **kwargs)
+
+        monkeypatch.setattr(descent, "decode_row", decode)
+
+    ds = make_dataset(48, 3, 0.1, seed=23)
+    ngc = build_ngc(12, 5, seed=23)
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=12)
+    failing_on_key_k()
+    expected = raised_by(lambda: coded_iteration_loop(ds, ngc, 100, 0.1, cluster, seed=23))
+    assert expected[0] is NumericalFailure
+    updates.clear()
+    failing_on_key_k()
+    assert raised_by(lambda: run_descent(ds, ngc, 100, 0.1, cluster, seed=23)) == expected
+    assert updates == []
 
 
 @pytest.mark.parametrize("max_resamples", [0, 1, 2])
