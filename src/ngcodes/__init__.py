@@ -2,11 +2,9 @@
 simulation, and coded gradient descent with exact full-gradient recovery."""
 
 from .codes import (
-    CodeParams,
     DecodingRow,
     EncodingMatrix,
     NestedGradientCode,
-    StorageParams,
     build_cyclic_encoding,
     build_ngc,
     code_from_json,
@@ -15,7 +13,6 @@ from .codes import (
     encode_response,
     identity_encoding,
     load_code,
-    max_tolerable_stragglers,
     save_code,
     verify_gradient_code,
     verify_nesting,
@@ -37,12 +34,9 @@ from .latency import (
     LatencyCurve,
     Scheme,
     failure_count_pmf,
-    gc_latency_cdf,
     latency_curve,
-    ngc_latency_cdf,
     ngc_latency_cdf_zero_shift,
     parse_scheme,
-    task_time_cdf,
 )
 from .simulator import IterationOutcome, run_experiment, simulate_ngc_iteration
 

@@ -40,7 +40,6 @@ RECOVERY_GATE = 1e-6
 DEFAULTS = {
     "n": 8,
     "smax": 3,
-    "sigma": 3,
     "seed": 42,
     "lam": 0.5,
     "rho": 0.5,
@@ -58,6 +57,7 @@ DEFAULTS = {
     "c": 8,
     "noise": 0.1,
     "iterations": 200,
+    "eta": None,  # gd-demo: None means half the stability limit
 }
 
 # config-file keys are flag names; map them onto argparse destinations
@@ -85,37 +85,47 @@ def _load_config(path) -> dict:
     return values
 
 
-def _resolve(args, key):
-    """Flag value if given, else config-file value, else built-in default."""
-    value = getattr(args, key, None)
-    if value is not None:
+def _config_value(key, value, default):
+    """A config-file value as a setting: null means the default, and anything
+    else must be a number or a string (or, for ``schemes``, a list of strings)
+    and takes the type of the default."""
+    if value is None:
+        return default
+    if key == "schemes" and isinstance(value, list) and all(isinstance(v, str) for v in value):
         return value
-    if key in args.config_values:
-        return args.config_values[key]
-    return DEFAULTS[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"config value for {key!r} must be a number or a string, got {value!r}")
+    try:
+        return value if default is None else type(default)(value)
+    except OverflowError as exc:  # int() of an infinite float
+        raise ValueError(f"config value for {key!r}: {exc}") from exc
 
 
-def _prepare(args):
-    args.config_values = _load_config(args.config) if getattr(args, "config", None) else {}
+def _fill_defaults(args):
+    """Give every ``DEFAULTS`` key that no flag set its config-file value, else its default."""
+    config = _load_config(args.config) if args.config else {}
+    for key, default in DEFAULTS.items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, _config_value(key, config.get(key), default))
 
 
 def _cluster_params(args) -> ClusterParams:
     return ClusterParams(
-        lam=float(_resolve(args, "lam")),
-        rho=float(_resolve(args, "rho")),
-        gamma=float(_resolve(args, "gamma")),
-        eps=float(_resolve(args, "eps")),
-        p_e=float(_resolve(args, "pe")),
-        n=int(_resolve(args, "n")),
+        lam=args.lam,
+        rho=args.rho,
+        gamma=args.gamma,
+        eps=args.eps,
+        p_e=args.pe,
+        n=args.n,
     )
 
 
 def _schemes(args) -> tuple[Scheme, ...]:
-    raw = _resolve(args, "schemes")
-    if isinstance(raw, (list, tuple)):
-        names = [str(s) for s in raw]
+    raw = args.schemes
+    if isinstance(raw, list):
+        names = raw
     else:
-        names = [part for part in str(raw).split(",") if part.strip()]
+        names = [part for part in raw.split(",") if part.strip()]
     if not names:
         raise ValueError("at least one scheme is required")
     return tuple(parse_scheme(name) for name in names)
@@ -137,10 +147,6 @@ class ExperimentConfig:
             raise ValueError(f"need t_min < t_max, got {self.t_min} >= {self.t_max}")
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be at least 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
 
     @property
     def emitted_grid(self) -> np.ndarray:
@@ -159,11 +165,11 @@ def _experiment_config(args) -> ExperimentConfig:
     return ExperimentConfig(
         schemes=_schemes(args),
         cluster=_cluster_params(args),
-        t_min=float(_resolve(args, "t_min")),
-        t_max=float(_resolve(args, "t_max")),
-        steps=int(_resolve(args, "steps")),
-        trials=int(_resolve(args, "trials")),
-        seed=int(_resolve(args, "seed")),
+        t_min=args.t_min,
+        t_max=args.t_max,
+        steps=args.steps,
+        trials=args.trials,
+        seed=args.seed,
         out=args.out,
     )
 
@@ -186,10 +192,7 @@ def _loads_path(out: str) -> str:
 
 
 def cmd_construct(args) -> int:
-    _prepare(args)
-    n = int(_resolve(args, "n"))
-    s_max = int(_resolve(args, "smax"))
-    seed = int(_resolve(args, "seed"))
+    n, s_max, seed = args.n, args.smax, args.seed
     if args.out is None:
         raise ValueError("--out is required")
     ngc = build_ngc(n, s_max, seed)
@@ -213,15 +216,13 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _prepare(args)
-    tol = float(_resolve(args, "tol"))
+    tol = args.tol
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {tol}")
     ngc = load_code(args.path)
-    cap = int(_resolve(args, "cap"))
     all_ok = True
     for comp in ngc.components:
-        report = verify_gradient_code(comp, comp.sigma, tol=tol, cap=cap)
+        report = verify_gradient_code(comp, comp.sigma, tol=tol, cap=args.cap)
         all_ok &= report.passed
         print(
             f"sigma={comp.sigma}: support {'ok' if report.support_ok else 'FAIL'}, "
@@ -238,7 +239,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _prepare(args)
     cfg = _experiment_config(args)
     rows = []
     for scheme in cfg.schemes:
@@ -253,7 +253,6 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    _prepare(args)
     cfg = _experiment_config(args)
     rows, load_rows = [], []
     for scheme in cfg.schemes:
@@ -278,20 +277,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gd_demo(args) -> int:
-    _prepare(args)
     cluster = _cluster_params(args)
-    m = int(_resolve(args, "m"))
-    c = int(_resolve(args, "c"))
-    noise = float(_resolve(args, "noise"))
-    iterations = int(_resolve(args, "iterations"))
-    s_max = int(_resolve(args, "smax"))
-    seed = int(_resolve(args, "seed"))
+    iterations, seed = args.iterations, args.seed
     if args.out is None:
         raise ValueError("--out is required")
-    dataset = make_dataset(m, c, noise, seed)
-    eta_value = args.eta if args.eta is not None else args.config_values.get("eta")
-    eta = float(eta_value) if eta_value is not None else default_learning_rate(dataset, iterations)
-    ngc = build_ngc(cluster.n, s_max, seed)
+    dataset = make_dataset(args.m, args.c, args.noise, seed)
+    eta = float(args.eta) if args.eta is not None else default_learning_rate(dataset, iterations)
+    ngc = build_ngc(cluster.n, args.smax, seed)
     run = run_descent(dataset, ngc, iterations, eta, cluster, seed)
     _write_csv(
         args.out,
@@ -386,6 +378,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _fill_defaults(args)
         return args.func(args)
     except (_UsageError, CapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -56,45 +56,6 @@ class CapExceeded(CodeError):
     """Exhaustive verification requested above the enumeration cap."""
 
 
-@dataclass(frozen=True)
-class CodeParams:
-    """Validated (n, k, sigma) triple; only k = n is supported."""
-
-    n: int
-    k: int
-    sigma: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"worker count must be positive, got {self.n}")
-        if self.k != self.n:
-            raise ValueError(f"only k = n is supported, got k={self.k}, n={self.n}")
-        if not 0 <= self.sigma <= self.n - 1:
-            raise ValueError(f"sigma must be in [0, n-1], got sigma={self.sigma}, n={self.n}")
-
-
-@dataclass(frozen=True)
-class StorageParams:
-    """Per-worker storage budget and problem dimensions."""
-
-    beta: int  # data rows one worker can hold
-    m: int     # total data rows
-    c: int     # feature columns
-    n: int     # workers
-    k: int     # tasks
-
-    def __post_init__(self):
-        for name in ("beta", "m", "c", "n", "k"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-def max_tolerable_stragglers(p: StorageParams) -> int:
-    """Largest straggler tolerance the storage budget admits, clamped to [0, n-1]."""
-    bound = (p.n * p.beta * p.m) // (p.k * p.c) - 1
-    return max(0, min(bound, p.n - 1))
-
-
 def cyclic_support(i: int, sigma: int, n: int) -> np.ndarray:
     """Column indices of row i: the window i..i+sigma wrapped mod n."""
     return (i + np.arange(sigma + 1)) % n
@@ -120,9 +81,6 @@ class EncodingMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    def row_support(self, i: int) -> np.ndarray:
-        return cyclic_support(i, self.sigma, self.n)
 
 
 @dataclass(frozen=True)
@@ -175,9 +133,9 @@ def build_cyclic_encoding(n: int, sigma: int, seed: int) -> EncodingMatrix:
     Deterministic in (n, sigma, seed). Ill-conditioned draws are retried with
     sub-seeds derived from ``seed``; ConstructionFailed after the retry budget.
     """
-    CodeParams(n, n, sigma)
-    if sigma < 1:
-        raise ValueError("sigma must be >= 1; the tolerance-0 component is identity_encoding(n)")
+    if not 1 <= sigma <= n - 1:
+        raise ValueError(f"sigma must be in [1, n-1], got sigma={sigma}, n={n}; "
+                         "the tolerance-0 component is identity_encoding(n)")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     last = None

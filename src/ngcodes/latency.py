@@ -30,10 +30,6 @@ import numpy as np
 WAIT_BOUND = 50.0  # above lam times any exponential wait the simulator can draw
 
 
-class InvalidTaskCount(ValueError):
-    """Task counts must be positive integers."""
-
-
 class InvalidParams(ValueError):
     """Cluster or scheme parameters outside their valid range."""
 
@@ -158,13 +154,6 @@ def _layer_cdf(u: int, ts: np.ndarray, p: ClusterParams) -> np.ndarray:
     return np.clip(out, 0.0, 1.0)
 
 
-def task_time_cdf(u: int, t: float, p: ClusterParams) -> float:
-    """CDF of the time one non-failing worker needs to complete u tasks."""
-    if not isinstance(u, (int, np.integer)) or u < 1:
-        raise InvalidTaskCount(f"task count must be a positive integer, got {u!r}")
-    return float(_layer_cdf(int(u), np.asarray([t], dtype=float), p)[0])
-
-
 def _stirling_errors(n: int) -> np.ndarray:
     """log k! - (k + 1/2) log k + k - log sqrt(2 pi) for k = 1..n (entry 0 unused).
 
@@ -216,6 +205,17 @@ def failure_count_pmf(kappa: int, n: int, p_e: float) -> float:
     return float(_binom_pmf(n, np.array([kappa]), np.array([p_e]), _stirling_errors(n))[0, 0])
 
 
+def _check_grid(grid) -> np.ndarray:
+    """The grid as a float array; InvalidParams unless it is a non-empty,
+    strictly increasing 1-d array without NaN."""
+    ts = np.asarray(grid, dtype=float)
+    if ts.ndim != 1 or ts.size < 1:
+        raise InvalidParams("grid must be a non-empty 1-d array")
+    if np.isnan(ts).any() or not np.all(np.diff(ts) > 0):
+        raise InvalidParams("grid must be strictly increasing")
+    return ts
+
+
 def _check_tolerance(scheme: Scheme, p: ClusterParams):
     if scheme.tolerance > p.n - 1:  # Scheme itself rejects negative tolerances
         name = "s_max" if scheme.kind == "ngc" else "sigma"
@@ -251,16 +251,6 @@ def _decode_cdf(reach: np.ndarray, layers: list[int], p: ClusterParams) -> np.nd
     return np.clip(decoded, 0.0, 1.0)
 
 
-def gc_latency_cdf(t: float, sigma: int, p: ClusterParams) -> float:
-    """P(T <= t) for a fixed-tolerance code: n - sigma workers with sigma + 1 tasks."""
-    return float(latency_curve(Scheme("gc", sigma), [t], p).values[0])
-
-
-def ngc_latency_cdf(t: float, s_max: int, p: ClusterParams) -> float:
-    """P(T <= t) for the nested scheme with maximum tolerance s_max."""
-    return float(latency_curve(Scheme("ngc", s_max), [t], p).values[0])
-
-
 def _zero_shift_reach(ts: np.ndarray, s_bar: int, p: ClusterParams) -> np.ndarray:
     """F_u(t) for u = 1..s_bar+1 in closed Poisson form, valid only for rho = 0.
 
@@ -281,7 +271,7 @@ def _zero_shift_reach(ts: np.ndarray, s_bar: int, p: ClusterParams) -> np.ndarra
 
 
 def ngc_latency_cdf_zero_shift(t: float, s_max: int, p: ClusterParams) -> float:
-    """Specialized nested-scheme CDF for rho = 0; agrees with ngc_latency_cdf."""
+    """Specialized nested-scheme CDF for rho = 0; agrees with latency_curve."""
     if p.rho != 0:
         raise InvalidParams(f"zero-shift form requires rho = 0, got rho={p.rho}")
     scheme = Scheme("ngc", s_max)
@@ -292,11 +282,7 @@ def ngc_latency_cdf_zero_shift(t: float, s_max: int, p: ClusterParams) -> float:
 
 def latency_curve(scheme: Scheme, grid, p: ClusterParams) -> LatencyCurve:
     """Evaluate the analytic CDF of a scheme over a strictly increasing grid."""
-    ts = np.asarray(grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 1:
-        raise InvalidParams("grid must be a non-empty 1-d array")
-    if ts.size >= 2 and not np.all(np.diff(ts) > 0):
-        raise InvalidParams("grid must be strictly increasing")
+    ts = _check_grid(grid)
     _check_tolerance(scheme, p)
     reach = np.stack([_layer_cdf(u, ts, p) for u in scheme.layers])
     return LatencyCurve(grid=ts, values=_decode_cdf(reach, scheme.layers, p), label=scheme.label)

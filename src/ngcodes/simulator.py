@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .latency import ClusterParams, InvalidParams, LatencyCurve, Scheme, _check_tolerance
+from .latency import ClusterParams, InvalidParams, LatencyCurve, Scheme, _check_grid, _check_tolerance
 
 CHUNK_ELEMENTS = 2**15  # finish times drawn per chunk; bounds the kernel's memory
 
@@ -152,10 +152,7 @@ def run_experiment(scheme: Scheme, trials: int, seed: int, p: ClusterParams, gri
         raise InvalidParams(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise InvalidParams("seed must be a non-negative integer")
-    ts = np.asarray(grid, dtype=float)
-    if ts.ndim != 1 or ts.size < 1 or (ts.size >= 2 and not np.all(np.diff(ts) > 0)):
-        raise InvalidParams("grid must be a non-empty strictly increasing 1-d array")
-
+    ts = _check_grid(grid)
     _check_tolerance(scheme, p)
     u_max = scheme.tolerance + 1
     chunk = max(1, CHUNK_ELEMENTS // (p.n * u_max))

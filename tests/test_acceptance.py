@@ -20,9 +20,7 @@ from ngcodes.descent import (
 from ngcodes.latency import (
     ClusterParams,
     Scheme,
-    gc_latency_cdf,
     latency_curve,
-    ngc_latency_cdf,
     ngc_latency_cdf_zero_shift,
 )
 from ngcodes.simulator import run_experiment
@@ -56,7 +54,7 @@ def family_grid():
 
 
 def test_criterion_1_asymptote_reproduction():
-    value = gc_latency_cdf(1e3, 0, FIG_PARAMS)
+    value = latency_curve(Scheme("gc", 0), [1e3], FIG_PARAMS).values[0]
     expected = 0.95**8
     gap = abs(value - expected)
     report(1, "uncoded terminal probability", gap <= 1e-4,
@@ -122,8 +120,9 @@ def test_criterion_6_zero_shift_consistency():
     cases = [(4, 1, 0.0), (6, 2, 0.1), (8, 3, 0.05), (8, 4, 0.2)]
     for n, s_max, p_e in cases:
         p = ClusterParams(lam=1.2, rho=0.0, gamma=0.4, eps=0.2, p_e=p_e, n=n)
-        for t in np.linspace(0.0, 14.0, 100):
-            gap = abs(ngc_latency_cdf(t, s_max, p) - ngc_latency_cdf_zero_shift(t, s_max, p))
+        ts = np.linspace(0.0, 14.0, 100)
+        for t, general in zip(ts, latency_curve(Scheme("ngc", s_max), ts, p).values):
+            gap = abs(general - ngc_latency_cdf_zero_shift(t, s_max, p))
             worst = max(worst, gap)
     report(6, "zero-shift evaluator matches general evaluator", worst <= 1e-9,
            f"{len(cases)} configurations x 100 grid points, worst gap {worst:.2e}")

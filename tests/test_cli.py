@@ -250,6 +250,30 @@ def test_config_file_must_be_json_object(tmp_path):
     assert main(["analyze", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
 
 
+def test_null_config_values_mean_unset_and_wrong_types_are_validation_errors(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    out = tmp_path / "x.csv"
+    config.write_text(json.dumps({"n": None}))
+    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 0
+    default = tmp_path / "default.csv"
+    assert main(["analyze", "--out", str(default)]) == 0
+    assert out.read_bytes() == default.read_bytes()
+    capsys.readouterr()
+    for values in ({"n": [8]}, {"lambda": {}}, {"steps": True}):
+        config.write_text(json.dumps(values))
+        assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_settings_a_command_never_uses_are_not_checked_by_it(tmp_path, capsys):
+    config = tmp_path / "shared.json"
+    config.write_text(json.dumps({"trials": 0, "seed": -3}))
+    out = str(tmp_path / "x.csv")
+    assert main(["analyze", "--config", str(config), "--out", out]) == 0
+    assert main(["simulate", "--config", str(config), "--out", out]) == 1
+    assert capsys.readouterr().err == "error: trials must be at least 1, got 0\n"
+
+
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
 
@@ -291,13 +315,24 @@ def test_finish_times_that_overflow_their_waits_are_validation_errors(tmp_path, 
 
 # any float, or None to leave the flag at its default so that valid runs stay common
 ANY_FLOAT = st.none() | st.floats(allow_nan=True, allow_infinity=True)
+# config-file values that are not numbers or strings; the numbers in CONFIG stay small enough to run
+OTHER_JSON = (st.none() | st.booleans() | st.lists(st.integers(0, 3), max_size=2)
+              | st.dictionaries(st.just("a"), st.integers(0, 3), max_size=1))
+SCHEME_NAME = st.sampled_from(["uncoded", "gc:2", "ngc:1", "ngc:x", ""])
+CONFIG = st.fixed_dictionaries({}, optional={
+    **{key: OTHER_JSON | st.integers(-1, 12) | st.sampled_from(["", "x", "2", "0.5"])
+       for key in ("n", "smax", "seed", "steps", "trials", "m", "c", "iterations")},
+    **{key: OTHER_JSON | ANY_FLOAT | st.sampled_from(["", "x", "0.5", "inf"])
+       for key in ("lambda", "rho", "gamma", "eps", "pe", "t-min", "t-max", "noise", "eta")},
+    "schemes": OTHER_JSON | SCHEME_NAME | st.lists(SCHEME_NAME | st.integers(0, 3), max_size=3),
+})
 
 
 @st.composite
 def cli_invocations(draw):
     """Small invocations; FLAG=VALUE keeps negative values from reading as flags."""
     command = draw(st.sampled_from(["analyze", "simulate", "gd-demo"]))
-    flags = {"n": draw(st.integers(-1, 10)), "seed": draw(st.integers(-1, 2**31))}
+    flags = {"n": draw(st.none() | st.integers(-1, 10)), "seed": draw(st.integers(-1, 2**31))}
     for name in ("lambda", "rho", "gamma", "eps", "pe"):
         flags[name] = draw(ANY_FLOAT)
     tolerance = st.integers(-1, 12)
@@ -314,11 +349,16 @@ def cli_invocations(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(argv=cli_invocations())
-@example(argv=["simulate", "--schemes=ngc:3", "--lambda=nan", "--trials=10"])
-def test_exit_code_is_always_0_1_or_2(argv, tmp_path_factory):
-    out = tmp_path_factory.mktemp("prop") / "out.csv"
-    assert main([*argv, "--out", str(out)]) in (0, 1, 2)
+@given(argv=cli_invocations(), config=CONFIG)
+@example(argv=["simulate", "--schemes=ngc:3", "--lambda=nan", "--trials=10"], config={})
+@example(argv=["analyze"], config={"n": None})
+@example(argv=["analyze"], config={"n": [8]})
+@example(argv=["analyze"], config={"lambda": {}})
+def test_exit_code_is_always_0_1_or_2(argv, config, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("prop")
+    (directory / "config.json").write_text(json.dumps(config))
+    argv = [*argv, "--config", str(directory / "config.json"), "--out", str(directory / "out.csv")]
+    assert main(argv) in (0, 1, 2)
 
 
 def test_gd_demo_without_a_decodable_draw_is_exit_2(tmp_path, capsys):

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 import ngcodes.codes
 from ngcodes.codes import (
     CapExceeded,
-    CodeParams,
     ConstructionFailed,
     EncodingMatrix,
     MissingGradient,
     NotDecodable,
-    StorageParams,
     build_cyclic_encoding,
     build_ngc,
     code_from_json,
@@ -25,7 +23,6 @@ from ngcodes.codes import (
     encode_response,
     identity_encoding,
     load_code,
-    max_tolerable_stragglers,
     save_code,
     verify_gradient_code,
     verify_nesting,
@@ -53,11 +50,11 @@ def sum_recovery_error(matrix, stragglers, rng):
     return float(np.abs(recovered - direct).max() / np.abs(direct).max())
 
 
-def test_code_params_require_k_equals_n():
-    with pytest.raises(ValueError):
-        CodeParams(n=8, k=4, sigma=1)
-    with pytest.raises(ValueError):
-        CodeParams(n=8, k=8, sigma=8)
+def test_cyclic_encoding_rejects_sigma_out_of_range():
+    # sigma = 0 is identity_encoding's; sigma = n would leave no responder
+    for sigma in (0, 8):
+        with pytest.raises(ValueError):
+            build_cyclic_encoding(8, sigma, 0)
 
 
 def test_cyclic_supports_wrap():
@@ -179,14 +176,6 @@ def test_verify_identity_fails_at_sigma_one():
 def test_verify_cap():
     with pytest.raises(CapExceeded):
         verify_gradient_code(identity_encoding(13), sigma=0)
-
-
-def test_storage_bound():
-    assert max_tolerable_stragglers(StorageParams(beta=1, m=4, c=4, n=4, k=4)) == 0
-    assert max_tolerable_stragglers(StorageParams(beta=4, m=8, c=4, n=8, k=8)) == 7
-    assert max_tolerable_stragglers(StorageParams(beta=1, m=2, c=9, n=4, k=4)) == 0
-    # clamped by n - 1 even with abundant storage
-    assert max_tolerable_stragglers(StorageParams(beta=100, m=100, c=1, n=4, k=4)) == 3
 
 
 def test_encode_response_identity_row():

@@ -10,17 +10,15 @@ from hypothesis import strategies as st
 from ngcodes.latency import (
     ClusterParams,
     InvalidParams,
-    InvalidTaskCount,
     LatencyCurve,
     Scheme,
+    _layer_cdf,
     failure_count_pmf,
-    gc_latency_cdf,
     latency_curve,
-    ngc_latency_cdf,
     ngc_latency_cdf_zero_shift,
     parse_scheme,
-    task_time_cdf,
 )
+from ngcodes.simulator import run_experiment
 
 FIG_PARAMS = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=8)
 
@@ -61,7 +59,7 @@ def exact_cdf(scheme, ts, p):
     u_max = scheme.tolerance + 1
     layers = range(1, u_max + 1) if scheme.kind == "ngc" else [u_max]
     reach = [np.ones(len(ts))]
-    reach += [np.array([task_time_cdf(u, t, p) for t in ts]) for u in range(1, u_max + 1)]
+    reach += [_layer_cdf(u, ts, p) for u in range(1, u_max + 1)]
     reach.append(np.zeros(len(ts)))
     # row 0: failed; row 1 + u: alive with exactly u tasks done
     state_prob = np.vstack([np.full(len(ts), p.p_e), -(1.0 - p.p_e) * np.diff(reach, axis=0)])
@@ -77,19 +75,20 @@ def exact_cdf(scheme, ts, p):
 
 def test_task_cdf_zero_at_support_boundary():
     p = ClusterParams(lam=2.0, rho=0.7, gamma=0.3, eps=0.2, p_e=0.0, n=4)
-    assert task_time_cdf(1, p.gamma + p.eps + p.rho, p) == 0.0
-    assert task_time_cdf(1, p.gamma + p.eps + p.rho - 0.5, p) == 0.0
+    boundary = p.gamma + p.eps + p.rho
+    assert _layer_cdf(1, np.array([boundary]), p)[0] == 0.0
+    assert _layer_cdf(1, np.array([boundary - 0.5]), p)[0] == 0.0
 
 
 def test_task_cdf_exponential_median():
     p = ClusterParams(lam=2.0, rho=0.7, gamma=0.3, eps=0.2, p_e=0.0, n=4)
     t = p.gamma + p.eps + p.rho + math.log(2.0) / p.lam
-    assert abs(task_time_cdf(1, t, p) - 0.5) < 1e-12
+    assert abs(_layer_cdf(1, np.array([t]), p)[0] - 0.5) < 1e-12
 
 
 def test_task_cdf_against_sampled_erlang():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.0, n=4)
-    value = task_time_cdf(3, 10.0, p)
+    value = _layer_cdf(3, np.array([10.0]), p)[0]
     assert 0.0 < value < 1.0
     rng = np.random.default_rng(99)
     shift = p.gamma + p.eps + 3 * p.rho
@@ -97,13 +96,8 @@ def test_task_cdf_against_sampled_erlang():
     assert abs(value - np.mean(samples <= 10.0)) <= 0.002
 
 
-def test_task_cdf_rejects_bad_task_count():
-    with pytest.raises(InvalidTaskCount):
-        task_time_cdf(0, 1.0, FIG_PARAMS)
-
-
 def test_task_cdf_decreasing_in_task_count():
-    values = [task_time_cdf(u, 6.0, FIG_PARAMS) for u in range(1, 8)]
+    values = [_layer_cdf(u, np.array([6.0]), FIG_PARAMS)[0] for u in range(1, 8)]
     assert all(a >= b for a, b in zip(values, values[1:]))
 
 
@@ -120,7 +114,7 @@ def test_task_cdf_matches_scipy_gamma(lam, rho, gamma, eps, u, t):
     p = ClusterParams(lam=lam, rho=rho, gamma=gamma, eps=eps, p_e=0.0, n=4)
     shift = gamma + eps + u * rho
     expected = scipy.stats.gamma.cdf(t - shift, a=u, scale=1.0 / lam)
-    assert abs(task_time_cdf(u, t, p) - expected) < 1e-10
+    assert abs(_layer_cdf(u, np.array([t]), p)[0] - expected) < 1e-10
 
 
 def test_failure_pmf_values():
@@ -137,35 +131,36 @@ def test_failure_pmf_values():
 
 def test_gc_terminal_probability():
     p_sure = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.0, n=8)
-    assert abs(gc_latency_cdf(1e3, 0, p_sure) - 1.0) < 1e-12
-    assert abs(gc_latency_cdf(1e3, 0, FIG_PARAMS) - 0.95**8) < 1e-4
+    assert abs(latency_curve(Scheme("gc", 0), [1e3], p_sure).values[0] - 1.0) < 1e-12
+    assert abs(latency_curve(Scheme("gc", 0), [1e3], FIG_PARAMS).values[0] - 0.95**8) < 1e-4
     for sigma in (1, 3, 6):
         expected = sum(failure_count_pmf(k, 8, 0.05) for k in range(sigma + 1))
-        assert abs(gc_latency_cdf(1e6, sigma, FIG_PARAMS) - expected) < 1e-12
+        assert abs(latency_curve(Scheme("gc", sigma), [1e6], FIG_PARAMS).values[0] - expected) < 1e-12
 
 
 def test_ngc_terminal_probability():
     for s_max in (1, 3, 6):
         expected = sum(failure_count_pmf(k, 8, 0.05) for k in range(s_max + 1))
-        assert abs(ngc_latency_cdf(1e6, s_max, FIG_PARAMS) - expected) < 1e-12
+        assert abs(latency_curve(Scheme("ngc", s_max), [1e6], FIG_PARAMS).values[0] - expected) < 1e-12
 
 
 def test_ngc_with_single_component_equals_gc():
-    for t in np.linspace(0.0, 20.0, 41):
-        assert abs(ngc_latency_cdf(t, 0, FIG_PARAMS) - gc_latency_cdf(t, 0, FIG_PARAMS)) < 1e-12
+    ts = np.linspace(0.0, 20.0, 41)
+    ngc = latency_curve(Scheme("ngc", 0), ts, FIG_PARAMS).values
+    assert np.abs(ngc - latency_curve(Scheme("gc", 0), ts, FIG_PARAMS).values).max() < 1e-12
 
 
 def test_gc_matches_monte_carlo():
     ts = np.linspace(2.0, 18.0, 17)
     emp = mc_latency_cdf(ts, "gc", 3, FIG_PARAMS, trials=200_000, seed=5)
-    ana = np.array([gc_latency_cdf(t, 3, FIG_PARAMS) for t in ts])
+    ana = latency_curve(Scheme("gc", 3), ts, FIG_PARAMS).values
     assert np.abs(ana - emp).max() <= 0.01
 
 
 def test_ngc_matches_monte_carlo():
     ts = np.linspace(2.0, 18.0, 17)
     emp = mc_latency_cdf(ts, "ngc", 3, FIG_PARAMS, trials=200_000, seed=6)
-    ana = np.array([ngc_latency_cdf(t, 3, FIG_PARAMS) for t in ts])
+    ana = latency_curve(Scheme("ngc", 3), ts, FIG_PARAMS).values
     assert np.abs(ana - emp).max() <= 0.01
 
 
@@ -181,7 +176,7 @@ def test_ngc_matches_monte_carlo_at_larger_n():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=12)
     ts = np.linspace(3.0, 16.0, 8)
     emp = mc_latency_cdf(ts, "ngc", 8, p, trials=100_000, seed=23)
-    ana = np.array([ngc_latency_cdf(t, 8, p) for t in ts])
+    ana = latency_curve(Scheme("ngc", 8), ts, p).values
     assert np.abs(ana - emp).max() <= 0.01
 
 
@@ -199,7 +194,7 @@ def test_gc_matches_scipy_binomial_tail_at_large_n():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=1024)
     sigma = 128
     ts = np.linspace(9.0, 366.0, 100)
-    q = (1.0 - p.p_e) * np.array([task_time_cdf(sigma + 1, t, p) for t in ts])
+    q = (1.0 - p.p_e) * _layer_cdf(sigma + 1, ts, p)
     expected = scipy.stats.binom.sf(p.n - sigma - 1, p.n, q)
     assert np.abs(latency_curve(Scheme("gc", sigma), ts, p).values - expected).max() <= 1e-12
 
@@ -227,8 +222,8 @@ def test_zero_shift_zero_before_offset():
 def test_zero_shift_matches_general_evaluator():
     for n, s_max, p_e in [(4, 1, 0.0), (6, 2, 0.1), (8, 4, 0.05)]:
         p = ClusterParams(lam=1.3, rho=0.0, gamma=0.4, eps=0.2, p_e=p_e, n=n)
-        for t in np.linspace(0.0, 12.0, 100):
-            general = ngc_latency_cdf(t, s_max, p)
+        ts = np.linspace(0.0, 12.0, 100)
+        for t, general in zip(ts, latency_curve(Scheme("ngc", s_max), ts, p).values):
             special = ngc_latency_cdf_zero_shift(t, s_max, p)
             assert abs(general - special) <= 1e-9
 
@@ -246,21 +241,23 @@ def test_ngc_nondecreasing_in_tolerance_without_signaling():
     ts = np.linspace(0.5, 20.0, 40)
     previous = np.zeros_like(ts)
     for s_max in range(6):
-        current = np.array([ngc_latency_cdf(t, s_max, p) for t in ts])
+        current = latency_curve(Scheme("ngc", s_max), ts, p).values
         assert np.all(current >= previous - 1e-12)
         previous = current
 
 
 def test_ngc_dominates_gc_at_equal_tolerance_without_signaling():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.0, p_e=0.05, n=8)
-    for t in np.linspace(0.5, 20.0, 80):
-        assert ngc_latency_cdf(t, 3, p) >= gc_latency_cdf(t, 3, p) - 1e-12
+    ts = np.linspace(0.5, 20.0, 80)
+    ngc = latency_curve(Scheme("ngc", 3), ts, p).values
+    assert np.all(ngc >= latency_curve(Scheme("gc", 3), ts, p).values - 1e-12)
 
 
 def test_ngc_dominates_gc_with_shared_signaling_cost():
     # signaling charged identically to both schemes keeps the ordering
-    for t in np.linspace(0.5, 20.0, 200):
-        assert ngc_latency_cdf(t, 3, FIG_PARAMS) >= gc_latency_cdf(t, 3, FIG_PARAMS) - 1e-12
+    ts = np.linspace(0.5, 20.0, 200)
+    ngc = latency_curve(Scheme("ngc", 3), ts, FIG_PARAMS).values
+    assert np.all(ngc >= latency_curve(Scheme("gc", 3), ts, FIG_PARAMS).values - 1e-12)
 
 
 def test_curves_monotone_and_bounded():
@@ -289,6 +286,16 @@ def test_latency_curve_rejects_bad_grid():
         latency_curve(Scheme("uncoded"), np.array([1.0, 1.0, 2.0]), FIG_PARAMS)
     with pytest.raises(InvalidParams):
         latency_curve(Scheme("gc", 9), np.array([1.0, 2.0]), FIG_PARAMS)
+
+
+@pytest.mark.parametrize("grid", [[], [[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0, 2.0, 3.0],
+                                  [1.0, math.nan, 3.0], [math.nan]],
+                         ids=["empty", "2-d", "repeated", "nan-inside", "nan"])
+def test_analytic_and_simulated_curves_reject_the_same_bad_grids(grid):
+    with pytest.raises(InvalidParams):
+        latency_curve(Scheme("ngc", 3), grid, FIG_PARAMS)
+    with pytest.raises(InvalidParams):
+        run_experiment(Scheme("ngc", 3), 10, 0, FIG_PARAMS, grid)
 
 
 def test_latency_curve_validates_values():
@@ -344,8 +351,8 @@ def test_cdfs_are_proper_on_random_parameters(n, lam, rho, eps, p_e, data):
     p = ClusterParams(lam=lam, rho=rho, gamma=0.0, eps=eps, p_e=p_e, n=n)
     tolerance = data.draw(st.integers(0, n - 1))
     ts = np.linspace(0.0, 30.0, 60)
-    gc_vals = np.array([gc_latency_cdf(t, tolerance, p) for t in ts])
-    ngc_vals = np.array([ngc_latency_cdf(t, tolerance, p) for t in ts])
+    gc_vals = latency_curve(Scheme("gc", tolerance), ts, p).values
+    ngc_vals = latency_curve(Scheme("ngc", tolerance), ts, p).values
     for values in (gc_vals, ngc_vals):
         assert np.all(values >= 0.0) and np.all(values <= 1.0)
         assert np.all(np.diff(values) >= -1e-12)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ngcodes.latency import WAIT_BOUND, ClusterParams, Scheme, gc_latency_cdf, ngc_latency_cdf, task_time_cdf
+from ngcodes.latency import WAIT_BOUND, ClusterParams, Scheme, _layer_cdf, latency_curve
 from ngcodes.simulator import (
     CHUNK_ELEMENTS,
     IterationOutcome,
@@ -80,7 +80,7 @@ def test_trace_empirical_cdf_matches_analytic():
     samples = np.sort(times.reshape(-1))
     ts = np.linspace(0.5, 12.0, 60)
     empirical = np.searchsorted(samples, ts, side="right") / trials
-    analytic = np.array([task_time_cdf(1, t, p) for t in ts])
+    analytic = _layer_cdf(1, ts, p)
     assert np.abs(empirical - analytic).max() <= dkw_band(trials)
 
 
@@ -194,7 +194,7 @@ def test_run_experiment_matches_analytic_gc():
     grid = np.linspace(2.0, 18.0, 50)
     trials = 20_000
     result = run_experiment(Scheme("gc", 2), trials, 13, FIG_PARAMS, grid)
-    analytic = np.array([gc_latency_cdf(t, 2, FIG_PARAMS) for t in grid])
+    analytic = latency_curve(Scheme("gc", 2), grid, FIG_PARAMS).values
     assert np.abs(result.curve.values - analytic).max() <= dkw_band(trials)
 
 
@@ -202,7 +202,7 @@ def test_run_experiment_matches_analytic_ngc():
     grid = np.linspace(2.0, 18.0, 50)
     trials = 20_000
     result = run_experiment(Scheme("ngc", 3), trials, 14, FIG_PARAMS, grid)
-    analytic = np.array([ngc_latency_cdf(t, 3, FIG_PARAMS) for t in grid])
+    analytic = latency_curve(Scheme("ngc", 3), grid, FIG_PARAMS).values
     assert np.abs(result.curve.values - analytic).max() <= dkw_band(trials)
 
 
