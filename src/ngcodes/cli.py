@@ -383,6 +383,9 @@ def main(argv=None) -> int:
     except (_UsageError, CapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # a size such as --steps 10**14 that cannot be allocated
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
+        return 1
     except CodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

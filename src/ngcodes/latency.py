@@ -16,8 +16,11 @@ The mass with N_u > n - u decodes at layer u and leaves the recursion; what
 leaves, summed over the layers, is the CDF. With more than s_max failures no
 layer can reach its quorum, so no separate sum over failure counts is needed.
 The binomials are evaluated in log space in saddle-point form, so nothing
-overflows and no precision is lost at large n. The work is O(layers * n^2)
-per grid point and the memory O(n) per grid point.
+overflows and no precision is lost at large n. Each layer above the bottom
+one carries the O(n^2) terms of the mass that misses its quorum down; the
+bottom layer evaluates only its quorum tail, the terms that decode. A grid
+point costs O(1) for uncoded, O(sigma) for gc:sigma and O(s_max * n^2) for
+ngc:s_max, and the memory is O(n) per grid point.
 """
 from __future__ import annotations
 
@@ -60,8 +63,13 @@ class ClusterParams:
         # undecodable although no worker failed, which would read as "more workers
         # failed than tolerated". A finish time is at most gamma + eps + n * rho
         # plus n exponential waits, each below 50/lam: numpy's largest standard
-        # exponential draw is 7.70 + 53 ln 2, about 44.4.
-        if not math.isfinite(self.gamma + self.eps + self.n * (self.rho + WAIT_BOUND / self.lam)):
+        # exponential draw is 7.70 + 53 ln 2, about 44.4. An n too large for a
+        # float overflows too.
+        try:
+            finish = self.gamma + self.eps + self.n * (self.rho + WAIT_BOUND / self.lam)
+        except OverflowError:
+            finish = math.inf
+        if not math.isfinite(finish):
             raise InvalidParams(f"finish times overflow: gamma + eps + n * (rho + {WAIT_BOUND:g}/lam) "
                                 f"is not finite at lam={self.lam:g}, n={self.n}")
 
@@ -170,12 +178,6 @@ def _stirling_errors(n: int) -> np.ndarray:
     return out
 
 
-def _deviance(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """x log(x / m) + m - x, free of cancellation when x is close to m."""
-    d = x - m
-    return x * np.log1p(d / m) - d
-
-
 def _binom_pmf(size: int, j: np.ndarray, p: np.ndarray, stirling: np.ndarray) -> np.ndarray:
     """P(Binomial(size, p) = j), shape (len(j), len(p)), in log space.
 
@@ -186,16 +188,21 @@ def _binom_pmf(size: int, j: np.ndarray, p: np.ndarray, stirling: np.ndarray) ->
     ``_stirling_errors(n)`` for some n >= size.
     """
     col = j[:, None]
+    # built in place in three (len(j), len(p)) buffers, so no other array of that
+    # size is allocated. Each deviance x log(x / m) + m - x is taken as
+    # x log1p(d / m) - d with d = x - m, free of cancellation when x is close to m.
+    log_pmf, d, dev = (np.empty((len(j), len(p))) for _ in range(3))
+    log_pmf[:] = stirling[size] - stirling[col] - stirling[size - col]
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_pmf = (
-            stirling[size] - stirling[col] - stirling[size - col]
-            - _deviance(col, size * p) - _deviance(size - col, size * (1.0 - p))
-            - 0.5 * np.log(2 * math.pi * col * (size - col) / size)
-        )
+        for x, m in ((col, size * p), (size - col, size * (1.0 - p))):
+            np.subtract(x, m, out=d)
+            np.multiply(x, np.log1p(np.divide(d, m, out=dev), out=dev), out=dev)
+            log_pmf -= np.subtract(dev, d, out=dev)
+        log_pmf -= 0.5 * np.log(2 * math.pi * col * (size - col) / size)
         # the end points are single powers; 0 * log(0) counts as 0
         log_pmf[j == 0] = size * np.log1p(-p) if size else 0.0
         log_pmf[j == size] = size * np.log(p) if size else 0.0
-    return np.exp(log_pmf)
+    return np.exp(log_pmf, out=log_pmf)
 
 
 def failure_count_pmf(kappa: int, n: int, p_e: float) -> float:
@@ -242,11 +249,15 @@ def _decode_cdf(reach: np.ndarray, layers: list[int], p: ClusterParams) -> np.nd
         with np.errstate(divide="ignore", invalid="ignore"):
             r = np.clip(np.nan_to_num((q_u - above) / (1.0 - above)), 0.0, 1.0)
         keep = n - u + 1
-        lower = np.zeros((keep, q.shape[1]))
+        bottom = u == layers[0]  # no layer below reads its undecoded mass
+        lower = None if bottom else np.zeros((keep, q.shape[1]))
         for k in range(mass.shape[0]):
-            joint = mass[k] * _binom_pmf(n - k, np.arange(n - k + 1), r, stirling)
-            lower[k:] += joint[: keep - k]
-            decoded += joint[keep - k :].sum(axis=0)
+            start = keep - k if bottom else 0  # the bottom layer needs only its quorum tail
+            joint = _binom_pmf(n - k, np.arange(start, n - k + 1), r, stirling)
+            joint *= mass[k]
+            if not bottom:
+                lower[k:] += joint[: keep - k]
+            decoded += joint[keep - k - start :].sum(axis=0)
         mass, above = lower, q_u
     return np.clip(decoded, 0.0, 1.0)
 

@@ -313,6 +313,27 @@ def test_finish_times_that_overflow_their_waits_are_validation_errors(tmp_path, 
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_an_n_too_large_for_a_float_is_a_validation_error(tmp_path, capsys):
+    # before, the finish-time overflow check raised OverflowError out of main
+    huge = 10**400
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": huge}))
+    out = str(tmp_path / "x.csv")
+    for argv in (["analyze", "--n", str(huge)], ["analyze", "--config", str(config)]):
+        assert main([*argv, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: finish times overflow")
+
+
+def test_sizes_too_large_to_allocate_are_validation_errors(tmp_path, capsys):
+    # 10**14 float64 values are 728 TiB: numpy refuses the request at once,
+    # before any memory is touched
+    out = str(tmp_path / "x.csv")
+    for argv in (["analyze", "--steps", "100000000000000"],
+                 ["simulate", "--trials", "100000000000000"]):
+        assert main([*argv, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate 728. TiB")
+
+
 # any float, or None to leave the flag at its default so that valid runs stay common
 ANY_FLOAT = st.none() | st.floats(allow_nan=True, allow_infinity=True)
 # config-file values that are not numbers or strings; the numbers in CONFIG stay small enough to run

@@ -13,6 +13,8 @@ from ngcodes.latency import (
     LatencyCurve,
     Scheme,
     _layer_cdf,
+    _stirling_errors,
+    _zero_shift_reach,
     failure_count_pmf,
     latency_curve,
     ngc_latency_cdf_zero_shift,
@@ -206,6 +208,81 @@ def test_ngc_matches_monte_carlo_at_n64():
     emp = mc_latency_cdf(ts, "ngc", 31, p, trials=trials, seed=64, chunk=1_000)
     ana = latency_curve(Scheme("ngc", 31), ts, p).values
     assert np.abs(ana - emp).max() <= dkw_band(trials)
+
+
+def dense_binom_pmf(size, j, p, stirling):
+    """Reference: ``_binom_pmf`` as it stood with a fresh temporary per step."""
+    def deviance(x, m):
+        d = x - m
+        return x * np.log1p(d / m) - d
+
+    col = j[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_pmf = (
+            stirling[size] - stirling[col] - stirling[size - col]
+            - deviance(col, size * p) - deviance(size - col, size * (1.0 - p))
+            - 0.5 * np.log(2 * math.pi * col * (size - col) / size)
+        )
+        log_pmf[j == 0] = size * np.log1p(-p) if size else 0.0
+        log_pmf[j == size] = size * np.log(p) if size else 0.0
+    return np.exp(log_pmf)
+
+
+def dense_decode_cdf(reach, layers, p):
+    """Reference: ``_decode_cdf`` as it stood when every layer, the bottom one
+    included, evaluated all n - k + 1 binomial terms."""
+    n = p.n
+    q = (1.0 - p.p_e) * reach
+    stirling = _stirling_errors(n)
+    decoded = np.zeros(q.shape[1])
+    mass = np.ones((1, q.shape[1]))
+    above = np.zeros(q.shape[1])
+    for u, q_u in zip(reversed(layers), q[::-1]):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r = np.clip(np.nan_to_num((q_u - above) / (1.0 - above)), 0.0, 1.0)
+        keep = n - u + 1
+        lower = np.zeros((keep, q.shape[1]))
+        for k in range(mass.shape[0]):
+            joint = mass[k] * dense_binom_pmf(n - k, np.arange(n - k + 1), r, stirling)
+            lower[k:] += joint[: keep - k]
+            decoded += joint[keep - k :].sum(axis=0)
+        mass, above = lower, q_u
+    return np.clip(decoded, 0.0, 1.0)
+
+
+def bitwise_schemes(n):
+    if n <= 14:
+        return [Scheme("uncoded")] + [Scheme(k, s) for k in ("gc", "ngc") for s in range(n)]
+    if n == 64:
+        return [Scheme("gc", 8), Scheme("ngc", 4)]
+    return [Scheme("uncoded"), Scheme("gc", n // 8)]
+
+
+def bitwise_grid(scheme, p):
+    """-1, every layer shift, points across the rise of the top layer, 1e6 and inf."""
+    shifts = [p.gamma + p.eps + u * p.rho for u in scheme.layers]
+    top = p.gamma + p.eps + (scheme.tolerance + 1) * (p.rho + 1.0 / p.lam)
+    return np.unique([-1.0, *shifts, *np.linspace(0.25 * top, 1.5 * top, 12), 1e6, np.inf])
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 14, 64, 256, 1024])
+def test_latency_curve_is_bit_identical_to_the_dense_engine(n):
+    for scheme, rho, p_e in itertools.product(bitwise_schemes(n), (0.0, 0.5), (0.0, 0.05, 0.3, 1.0)):
+        p = ClusterParams(lam=0.5, rho=rho, gamma=0.2, eps=0.1, p_e=p_e, n=n)
+        ts = bitwise_grid(scheme, p)
+        reach = np.stack([_layer_cdf(u, ts, p) for u in scheme.layers])
+        expected = dense_decode_cdf(reach, scheme.layers, p)
+        assert latency_curve(scheme, ts, p).values.tobytes() == expected.tobytes(), (scheme.label, rho, p_e)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 14])
+def test_zero_shift_route_is_bit_identical_to_the_dense_engine(n):
+    for s_max, p_e in itertools.product(range(n), (0.05, 1.0)):
+        p = ClusterParams(lam=0.5, rho=0.0, gamma=0.2, eps=0.1, p_e=p_e, n=n)
+        for t in (-1.0, p.gamma + p.eps, 2.0, 4.0 * (s_max + 1), 1e6, np.inf):
+            expected = dense_decode_cdf(_zero_shift_reach(np.array([t]), s_max, p), list(range(1, s_max + 2)), p)
+            got = ngc_latency_cdf_zero_shift(t, s_max, p)
+            assert np.float64(got).tobytes() == expected[0].tobytes(), (s_max, p_e, t)
 
 
 def test_zero_shift_requires_rho_zero():
