@@ -7,6 +7,13 @@ communication delay is a fixed offset for every scheme); the analytic and
 simulated commands share that convention, so their outputs are directly
 comparable. Exit codes: 0 success, 1 invalid parameters, 2 numerical or
 construction failure.
+
+Each setting is declared once, in ``SETTINGS``; ``COMMANDS`` names the
+settings of each subcommand, and the parser is built from the two. A setting
+that no flag gives comes from the ``--config`` JSON file, whose keys are the
+flag names, else from its default; every config value takes its setting's
+type, whichever command reads the file. ``--out`` is required by every
+command that writes.
 """
 from __future__ import annotations
 
@@ -15,7 +22,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +29,7 @@ import numpy as np
 from .codes import (
     CapExceeded,
     CodeError,
+    DECODE_TOL,
     NumericalFailure,
     VERIFY_CAP,
     build_ngc,
@@ -37,31 +44,35 @@ from .simulator import run_experiment
 
 RECOVERY_GATE = 1e-6
 
-DEFAULTS = {
-    "n": 8,
-    "smax": 3,
-    "seed": 42,
-    "lam": 0.5,
-    "rho": 0.5,
-    "gamma": 0.0,
-    "eps": 0.1,
-    "pe": 0.05,
-    "trials": 10_000,
-    "t_min": 2.0,
-    "t_max": 18.0,
-    "steps": 100,
-    "schemes": "uncoded",
-    "tol": 1e-8,
-    "cap": VERIFY_CAP,
-    "m": 64,
-    "c": 8,
-    "noise": 0.1,
-    "iterations": 200,
-    "eta": None,  # gd-demo: None means half the stability limit
+# dest -> (flag, type, default, help); a flag without dashes is positional
+SETTINGS = {
+    "n": ("--n", int, 8, "worker count"),
+    "smax": ("--smax", int, 3, "maximum straggler tolerance"),
+    "seed": ("--seed", int, 42, "random seed"),
+    "lam": ("--lambda", float, 0.5, "exponential rate of task times"),
+    "rho": ("--rho", float, 0.5, "deterministic time per task"),
+    "gamma": ("--gamma", float, 0.0, "communication delay (reported axis is t - gamma)"),
+    "eps": ("--eps", float, 0.1, "signaling overhead per response"),
+    "pe": ("--pe", float, 0.05, "worker failure probability"),
+    "trials": ("--trials", int, 10_000, "Monte Carlo trials per scheme"),
+    "t_min": ("--t-min", float, 2.0, "grid start on the t - gamma axis"),
+    "t_max": ("--t-max", float, 18.0, "grid end on the t - gamma axis"),
+    "steps": ("--steps", int, 100, "number of grid points"),
+    "schemes": ("--schemes", str, "uncoded", "comma list: uncoded, gc:SIGMA, ngc:SMAX"),
+    "tol": ("--tol", float, DECODE_TOL, "decode residual tolerance"),
+    "cap": ("--cap", int, VERIFY_CAP, "exhaustive verification cap on n"),
+    "m": ("--m", int, 64, "data rows"),
+    "c": ("--c", int, 8, "feature columns"),
+    "noise": ("--noise", float, 0.1, "label noise level"),
+    "iterations": ("--iterations", int, 200, "descent iterations"),
+    "eta": ("--eta", float, None, "learning rate (default: half the stability limit)"),
+    "path": ("path", str, None, "code JSON written by construct"),
+    "out": ("--out", str, None, "output path (simulate writes load stats beside it as *_loads.csv)"),
+    "config": ("--config", str, None, "JSON config file; flags override its values"),
 }
-
-# config-file keys are flag names; map them onto argparse destinations
-_KEY_ALIASES = {"lambda": "lam", "t-min": "t_min", "t-max": "t_max", "gd-iterations": "iterations"}
+_FILES = ("path", "out", "config")  # named on the command line only, never by a config file
+# config-file keys are flag names, plus one undocumented alias
+_CONFIG_KEYS = {f.lstrip("-"): d for d, (f, *_) in SETTINGS.items()} | {"gd-iterations": "iterations"}
 
 
 class _UsageError(Exception):
@@ -78,35 +89,32 @@ def _load_config(path) -> dict:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
-    values = {}
-    for key, value in raw.items():
-        dest = _KEY_ALIASES.get(key, key.replace("-", "_"))
-        values[dest] = value
-    return values
+    return {_CONFIG_KEYS.get(key, key.replace("-", "_")): value for key, value in raw.items()}
 
 
-def _config_value(key, value, default):
+def _config_value(dest, value):
     """A config-file value as a setting: null means the default, and anything
     else must be a number or a string (or, for ``schemes``, a list of strings)
-    and takes the type of the default."""
+    and takes the setting's type."""
+    _, kind, default, _ = SETTINGS[dest]
     if value is None:
         return default
-    if key == "schemes" and isinstance(value, list) and all(isinstance(v, str) for v in value):
+    if dest == "schemes" and isinstance(value, list) and all(isinstance(v, str) for v in value):
         return value
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValueError(f"config value for {key!r} must be a number or a string, got {value!r}")
+        raise ValueError(f"config value for {dest!r} must be a number or a string, got {value!r}")
     try:
-        return value if default is None else type(default)(value)
+        return kind(value)
     except OverflowError as exc:  # int() of an infinite float
-        raise ValueError(f"config value for {key!r}: {exc}") from exc
+        raise ValueError(f"config value for {dest!r}: {exc}") from exc
 
 
 def _fill_defaults(args):
-    """Give every ``DEFAULTS`` key that no flag set its config-file value, else its default."""
+    """Give every setting that no flag set its config-file value, else its default."""
     config = _load_config(args.config) if args.config else {}
-    for key, default in DEFAULTS.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, _config_value(key, config.get(key), default))
+    for dest in SETTINGS:
+        if dest not in _FILES and getattr(args, dest, None) is None:
+            setattr(args, dest, _config_value(dest, config.get(dest)))
 
 
 def _cluster_params(args) -> ClusterParams:
@@ -131,47 +139,13 @@ def _schemes(args) -> tuple[Scheme, ...]:
     return tuple(parse_scheme(name) for name in names)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    schemes: tuple[Scheme, ...]
-    cluster: ClusterParams
-    t_min: float
-    t_max: float
-    steps: int
-    trials: int
-    seed: int
-    out: str
-
-    def __post_init__(self):
-        if not self.t_min < self.t_max:
-            raise ValueError(f"need t_min < t_max, got {self.t_min} >= {self.t_max}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be at least 2, got {self.steps}")
-
-    @property
-    def emitted_grid(self) -> np.ndarray:
-        """Grid on the reported axis (t - gamma)."""
-        return np.linspace(self.t_min, self.t_max, self.steps)
-
-    @property
-    def eval_grid(self) -> np.ndarray:
-        """Absolute times at which the CDFs are evaluated."""
-        return self.emitted_grid + self.cluster.gamma
-
-
-def _experiment_config(args) -> ExperimentConfig:
-    if args.out is None:
-        raise ValueError("--out is required")
-    return ExperimentConfig(
-        schemes=_schemes(args),
-        cluster=_cluster_params(args),
-        t_min=args.t_min,
-        t_max=args.t_max,
-        steps=args.steps,
-        trials=args.trials,
-        seed=args.seed,
-        out=args.out,
-    )
+def _grid(args) -> np.ndarray:
+    """The time grid on the reported axis (t - gamma)."""
+    if not args.t_min < args.t_max:
+        raise ValueError(f"need t_min < t_max, got {args.t_min} >= {args.t_max}")
+    if args.steps < 2:
+        raise ValueError(f"steps must be at least 2, got {args.steps}")
+    return np.linspace(args.t_min, args.t_max, args.steps)
 
 
 def _fmt(x) -> str:
@@ -193,8 +167,6 @@ def _loads_path(out: str) -> str:
 
 def cmd_construct(args) -> int:
     n, s_max, seed = args.n, args.smax, args.seed
-    if args.out is None:
-        raise ValueError("--out is required")
     ngc = build_ngc(n, s_max, seed)
     save_code(ngc, args.out)
     print(f"wrote {args.out}: n={n}, s_max={s_max}, seed={seed}, {len(ngc.components)} components")
@@ -239,28 +211,22 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _experiment_config(args)
+    schemes, cluster, grid = _schemes(args), _cluster_params(args), _grid(args)
     rows = []
-    for scheme in cfg.schemes:
-        curve = latency_curve(scheme, cfg.eval_grid, cfg.cluster)
-        rows.extend(
-            (scheme.label, _fmt(t), _fmt(v))
-            for t, v in zip(cfg.emitted_grid, curve.values)
-        )
-    _write_csv(cfg.out, ["scheme", "t", "prob"], rows)
-    print(f"wrote {cfg.out}: {len(cfg.schemes)} analytic curves, {cfg.steps} points each")
+    for scheme in schemes:
+        curve = latency_curve(scheme, grid + cluster.gamma, cluster)
+        rows.extend((scheme.label, _fmt(t), _fmt(v)) for t, v in zip(grid, curve.values))
+    _write_csv(args.out, ["scheme", "t", "prob"], rows)
+    print(f"wrote {args.out}: {len(schemes)} analytic curves, {args.steps} points each")
     return 0
 
 
 def cmd_simulate(args) -> int:
-    cfg = _experiment_config(args)
+    schemes, cluster, grid = _schemes(args), _cluster_params(args), _grid(args)
     rows, load_rows = [], []
-    for scheme in cfg.schemes:
-        result = run_experiment(scheme, cfg.trials, cfg.seed, cfg.cluster, cfg.eval_grid)
-        rows.extend(
-            (scheme.label, _fmt(t), _fmt(v))
-            for t, v in zip(cfg.emitted_grid, result.curve.values)
-        )
+    for scheme in schemes:
+        result = run_experiment(scheme, args.trials, args.seed, cluster, grid + cluster.gamma)
+        rows.extend((scheme.label, _fmt(t), _fmt(v)) for t, v in zip(grid, result.curve.values))
         load_rows.append(
             (
                 scheme.label,
@@ -269,20 +235,18 @@ def cmd_simulate(args) -> int:
                 _fmt(result.loads.undecodable_rate),
             )
         )
-    loads_out = _loads_path(cfg.out)
-    _write_csv(cfg.out, ["scheme", "t", "prob"], rows)
+    loads_out = _loads_path(args.out)
+    _write_csv(args.out, ["scheme", "t", "prob"], rows)
     _write_csv(loads_out, ["scheme", "mean_load", "p95_load", "undecodable_rate"], load_rows)
-    print(f"wrote {cfg.out} and {loads_out}: {len(cfg.schemes)} schemes x {cfg.trials} trials")
+    print(f"wrote {args.out} and {loads_out}: {len(schemes)} schemes x {args.trials} trials")
     return 0
 
 
 def cmd_gd_demo(args) -> int:
     cluster = _cluster_params(args)
     iterations, seed = args.iterations, args.seed
-    if args.out is None:
-        raise ValueError("--out is required")
     dataset = make_dataset(args.m, args.c, args.noise, seed)
-    eta = float(args.eta) if args.eta is not None else default_learning_rate(dataset, iterations)
+    eta = args.eta if args.eta is not None else default_learning_rate(dataset, iterations)
     ngc = build_ngc(cluster.n, args.smax, seed)
     run = run_descent(dataset, ngc, iterations, eta, cluster, seed)
     _write_csv(
@@ -306,71 +270,34 @@ def cmd_gd_demo(args) -> int:
     return 0
 
 
-def _add_cluster_flags(sub):
-    sub.add_argument("--n", type=int, help="worker count")
-    sub.add_argument("--lambda", dest="lam", type=float, help="exponential rate of task times")
-    sub.add_argument("--rho", type=float, help="deterministic time per task")
-    sub.add_argument("--gamma", type=float, help="communication delay (reported axis is t - gamma)")
-    sub.add_argument("--eps", type=float, help="signaling overhead per response")
-    sub.add_argument("--pe", type=float, help="worker failure probability")
+_CLUSTER = ("n", "lam", "rho", "gamma", "eps", "pe")
+_GRID = ("t_min", "t_max", "steps")
 
-
-def _add_grid_flags(sub):
-    sub.add_argument("--t-min", dest="t_min", type=float, help="grid start on the t - gamma axis")
-    sub.add_argument("--t-max", dest="t_max", type=float, help="grid end on the t - gamma axis")
-    sub.add_argument("--steps", type=int, help="number of grid points")
+# name -> (handler, help, settings in help order)
+COMMANDS = {
+    "construct": (cmd_construct, "build a nested code family and write it to JSON",
+                  ("n", "smax", "seed", "out", "config")),
+    "verify": (cmd_verify, "check all defining properties of a code file",
+               ("path", "tol", "cap", "config")),
+    "analyze": (cmd_analyze, "write analytic latency CDF curves as CSV",
+                ("schemes", *_CLUSTER, *_GRID, "out", "config")),
+    "simulate": (cmd_simulate, "write empirical latency CDF curves and load stats as CSV",
+                 ("schemes", *_CLUSTER, *_GRID, "trials", "seed", "out", "config")),
+    "gd-demo": (cmd_gd_demo, "coded gradient descent on a synthetic regression problem",
+                ("m", "c", "noise", "iterations", "eta", "smax", *_CLUSTER, "seed", "out", "config")),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="ngcodes", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = subs.add_parser("construct", help="build a nested code family and write it to JSON")
-    p.add_argument("--n", type=int)
-    p.add_argument("--smax", type=int, help="maximum straggler tolerance")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output JSON path")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.set_defaults(func=cmd_construct)
-
-    p = subs.add_parser("verify", help="check all defining properties of a code file")
-    p.add_argument("path", help="code JSON written by construct")
-    p.add_argument("--tol", type=float, help="decode residual tolerance")
-    p.add_argument("--cap", type=int, help="exhaustive verification cap on n")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.set_defaults(func=cmd_verify)
-
-    p = subs.add_parser("analyze", help="write analytic latency CDF curves as CSV")
-    p.add_argument("--schemes", help="comma list: uncoded, gc:SIGMA, ngc:SMAX")
-    _add_cluster_flags(p)
-    _add_grid_flags(p)
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.set_defaults(func=cmd_analyze)
-
-    p = subs.add_parser("simulate", help="write empirical latency CDF curves and load stats as CSV")
-    p.add_argument("--schemes", help="comma list: uncoded, gc:SIGMA, ngc:SMAX")
-    _add_cluster_flags(p)
-    _add_grid_flags(p)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output CSV path (load stats land next to it as *_loads.csv)")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.set_defaults(func=cmd_simulate)
-
-    p = subs.add_parser("gd-demo", help="coded gradient descent on a synthetic regression problem")
-    p.add_argument("--m", type=int, help="data rows")
-    p.add_argument("--c", type=int, help="feature columns")
-    p.add_argument("--noise", type=float, help="label noise level")
-    p.add_argument("--iterations", type=int)
-    p.add_argument("--eta", type=float, help="learning rate (default: half the stability limit)")
-    p.add_argument("--smax", type=int)
-    _add_cluster_flags(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output CSV path")
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.set_defaults(func=cmd_gd_demo)
-
+    for name, (handler, text, dests) in COMMANDS.items():
+        sub = subs.add_parser(name, help=text)
+        for dest in dests:
+            flag, kind, _, text = SETTINGS[dest]
+            option = {"dest": dest, "required": dest == "out"} if flag.startswith("--") else {}
+            sub.add_argument(flag, type=kind, help=text, **option)
+        sub.set_defaults(func=handler)
     return parser
 
 

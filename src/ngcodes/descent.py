@@ -35,6 +35,8 @@ from .latency import ClusterParams, Scheme, _check_tolerance
 from .simulator import CHUNK_ELEMENTS, IterationOutcome, _decide, _finish_times
 from .simulator import simulate_ngc_iteration  # noqa: F401 -- bench/workloads.py traces it under this module
 
+_TARGET_GAP = 1e-9  # loss excess left after a default-rate run, relative to its start
+
 
 class UndecodableIteration(CodeError):
     """No component code could decode the sampled iteration."""
@@ -352,10 +354,10 @@ def plain_descent(dataset: Dataset, iterations: int, eta: float) -> DescentRun:
     return DescentRun(thetas=tuple(thetas), records=tuple(records))
 
 
-def default_learning_rate(dataset: Dataset, iterations: int, target_gap: float = 1e-9) -> float:
+def default_learning_rate(dataset: Dataset, iterations: int) -> float:
     """Constant learning rate sized for a run of the given length.
 
-    Chosen so the slowest mode shrinks the loss excess to about ``target_gap``
+    Chosen so the slowest mode shrinks the loss excess to about ``_TARGET_GAP``
     of its starting value by the final iteration, capped at half the
     divergence threshold. Running far past the target buys no accuracy: the
     gradient sum falls to the rounding floor and per-iteration recovery
@@ -365,6 +367,6 @@ def default_learning_rate(dataset: Dataset, iterations: int, target_gap: float =
         raise ValueError(f"iterations must be at least 1, got {iterations}")
     eigenvalues = np.linalg.eigvalsh(dataset.data.T @ dataset.data)
     lam_min, lam_max = float(eigenvalues[0]), float(eigenvalues[-1])
-    contraction = target_gap ** (1.0 / (2 * iterations))
+    contraction = _TARGET_GAP ** (1.0 / (2 * iterations))
     eta = (1.0 - contraction) * dataset.m / max(lam_min, np.finfo(float).tiny)
     return min(eta, dataset.m / lam_max)

@@ -136,30 +136,44 @@ class LatencyCurve:
         object.__setattr__(self, "values", values)
         if grid.ndim != 1 or values.shape != grid.shape:
             raise InvalidParams("grid and values must be matching 1-d arrays")
-        if grid.size >= 2 and not np.all(np.diff(grid) > 0):
+        if grid.size >= 2 and not (np.diff(grid) > 0).all():
             raise InvalidParams("grid must be strictly increasing")
-        if np.any(values < -1e-12) or np.any(values > 1 + 1e-12):
+        if (values < -1e-12).any() or (values > 1 + 1e-12).any():
             raise InvalidParams("curve values must lie in [0, 1]")
-        if values.size >= 2 and np.any(np.diff(values) < -1e-12):
+        if values.size >= 2 and (np.diff(values) < -1e-12).any():
             raise InvalidParams("curve values must be nondecreasing")
 
 
 def _layer_cdf(u: int, ts: np.ndarray, p: ClusterParams) -> np.ndarray:
-    """P(worker finishes u tasks by t): shifted Erlang(u, lam), vectorized in t."""
+    """P(worker finishes u tasks by t): shifted Erlang(u, lam), vectorized in t.
+
+    With x = lam * (t - shift), F_u = P(Poisson(x) >= u), summed on its small
+    side: below x = u the terms k >= u directly, so the left tail keeps its
+    digits; from x = u on, 1 minus the u terms k < u, in log space.
+    """
     x = p.lam * (ts - (p.gamma + p.eps + u * p.rho))
-    out = np.zeros_like(ts, dtype=float)
-    pos = x > 0
-    if not np.any(pos):
-        return out
-    xp = np.minimum(x[pos], 1e300)  # t = inf evaluates to 1 instead of NaN
-    # survival = sum_{k=0}^{u-1} exp(-x) x^k / k!, summed in log space
-    ks = np.arange(u, dtype=float)
-    lgk = np.array([math.lgamma(k + 1) for k in range(u)])
-    logterms = ks[:, None] * np.log(xp)[None, :] - lgk[:, None] - xp[None, :]
-    top = logterms.max(axis=0)
-    survival = np.exp(top + np.log(np.exp(logterms - top).sum(axis=0)))
-    out[pos] = 1.0 - survival
+    out = np.zeros(ts.shape)
+    high = x >= u
+    low = (x > 0) ^ high  # 0 < x < u
+    if low.any():
+        xl = x[low]
+        # term k is x / k times term k - 1; once below 1e-17 of term u (within u + 63 terms) no sum changes
+        ks = np.arange(u + 1, 2 * u + 64, dtype=float)
+        kept = np.count_nonzero(np.multiply.accumulate(xl.max() / ks) > 1e-17)
+        rest = np.multiply.accumulate(xl / ks[:kept, None]).sum(axis=0)
+        out[low] = np.exp(u * np.log(xl) - math.lgamma(u + 1) - xl + np.log1p(rest))
+    if high.any():
+        xh = np.minimum(x[high], 1e300)  # t = inf evaluates to 1 instead of NaN
+        ks = np.arange(u, dtype=float)
+        lgk = np.array([math.lgamma(k + 1) for k in range(u)])
+        logterms = ks[:, None] * np.log(xh)[None, :] - lgk[:, None] - xh[None, :]
+        top = logterms.max(axis=0)
+        out[high] = 1.0 - np.exp(top + np.log(np.exp(logterms - top).sum(axis=0)))
     return np.clip(out, 0.0, 1.0)
+
+
+_EXACT_STIRLING = np.array([math.lgamma(i + 1) - (i + 0.5) * math.log(i) + i - 0.5 * math.log(2 * math.pi)
+                            for i in range(1, 16)])
 
 
 def _stirling_errors(n: int) -> np.ndarray:
@@ -171,10 +185,7 @@ def _stirling_errors(n: int) -> np.ndarray:
     k[0] = 1.0
     k2 = 1.0 / (k * k)
     out = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - k2 / 1188) * k2) * k2) * k2) / k
-    small = range(1, min(n, 15) + 1)
-    out[1 : len(small) + 1] = [
-        math.lgamma(i + 1) - (i + 0.5) * math.log(i) + i - 0.5 * math.log(2 * math.pi) for i in small
-    ]
+    out[1 : min(n, 15) + 1] = _EXACT_STIRLING[: min(n, 15)]
     return out
 
 
@@ -200,8 +211,10 @@ def _binom_pmf(size: int, j: np.ndarray, p: np.ndarray, stirling: np.ndarray) ->
             log_pmf -= np.subtract(dev, d, out=dev)
         log_pmf -= 0.5 * np.log(2 * math.pi * col * (size - col) / size)
         # the end points are single powers; 0 * log(0) counts as 0
-        log_pmf[j == 0] = size * np.log1p(-p) if size else 0.0
-        log_pmf[j == size] = size * np.log(p) if size else 0.0
+        if j[0] == 0:  # j ascends
+            log_pmf[0] = size * np.log1p(-p) if size else 0.0
+        if j[-1] == size:
+            log_pmf[-1] = size * np.log(p) if size else 0.0
     return np.exp(log_pmf, out=log_pmf)
 
 
@@ -218,7 +231,7 @@ def _check_grid(grid) -> np.ndarray:
     ts = np.asarray(grid, dtype=float)
     if ts.ndim != 1 or ts.size < 1:
         raise InvalidParams("grid must be a non-empty 1-d array")
-    if np.isnan(ts).any() or not np.all(np.diff(ts) > 0):
+    if np.isnan(ts).any() or not (np.diff(ts) > 0).all():
         raise InvalidParams("grid must be strictly increasing")
     return ts
 
@@ -245,9 +258,8 @@ def _decode_cdf(reach: np.ndarray, layers: list[int], p: ClusterParams) -> np.nd
     mass = np.ones((1, q.shape[1]))  # no worker sits above the top layer
     above = np.zeros(q.shape[1])
     for u, q_u in zip(reversed(layers), q[::-1]):
-        # a worker short of the layer above reaches layer u with probability r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.clip(np.nan_to_num((q_u - above) / (1.0 - above)), 0.0, 1.0)
+        # a worker short of the layer above reaches layer u with probability r (0 if none is short)
+        r = np.clip(np.divide(q_u - above, 1.0 - above, out=np.zeros_like(above), where=above < 1), 0.0, 1.0)
         keep = n - u + 1
         bottom = u == layers[0]  # no layer below reads its undecoded mass
         lower = None if bottom else np.zeros((keep, q.shape[1]))

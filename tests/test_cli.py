@@ -430,3 +430,61 @@ def test_a_nan_recovery_error_after_the_first_fails_the_gate(tmp_path, monkeypat
     out = tmp_path / "gd.csv"
     assert main(["gd-demo", "--iterations", "5", "--out", str(out)]) == 2
     assert "max recovery error nan" in capsys.readouterr().out
+
+
+# each subcommand's (option strings, dest) pairs, which scripts and config files rely on
+PARSER_OPTIONS = {
+    "construct": {("--n",): "n", ("--smax",): "smax", ("--seed",): "seed", ("--out",): "out",
+                  ("--config",): "config"},
+    "verify": {(): "path", ("--tol",): "tol", ("--cap",): "cap", ("--config",): "config"},
+    "analyze": {("--schemes",): "schemes", ("--n",): "n", ("--lambda",): "lam", ("--rho",): "rho",
+                ("--gamma",): "gamma", ("--eps",): "eps", ("--pe",): "pe", ("--t-min",): "t_min",
+                ("--t-max",): "t_max", ("--steps",): "steps", ("--out",): "out", ("--config",): "config"},
+    "gd-demo": {("--m",): "m", ("--c",): "c", ("--noise",): "noise", ("--iterations",): "iterations",
+                ("--eta",): "eta", ("--smax",): "smax", ("--n",): "n", ("--lambda",): "lam",
+                ("--rho",): "rho", ("--gamma",): "gamma", ("--eps",): "eps", ("--pe",): "pe",
+                ("--seed",): "seed", ("--out",): "out", ("--config",): "config"},
+}
+PARSER_OPTIONS["simulate"] = {**PARSER_OPTIONS["analyze"], ("--trials",): "trials", ("--seed",): "seed"}
+
+
+def test_each_subcommand_accepts_the_same_options_as_before():
+    subcommands = next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+    assert set(subcommands) == set(PARSER_OPTIONS)
+    for name, sub in subcommands.items():
+        declared = {tuple(a.option_strings): a.dest for a in sub._actions if a.dest != "help"}
+        assert declared == PARSER_OPTIONS[name], name
+
+
+@pytest.mark.parametrize("argv", [["construct"], ["analyze"], ["simulate"], ["gd-demo"]])
+def test_a_writing_command_without_out_is_a_usage_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: --out\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_key_gd_iterations_sets_the_iteration_count(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"gd-iterations": 3, "m": 8, "c": 2}))
+    out = tmp_path / "gd.csv"
+    assert main(["gd-demo", "--config", str(config), "--out", str(out)]) == 0
+    assert [r[0] for r in read_csv(out)[1]] == ["0", "1", "2"]
+
+
+def test_a_config_eta_that_is_not_a_number_is_a_validation_error(tmp_path, capsys):
+    # analyze never reads eta, but every config value takes its setting's type
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"eta": "x"}))
+    for command in ("analyze", "gd-demo"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == "error: could not convert string to float: 'x'\n"
+
+
+def test_analyze_deep_in_the_left_tail_of_a_high_layer(tmp_path):
+    # F_256 taken as 1 - survival was rounding noise here, and not monotone in t
+    out = tmp_path / "tail.csv"
+    assert main(["analyze", "--schemes", "gc:255", "--n", "256", "--rho", "0", "--t-min", "100",
+                 "--t-max", "200", "--steps", "5", "--out", str(out)]) == 0
+    probs = [p for _, p in curve_columns(read_csv(out)[1])["gc:255"]]
+    assert 0.0 < probs[0] < 1e-90 and all(a < b for a, b in zip(probs, probs[1:]))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ngcodes.latency import (
@@ -117,6 +117,25 @@ def test_task_cdf_matches_scipy_gamma(lam, rho, gamma, eps, u, t):
     shift = gamma + eps + u * rho
     expected = scipy.stats.gamma.cdf(t - shift, a=u, scale=1.0 / lam)
     assert abs(_layer_cdf(u, np.array([t]), p)[0] - expected) < 1e-10
+
+
+def test_task_cdf_keeps_its_digits_deep_in_the_left_tail():
+    # taken as 1 - survival, F_256 read 2.8e-14 at t=150 and 0 at t=100 and t=200
+    p = ClusterParams(lam=0.5, rho=0.0, gamma=0.0, eps=0.1, p_e=0.05, n=256)
+    ts = np.array([100.0, 150.0, 200.0])
+    expected = scipy.stats.gamma.cdf(ts - p.eps, a=256, scale=1.0 / p.lam)
+    assert np.all(np.abs(_layer_cdf(256, ts, p) / expected - 1.0) < 1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(u=st.integers(1, 1024), fraction=st.floats(0.001, 1.0, exclude_max=True))
+def test_task_cdf_below_its_mean_matches_scipy_in_relative_terms(u, fraction):
+    # x = lam * (t - shift) below u is where F_u is the small side
+    p = ClusterParams(lam=0.5, rho=0.0, gamma=0.0, eps=0.0, p_e=0.0, n=1)
+    t = 2.0 * u * fraction
+    expected = scipy.stats.gamma.cdf(t, a=u, scale=2.0)
+    assume(expected > 1e-300)
+    assert abs(_layer_cdf(u, np.array([t]), p)[0] / expected - 1.0) < 1e-10
 
 
 def test_failure_pmf_values():
