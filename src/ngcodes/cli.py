@@ -11,9 +11,9 @@ construction failure.
 Each setting is declared once, in ``SETTINGS``; ``COMMANDS`` names the
 settings of each subcommand, and the parser is built from the two. A setting
 that no flag gives comes from the ``--config`` JSON file, whose keys are the
-flag names, else from its default; every config value takes its setting's
-type, whichever command reads the file. ``--out`` is required by every
-command that writes.
+flag names (any other key is an error), else from its default; every config
+value takes its setting's type, whichever command reads the file. ``--out``
+is required by every command that writes.
 """
 from __future__ import annotations
 
@@ -89,7 +89,9 @@ def _load_config(path) -> dict:
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ValueError("config file must hold a JSON object")
-    return {_CONFIG_KEYS.get(key, key.replace("-", "_")): value for key, value in raw.items()}
+    if unknown := [key for key in raw if key not in _CONFIG_KEYS]:
+        raise ValueError(f"unknown config key {unknown[0]!r}")
+    return {_CONFIG_KEYS[key]: value for key, value in raw.items()}
 
 
 def _config_value(dest, value):

@@ -6,12 +6,10 @@ decides which component code decoded first, reconstructs the full gradient
 from the responsive workers' encoded responses, checks it against the directly
 summed gradient, and applies the standard update theta -= (eta / m) * gradient.
 
-Stream contract: iteration t, attempt a draws its stragglers from
-``default_rng(SeedSequence([seed, t, a]))``, exactly as one
-``simulate_ngc_iteration`` trial on that generator would; an undecodable draw
-is redrawn with a + 1. No outcome depends on theta, so a run draws them all
-before the first update, deciding each round's draws in one simulator kernel
-call.
+Stream rule: a run draws nothing itself. Iteration t is the (t + 1)-th
+decodable trial of the simulator's ngc:s_max chunk streams, and its resamples
+are the undecodable trials since the one before. No outcome depends on theta,
+so a run reads them all before the first update.
 
 The decodings are resolved for the whole run before the first update too:
 each (sigma, responsive set) is solved once, and every iteration's finished
@@ -31,8 +29,8 @@ import numpy as np
 
 from .codes import CodeError, EncodingMatrix, MissingGradient, NestedGradientCode, decode_row
 from .codes import encode_response  # noqa: F401 -- bench/workloads.py traces it under this module
-from .latency import ClusterParams, Scheme, _check_tolerance
-from .simulator import CHUNK_ELEMENTS, IterationOutcome, _decide, _finish_times
+from .latency import ClusterParams, Scheme
+from .simulator import IterationOutcome, _decided_chunks
 from .simulator import simulate_ngc_iteration  # noqa: F401 -- bench/workloads.py traces it under this module
 
 _TARGET_GAP = 1e-9  # loss excess left after a default-rate run, relative to its start
@@ -156,12 +154,9 @@ def _decoder(component: EncodingMatrix, responsive: np.ndarray) -> _Decoder:
     return _Decoder(workers, reach, rows, row.coefficients[workers])
 
 
-def _resolve(ngc: NestedGradientCode, outcome: IterationOutcome, decoders: dict) -> _Decoder:
-    """The decoding of a decodable outcome, solved once per (sigma, responsive
-    set) in ``decoders``; MissingGradient if a row it uses reaches past its
-    worker's finished tasks."""
-    sigma = outcome.decoded_sigma
-    tasks_done = outcome.tasks_done
+def _resolve(ngc: NestedGradientCode, sigma: int, tasks_done: np.ndarray, decoders: dict) -> _Decoder:
+    """The decoding at ``sigma``, solved once per (sigma, responsive set) in
+    ``decoders``; MissingGradient if a row it uses reaches past ``tasks_done``."""
     responsive = np.flatnonzero(tasks_done >= sigma + 1)
     key = (sigma, tuple(responsive.tolist()))
     decoder = decoders.get(key)
@@ -207,7 +202,7 @@ def coded_iteration(
         raise UndecodableIteration(f"{outcome.kappa} failures exceed s_max={ngc.s_max}")
     if gradients.shape != (ngc.n, state.theta.size):
         raise ValueError(f"gradients must be ({ngc.n}, {state.theta.size}), got {gradients.shape}")
-    decoder = _resolve(ngc, outcome, {} if decoders is None else decoders)
+    decoder = _resolve(ngc, outcome.decoded_sigma, outcome.tasks_done, {} if decoders is None else decoders)
     decoded, relative_error = _decode(decoder, gradients)
     report = RecoveryReport(
         relative_error=relative_error,
@@ -247,46 +242,26 @@ class DescentRun:
         return np.array([r.loss for r in self.records])
 
 
-def _decodable_outcomes(cluster: ClusterParams, s_max: int, seed: int, iterations: int,
-                        max_resamples: int) -> tuple[list[IterationOutcome], np.ndarray]:
-    """The outcome of every iteration and how often it was resampled.
-
-    Each round draws the next attempt of the lowest pending iterations, at most
-    a simulator chunk of them, and decides them in one kernel call. A round
-    that decodes nothing leaves the lowest pending iteration to resample alone
-    until it decodes, so a cluster that never decodes draws about iterations +
-    max_resamples streams before the first iteration gives up.
-    """
-    scheme = Scheme("ngc", s_max)
-    _check_tolerance(scheme, cluster)
-    u_max = s_max + 1
-    chunk = max(1, CHUNK_ELEMENTS // (cluster.n * u_max))
-    latency, sigma, kappa = np.empty(iterations), np.empty(iterations, int), np.empty(iterations, int)
-    tasks = np.empty((iterations, cluster.n), dtype=int)
-    attempts = np.zeros(iterations, dtype=int)
-    pending, alone = np.arange(iterations), False
-    while pending.size:
-        rows = pending[:1] if alone else pending[:chunk]
-        if attempts[rows[0]] > max_resamples:  # the lowest pending iteration has drawn the most
-            raise UndecodableIteration(
-                f"iteration {rows[0]}: no decodable draw in {max_resamples} resamples")
-        uniforms, waits = np.empty((rows.size, cluster.n)), np.empty((rows.size, cluster.n, u_max))
-        for k, t in enumerate(rows.tolist()):  # in the order of a one-trial simulator._draw
-            rng = np.random.default_rng(np.random.SeedSequence([seed, t, int(attempts[t])]))
-            rng.random(out=uniforms[k])
-            rng.standard_exponential(out=waits[k])
-        alive, times = _finish_times(cluster, uniforms, waits, scheme.layers)
-        decided = (*_decide(scheme, cluster, alive, times), cluster.n - alive.sum(axis=1))
-        ok = decided[1] >= 0
-        for out, values in zip((latency, sigma, tasks, kappa), decided):
-            out[rows[ok]] = values[ok]
-        attempts[rows[~ok]] += 1
-        alone = not ok.any()
-        if not alone:
-            pending = np.concatenate((rows[~ok], pending[rows.size:]))
-    outcomes = [IterationOutcome(float(latency[t]), int(sigma[t]), tasks[t], int(kappa[t]))
-                for t in range(iterations)]
-    return outcomes, attempts
+def _iteration_trials(cluster: ClusterParams, s_max: int, seed: int, iterations: int, max_resamples: int):
+    """Latency, sigma, tasks done (iterations, n) and resamples of every
+    iteration under the stream rule; UndecodableIteration after max_resamples
+    + 1 undecodable trials in a row."""
+    columns = (np.empty(iterations), np.empty(iterations, int), np.empty((iterations, cluster.n), int),
+               np.empty(iterations, int))
+    done, run = 0, 0  # run: undecodable trials since the last decodable one
+    for latency, sigma, tasks in _decided_chunks(Scheme("ngc", s_max), cluster, seed):
+        ok = np.flatnonzero(sigma >= 0)[:iterations - done]
+        # the trials before each decodable one, then after the last if iterations are still pending
+        gaps = np.diff(ok, prepend=-1, append=sigma.size)[:iterations - done] - 1
+        gaps[0] += run
+        if (gaps > max_resamples).any():
+            raise UndecodableIteration(f"iteration {done + int(np.argmax(gaps > max_resamples))}: "
+                                       f"no decodable draw in {max_resamples} resamples")
+        for column, values in zip(columns, (latency[ok], sigma[ok], tasks[ok], gaps[:ok.size])):
+            column[done:done + ok.size] = values
+        done, run = done + ok.size, gaps[-1]
+        if done == iterations:
+            return columns
 
 
 def run_descent(
@@ -301,7 +276,7 @@ def run_descent(
     """Run coded gradient descent from theta = 0; deterministic given seed.
 
     UndecodableIteration names the first iteration with no decodable draw in
-    ``max_resamples`` resamples (see the module's stream contract). A decoding
+    ``max_resamples`` resamples (see the module's stream rule). A decoding
     that fails (NumericalFailure, MissingGradient) raises as one
     ``coded_iteration`` per outcome would at its first failing iteration, but
     before the first update.
@@ -314,15 +289,15 @@ def run_descent(
         raise ValueError(f"eta must be finite and positive, got {eta}")
     if cluster.n != ngc.n:
         raise ValueError(f"cluster has n={cluster.n} workers but code expects {ngc.n}")
-    outcomes, resamples = _decodable_outcomes(cluster, ngc.s_max, seed, iterations, max_resamples)
+    latency, sigma, tasks, resamples = _iteration_trials(cluster, ngc.s_max, seed, iterations, max_resamples)
     decoders = {}
-    plan = [_resolve(ngc, outcome, decoders) for outcome in outcomes]
+    plan = [_resolve(ngc, s, row, decoders) for s, row in zip(sigma.tolist(), tasks)]
     blocks = partition(dataset, ngc.n)
     step = eta / dataset.m
     theta = np.zeros(dataset.c)
     residual = _residual(blocks, theta)  # one per theta: its loss and the next gradients
     thetas, records = [], []
-    for t, (outcome, decoder) in enumerate(zip(outcomes, plan)):
+    for t, decoder in enumerate(plan):
         decoded, relative_error = _decode(decoder, _block_gradients(blocks, residual))
         theta = theta - step * decoded
         residual = _residual(blocks, theta)
@@ -332,8 +307,8 @@ def run_descent(
                 iteration=t,
                 loss=0.5 * float(np.vdot(residual, residual)),
                 recovery_error=relative_error,
-                decoded_sigma=outcome.decoded_sigma,
-                latency=outcome.latency,
+                decoded_sigma=int(sigma[t]),
+                latency=float(latency[t]),
                 resamples=int(resamples[t]),
             )
         )

@@ -280,6 +280,8 @@ def _zero_shift_reach(ts: np.ndarray, s_bar: int, p: ClusterParams) -> np.ndarra
     With no per-task shift all layers share the offset gamma + eps, and the
     probability of exactly v finished tasks collapses to the Poisson term
     exp(-x) x^v / v! with x = lam * (t - gamma - eps); F_u sums the terms v >= u.
+    Below x = u F_u sums its terms down from v = 2 s_bar + 64 (the rest is below
+    1e-17 of the sum there); from x = u on it is 1 minus the terms v < u.
     """
     x = p.lam * (ts - (p.gamma + p.eps))
     reach = np.zeros((s_bar + 1, ts.size))
@@ -288,8 +290,10 @@ def _zero_shift_reach(ts: np.ndarray, s_bar: int, p: ClusterParams) -> np.ndarra
         return reach
     xp = np.minimum(x[pos], 1e300)  # t = inf evaluates to 1 instead of NaN
     logx = np.log(xp)
-    poisson = np.stack([np.exp(v * logx - math.lgamma(v + 1) - xp) for v in range(s_bar + 1)])
-    reach[:, pos] = 1.0 - np.cumsum(poisson, axis=0)
+    poisson = np.stack([np.exp(v * logx - math.lgamma(v + 1) - xp) for v in range(2 * s_bar + 65)])
+    above = np.cumsum(poisson[::-1], axis=0)[::-1][1:s_bar + 2]  # terms v >= u, u = 1..s_bar+1
+    below = np.cumsum(poisson[:s_bar + 1], axis=0)                # terms v < u
+    reach[:, pos] = np.where(xp < np.arange(1, s_bar + 2)[:, None], above, 1.0 - below)
     return np.clip(reach, 0.0, 1.0)
 
 

@@ -8,17 +8,16 @@ tasks of the layers the scheme may decode at (``Scheme.layers``): one column
 for gc and uncoded, every column for ngc. Its decision (``_decide``) takes,
 per trial, the earliest moment at which one of those layers has its quorum of
 n - u + 1 workers with u tasks done. An infinite latency is exactly "more
-workers failed than the scheme tolerates". The decision reads each trial's
-finish times alone, so coded descent decides trials drawn from per-iteration
-streams in the same call.
+workers failed than the scheme tolerates".
 
-Stream contract: ``run_experiment`` splits the trials into chunks of
-max(1, 2**15 // (n * u_max)) trials, u_max being the largest layer, and
-chunk c draws from ``default_rng(SeedSequence([seed, c]))``. Results are a
-function of (scheme, trials, seed, cluster) alone, and distinct seeds give
-independent streams. Load statistics come from a histogram of the tasks done,
-so ``run_experiment`` holds O(trials + chunk) memory: the latencies and one
-chunk of draws.
+Stream rule: trials come in chunks of max(1, 2**15 // (n * u_max)) trials,
+u_max being the largest layer, and chunk c draws from
+``default_rng(SeedSequence([seed, c]))``. This module alone draws:
+``run_experiment`` reads the first ``trials`` trials, and coded descent reads
+the decodable ngc trials as its iterations. Results are a function of
+(scheme, trials, seed, cluster) alone, and distinct seeds give independent
+streams. Load statistics come from a histogram of the tasks done, so
+``run_experiment`` holds O(trials + chunk) memory.
 """
 from __future__ import annotations
 
@@ -105,11 +104,15 @@ def _decide(scheme: Scheme, p: ClusterParams, alive: np.ndarray, times: np.ndarr
     return latency, sigma, tasks
 
 
-def _simulate(rng: np.random.Generator, scheme: Scheme, p: ClusterParams, trials: int):
-    """``_decide`` on ``trials`` fresh draws from ``rng``, and the failures of each."""
+def _decided_chunks(scheme: Scheme, p: ClusterParams, seed: int, trials: float = math.inf):
+    """``_decide`` on chunk c = 0, 1, ... of the stream rule, the last one cut
+    short to make ``trials`` in all; without ``trials`` the chunks never end."""
     _check_tolerance(scheme, p)
-    alive, times = _draw(rng, p, trials, scheme.layers)
-    return *_decide(scheme, p, alive, times), p.n - alive.sum(axis=1)
+    chunk, c = max(1, CHUNK_ELEMENTS // (p.n * scheme.layers[-1])), 0
+    while c * chunk < trials:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
+        yield _decide(scheme, p, *_draw(rng, p, min(chunk, trials - c * chunk), scheme.layers))
+        c += 1
 
 
 def simulate_ngc_iteration(rng: np.random.Generator, s_max: int, p: ClusterParams) -> IterationOutcome:
@@ -119,10 +122,14 @@ def simulate_ngc_iteration(rng: np.random.Generator, s_max: int, p: ClusterParam
     finished u tasks; the latency is the earliest such moment and the component
     used is sigma = u - 1, ties resolved toward the smaller tolerance.
     """
-    latency, sigma, tasks, kappa = _simulate(rng, Scheme("ngc", s_max), p, 1)
-    if math.isinf(latency[0]):
-        return IterationOutcome(None, None, tasks[0], int(kappa[0]))
-    return IterationOutcome(float(latency[0]), int(sigma[0]), tasks[0], int(kappa[0]))
+    scheme = Scheme("ngc", s_max)
+    _check_tolerance(scheme, p)
+    alive, times = _draw(rng, p, 1, scheme.layers)
+    (latency,), (sigma,), (tasks,) = _decide(scheme, p, alive, times)
+    kappa = p.n - int(alive.sum())
+    if math.isinf(latency):
+        return IterationOutcome(None, None, tasks, kappa)
+    return IterationOutcome(float(latency), int(sigma), tasks, kappa)
 
 
 @dataclass(frozen=True)
@@ -145,24 +152,22 @@ def run_experiment(scheme: Scheme, trials: int, seed: int, p: ClusterParams, gri
     independent trials.
 
     Undecodable trials count as infinite latency (never <= t). Deterministic
-    for fixed (seed, trials): chunk c of the trials owns the stream
-    ``SeedSequence([seed, c])``.
+    for fixed (seed, trials): the first ``trials`` trials of the stream rule.
     """
     if trials < 1:
         raise InvalidParams(f"trials must be at least 1, got {trials}")
     if seed < 0:
         raise InvalidParams("seed must be a non-negative integer")
     ts = _check_grid(grid)
-    _check_tolerance(scheme, p)
+    _check_tolerance(scheme, p)  # before allocating, as _decided_chunks checks only on its first draw
     u_max = scheme.tolerance + 1
-    chunk = max(1, CHUNK_ELEMENTS // (p.n * u_max))
     latencies = np.empty(trials)
     counts = np.zeros(u_max + 1, dtype=np.int64)  # [undecodable, decoded at sigma = 0, 1, ...]
     loads = np.zeros(u_max + 1, dtype=np.int64)   # workers that finished 0, 1, ..., u_max tasks
-    for c, start in enumerate(range(0, trials, chunk)):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
-        stop = min(start + chunk, trials)
-        latencies[start:stop], sigma, tasks = _decide(scheme, p, *_draw(rng, p, stop - start, scheme.layers))
+    start = 0
+    for latency, sigma, tasks in _decided_chunks(scheme, p, seed, trials):
+        latencies[start:start + latency.size] = latency
+        start += latency.size
         counts += np.bincount(sigma + 1, minlength=u_max + 1)
         loads += np.bincount(tasks.ravel(), minlength=u_max + 1)
 

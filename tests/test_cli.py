@@ -220,12 +220,14 @@ def test_gd_demo_sigma_zero_without_failures(tmp_path):
 
 
 def test_gd_demo_deterministic(tmp_path):
-    args = ["gd-demo", "--m", "24", "--c", "3", "--iterations", "15", "--smax", "2",
-            "--seed", "7"]
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    main(args + ["--out", str(a)])
-    main(args + ["--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+    # at n=8, s_max=1, p_e=0.3 about 3 trials in 4 are undecodable: 600 iterations span two chunks
+    for args in (["--m", "24", "--c", "3", "--iterations", "15", "--smax", "2", "--seed", "7"],
+                 ["--n", "8", "--smax", "1", "--pe", "0.3", "--m", "32", "--c", "3",
+                  "--iterations", "600", "--seed", "5"]):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["gd-demo", *args, "--out", str(a)]) == 0
+        assert main(["gd-demo", *args, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
 
 
 def test_config_file_supplies_defaults_and_flags_override(tmp_path):
@@ -248,6 +250,17 @@ def test_config_file_must_be_json_object(tmp_path):
     config = tmp_path / "bad.json"
     config.write_text("[1, 2, 3]")
     assert main(["analyze", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
+
+
+def test_config_keys_other_than_flag_names_are_validation_errors(tmp_path, capsys):
+    # a misspelt key must not fall back to the default; keys are flag names, not setting names
+    config = tmp_path / "typo.json"
+    out = tmp_path / "x.csv"
+    for key in ("lamda", "lam", "t_min", "t_max"):
+        config.write_text(json.dumps({key: 5.0, "steps": 3}))
+        assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
+    assert not out.exists()
 
 
 def test_null_config_values_mean_unset_and_wrong_types_are_validation_errors(tmp_path, capsys):
@@ -329,7 +342,8 @@ def test_sizes_too_large_to_allocate_are_validation_errors(tmp_path, capsys):
     # before any memory is touched
     out = str(tmp_path / "x.csv")
     for argv in (["analyze", "--steps", "100000000000000"],
-                 ["simulate", "--trials", "100000000000000"]):
+                 ["simulate", "--trials", "100000000000000"],
+                 ["gd-demo", "--m", "8", "--c", "2", "--iterations", "100000000000000"]):
         assert main([*argv, "--out", out]) == 1
         assert capsys.readouterr().err.startswith("error: out of memory: Unable to allocate 728. TiB")
 

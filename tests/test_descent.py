@@ -1,9 +1,12 @@
 import itertools
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import ngcodes.descent as descent
+import ngcodes.simulator as simulator
 from ngcodes.codes import (
     EncodingMatrix,
     MissingGradient,
@@ -29,8 +32,8 @@ from ngcodes.descent import (
     run_descent,
     default_learning_rate,
 )
-from ngcodes.latency import ClusterParams
-from ngcodes.simulator import IterationOutcome, simulate_ngc_iteration
+from ngcodes.latency import ClusterParams, Scheme
+from ngcodes.simulator import IterationOutcome, _decide, _draw, run_experiment
 
 FIG_PARAMS = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=8)
 
@@ -234,16 +237,35 @@ def test_coded_iteration_rejects_row_past_finished_window():
         coded_iteration(state, ngc, outcome_for([2, 2, 2, 2], sigma=1), gradients, ds.m, decoders)
 
 
-def oracle_outcome(cluster, s_max, seed, iteration, max_resamples=1000):
-    """Oracle: iteration t resampled one stream at a time, attempt a drawing from
-    SeedSequence([seed, t, a]) through the one-trial simulator. Returns the first
-    decodable outcome and its attempt, or None when no attempt decodes."""
-    for attempt in range(max_resamples + 1):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, iteration, attempt]))
-        outcome = simulate_ngc_iteration(rng, s_max, cluster)
-        if outcome.decoded_sigma is not None:
-            return outcome, attempt
-    return None, max_resamples + 1
+def stream_trials(cluster, s_max, seed):
+    """Oracle: the ngc:s_max trials of the simulator's stream rule, one at a
+    time, chunk c holding a full chunk drawn from SeedSequence([seed, c])."""
+    scheme = Scheme("ngc", s_max)
+    chunk = max(1, simulator.CHUNK_ELEMENTS // (cluster.n * (s_max + 1)))
+    for c in itertools.count():
+        rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
+        alive, times = _draw(rng, cluster, chunk, scheme.layers)
+        latency, sigma, tasks = _decide(scheme, cluster, alive, times)
+        for k in range(chunk):
+            yield latency[k], sigma[k], tasks[k], cluster.n - int(alive[k].sum())
+
+
+def oracle_outcomes(cluster, s_max, seed, iterations, max_resamples=1000):
+    """Oracle: (outcome, resamples) of each iteration, iteration t being the
+    (t + 1)-th decodable stream trial and its resamples the undecodable trials
+    since the one before. Ends with (None, max_resamples + 1) at the first
+    iteration that meets max_resamples + 1 undecodable trials in a row."""
+    outcomes, run = [], 0
+    for latency, sigma, tasks, kappa in stream_trials(cluster, s_max, seed):
+        if sigma < 0:
+            run += 1
+            if run > max_resamples:
+                return outcomes + [(None, run)]
+            continue
+        outcomes.append((IterationOutcome(float(latency), int(sigma), tasks, kappa), run))
+        run = 0
+        if len(outcomes) == iterations:
+            return outcomes
 
 
 def reference_descent(ds, ngc, iterations, eta, cluster, seed):
@@ -253,8 +275,7 @@ def reference_descent(ds, ngc, iterations, eta, cluster, seed):
     blocks = partition(ds, n)
     theta = np.zeros(ds.c)
     thetas, records = [], []
-    for t in range(iterations):
-        outcome, _ = oracle_outcome(cluster, ngc.s_max, seed, t)
+    for outcome, _ in oracle_outcomes(cluster, ngc.s_max, seed, iterations):
         sigma = outcome.decoded_sigma
         component = ngc.components[sigma]
         gradients = [partial_gradient(DataBlock(blocks.data[i], blocks.labels[i]), theta)
@@ -301,8 +322,7 @@ def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
     cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=12)
     run = run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
     keys = set()
-    for t, record in enumerate(run.records):
-        outcome, _ = oracle_outcome(cluster, ngc.s_max, 16, t)
+    for outcome, _ in oracle_outcomes(cluster, ngc.s_max, 16, len(run.records)):
         sigma = outcome.decoded_sigma
         keys.add((sigma, frozenset(np.flatnonzero(outcome.tasks_done >= sigma + 1).tolist())))
     assert len(calls) == len(set(calls)) == len(keys) < len(run.records)
@@ -314,9 +334,10 @@ def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
 
 @pytest.fixture(params=["chunk-rounds", "one-row-rounds"])
 def round_rows(request, monkeypatch):
-    """Draw rounds of up to a simulator chunk of iterations, or of one each."""
+    """Stream chunks of the simulator's size, or of one trial each, so that
+    every resample gap spans chunk boundaries."""
     if request.param == "one-row-rounds":
-        monkeypatch.setattr(descent, "CHUNK_ELEMENTS", 1)
+        monkeypatch.setattr(simulator, "CHUNK_ELEMENTS", 1)
 
 
 @pytest.mark.parametrize("s_max", [0, 3, 5])
@@ -326,7 +347,7 @@ def test_run_descent_draws_the_per_iteration_streams(s_max, p_e, round_rows):
     ngc = build_ngc(12, s_max, seed=17)
     cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=p_e, n=12)
     run = run_descent(ds, ngc, 40, default_learning_rate(ds, 40), cluster, seed=17)
-    expected = [oracle_outcome(cluster, s_max, 17, t) for t in range(40)]
+    expected = oracle_outcomes(cluster, s_max, 17, 40)
     assert [r.decoded_sigma for r in run.records] == [o.decoded_sigma for o, _ in expected]
     assert [r.latency for r in run.records] == [o.latency for o, _ in expected]
     assert [r.resamples for r in run.records] == [a for _, a in expected]
@@ -334,22 +355,45 @@ def test_run_descent_draws_the_per_iteration_streams(s_max, p_e, round_rows):
         assert sum(r.resamples for r in run.records) > 0
 
 
+@pytest.mark.parametrize("s_max", [0, 3, 5])
+@pytest.mark.parametrize("p_e", [0.05, 0.3])
+def test_run_descent_iterates_the_decodable_trials_of_run_experiment(s_max, p_e):
+    # one full chunk of run_experiment holds the first sum(decoded) iterations of a run
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=p_e, n=12)
+    chunk = simulator.CHUNK_ELEMENTS // (12 * (s_max + 1))
+    result = run_experiment(Scheme("ngc", s_max), chunk, 24, cluster, np.linspace(2.0, 18.0, 10))
+    ds = make_dataset(48, 3, 0.1, seed=24)
+    run = run_descent(ds, build_ngc(12, s_max, seed=24), sum(result.decoded), 0.1, cluster, seed=24)
+    assert Counter(r.decoded_sigma for r in run.records) == {
+        sigma: count for sigma, count in enumerate(result.decoded) if count}
+
+
+def test_a_longer_run_starts_with_the_iterations_of_a_shorter_one():
+    ds = make_dataset(48, 3, 0.1, seed=25)
+    ngc = build_ngc(8, 1, seed=25)
+    flaky = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.3, n=8)
+    short = run_descent(ds, ngc, 300, 0.1, flaky, seed=25)
+    long = run_descent(ds, ngc, 900, 0.1, flaky, seed=25)  # past the first chunk of 2048 trials
+    assert long.records[:300] == short.records
+    assert all(np.array_equal(a, b) for a, b in zip(long.thetas, short.thetas))
+
+
 def coded_iteration_loop(ds, ngc, iterations, eta, cluster, seed):
-    """Reference: one coded_iteration per drawn outcome, sharing one decoders dict,
-    with the loss of the residual at each new theta."""
-    outcomes, resamples = descent._decodable_outcomes(cluster, ngc.s_max, seed, iterations, 1000)
+    """Reference: one coded_iteration per oracle outcome, sharing one decoders
+    dict, with the loss of the residual at each new theta."""
+    expected = oracle_outcomes(cluster, ngc.s_max, seed, iterations)
     blocks = partition(ds, ngc.n)
     state = DescentState(theta=np.zeros(ds.c), eta=eta, iteration=0)
     decoders = {}
     thetas, records = [], []
-    for t, outcome in enumerate(outcomes):
+    for t, (outcome, resamples) in enumerate(expected):
         gradients = partial_gradient(blocks, state.theta)
         state, report = coded_iteration(state, ngc, outcome, gradients, ds.m, decoders)
         residual = blocks.data @ state.theta - blocks.labels
         thetas.append(state.theta)
         records.append(IterationRecord(t, 0.5 * float(np.vdot(residual, residual)),
                                        report.relative_error, report.decoded_sigma, report.latency,
-                                       int(resamples[t])))
+                                       resamples))
     return thetas, records
 
 
@@ -393,10 +437,10 @@ def test_run_descent_raises_the_first_missing_gradient_before_any_update(updates
     ngc = reach_past_window_code()
     # iteration 0 decodes at sigma 0, iteration 1 at sigma 1 with worker 0 a task short of block 2
     cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=4)
-    expected = raised_by(lambda: coded_iteration_loop(ds, ngc, 40, 0.1, cluster, seed=2))
+    expected = raised_by(lambda: coded_iteration_loop(ds, ngc, 40, 0.1, cluster, seed=0))
     assert expected[0] is MissingGradient and len(updates) > 0
     updates.clear()
-    assert raised_by(lambda: run_descent(ds, ngc, 40, 0.1, cluster, seed=2)) == expected
+    assert raised_by(lambda: run_descent(ds, ngc, 40, 0.1, cluster, seed=0)) == expected
     assert updates == []
 
 
@@ -430,7 +474,9 @@ def test_run_descent_gives_up_on_the_first_undecodable_iteration(max_resamples, 
     ds = make_dataset(16, 2, 0.1, seed=18)
     ngc = build_ngc(8, 3, seed=18)
     flaky = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.3, n=8)
-    first = next(t for t in range(500) if oracle_outcome(flaky, 3, 18, t, max_resamples)[0] is None)
+    expected = oracle_outcomes(flaky, 3, 18, 500, max_resamples)
+    first = len(expected) - 1
+    assert expected[first][0] is None
     assert first > 0  # earlier iterations decode, later ones are still pending
     with pytest.raises(UndecodableIteration, match=f"^iteration {first}: .* in {max_resamples} resamples"):
         run_descent(ds, ngc, 500, 0.1, flaky, seed=18, max_resamples=max_resamples)
@@ -450,8 +496,9 @@ def test_run_descent_that_never_decodes_draws_few_streams(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", counted)
     with pytest.raises(UndecodableIteration, match="^iteration 0: no decodable draw in 1000 resamples"):
         run_descent(ds, ngc, 200, 0.1, dead, seed=19)
-    # one round over the 200 iterations, then iteration 0 alone: not 200 x 1001 streams
-    assert len(streams) <= 200 + 1000
+    # the 1001 undecodable trials of iteration 0 fill a few chunks: not 200 x 1001 streams
+    chunk = simulator.CHUNK_ELEMENTS // (12 * 6)
+    assert len(streams) <= math.ceil(1001 / chunk)
 
 
 def test_run_descent_rejects_negative_max_resamples():

@@ -324,6 +324,16 @@ def test_zero_shift_matches_general_evaluator():
             assert abs(general - special) <= 1e-9
 
 
+def test_zero_shift_layers_keep_their_digits_deep_in_the_left_tail():
+    # 1 - cumsum of the Poisson terms reads 0, 1.1e-16, 0, 0 for F_32 at t = 1, 2, 4, 8
+    p = ClusterParams(lam=0.5, rho=0.0, gamma=0.0, eps=0.1, p_e=0.05, n=64)
+    ts = np.array([1.0, 2.0, 4.0, 8.0, 30.0, 64.0, 100.0])
+    reach = _zero_shift_reach(ts, 31, p)
+    for u in range(1, 33):
+        expected = scipy.stats.gamma.cdf(ts - p.eps, a=u, scale=1.0 / p.lam)
+        assert np.all(np.abs(reach[u - 1] / expected - 1.0) < 1e-10)
+
+
 def test_zero_shift_matches_monte_carlo():
     p = ClusterParams(lam=1.0, rho=0.0, gamma=0.4, eps=0.2, p_e=0.0, n=6)
     t = p.gamma + p.eps + 5.0

@@ -12,7 +12,6 @@ from ngcodes.simulator import (
     _draw,
     _finish_times,
     _percentile,
-    _simulate,
     run_experiment,
     simulate_ngc_iteration,
 )
@@ -30,9 +29,15 @@ def draw_all(rng, p, trials, u_max):
     return alive, np.moveaxis(times, 0, -1)
 
 
+def simulate(rng, scheme, p, trials):
+    """Latency, sigma, tasks done and failures of ``trials`` fresh kernel draws from ``rng``."""
+    alive, times = _draw(rng, p, trials, scheme.layers)
+    return *_decide(scheme, p, alive, times), p.n - alive.sum(axis=1)
+
+
 def one_trial(scheme, seed, p):
     """The kernel on a single trial drawn from default_rng(seed)."""
-    latency, sigma, tasks, kappa = _simulate(np.random.default_rng(seed), scheme, p, 1)
+    latency, sigma, tasks, kappa = simulate(np.random.default_rng(seed), scheme, p, 1)
     if math.isinf(latency[0]):
         return IterationOutcome(None, None, tasks[0], int(kappa[0]))
     return IterationOutcome(float(latency[0]), int(sigma[0]), tasks[0], int(kappa[0]))
@@ -43,7 +48,7 @@ def test_chunk_streams_are_reproducible():
     scheme, grid = Scheme("ngc", 3), np.linspace(2.0, 18.0, 40)
     chunk = CHUNK_ELEMENTS // (FIG_PARAMS.n * 4)
     latencies = np.concatenate([
-        _simulate(np.random.default_rng(np.random.SeedSequence([42, c])), scheme, FIG_PARAMS, chunk)[0]
+        simulate(np.random.default_rng(np.random.SeedSequence([42, c])), scheme, FIG_PARAMS, chunk)[0]
         for c in range(2)
     ])
     result = run_experiment(scheme, 2 * chunk, 42, FIG_PARAMS, grid)
@@ -245,7 +250,7 @@ def test_decode_counts_match_the_kernel_streams():
     scheme = Scheme("ngc", 3)
     chunk = CHUNK_ELEMENTS // (FIG_PARAMS.n * 4)
     sigma = np.concatenate([
-        _simulate(np.random.default_rng(np.random.SeedSequence([42, c])), scheme, FIG_PARAMS, chunk)[1]
+        simulate(np.random.default_rng(np.random.SeedSequence([42, c])), scheme, FIG_PARAMS, chunk)[1]
         for c in range(2)
     ])
     result = run_experiment(scheme, 2 * chunk, 42, FIG_PARAMS, np.linspace(2.0, 18.0, 10))
@@ -272,7 +277,7 @@ def test_undecodable_count_matches_undecodable_rate():
 
 
 def test_decision_of_a_stack_equals_the_decision_of_each_row():
-    # descent decides all its iterations in one call on rows drawn one at a time
+    # a trial's decision does not depend on the other trials of its chunk
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.3, n=8)
     for scheme in (Scheme("ngc", 3), Scheme("gc", 2), Scheme("uncoded")):
         alive, times = _draw(np.random.default_rng(5), p, 300, scheme.layers)
@@ -296,8 +301,8 @@ def chunk_loads(scheme, trials, seed, p):
     """Per-worker loads (trials, n) and latencies of run_experiment, rebuilt
     from its chunk streams."""
     chunk = max(1, CHUNK_ELEMENTS // (p.n * (scheme.tolerance + 1)))
-    parts = [_simulate(np.random.default_rng(np.random.SeedSequence([seed, c])), scheme, p,
-                       min(chunk, trials - start))
+    parts = [simulate(np.random.default_rng(np.random.SeedSequence([seed, c])), scheme, p,
+                      min(chunk, trials - start))
              for c, start in enumerate(range(0, trials, chunk))]
     return np.concatenate([x[2] for x in parts]), np.concatenate([x[0] for x in parts])
 
