@@ -9,11 +9,14 @@ comparable. Exit codes: 0 success, 1 invalid parameters, 2 numerical or
 construction failure.
 
 Each setting is declared once, in ``SETTINGS``; ``COMMANDS`` names the
-settings of each subcommand, and the parser is built from the two. A setting
-that no flag gives comes from the ``--config`` JSON file, whose keys are the
-flag names (any other key is an error), else from its default; every config
-value takes its setting's type, whichever command reads the file. ``--out``
-is required by every command that writes.
+settings of each subcommand, and the parser is built from the two. A call
+builds the parser of only the subcommand it runs, and of all five when its
+first word names none (as for the top-level help). A setting that no flag
+gives comes from the ``--config`` JSON file, whose keys are the flag names
+other than ``path``, ``--out`` and ``--config`` (any other key is an error),
+else from its default; every config value takes its setting's type,
+whichever command reads the file. ``--out`` is required by every command
+that writes.
 """
 from __future__ import annotations
 
@@ -71,8 +74,9 @@ SETTINGS = {
     "config": ("--config", str, None, "JSON config file; flags override its values"),
 }
 _FILES = ("path", "out", "config")  # named on the command line only, never by a config file
-# config-file keys are flag names, plus one undocumented alias
-_CONFIG_KEYS = {f.lstrip("-"): d for d, (f, *_) in SETTINGS.items()} | {"gd-iterations": "iterations"}
+# config-file keys are the flag names of the other settings, plus one undocumented alias
+_CONFIG_KEYS = ({f.lstrip("-"): d for d, (f, *_) in SETTINGS.items() if d not in _FILES}
+                | {"gd-iterations": "iterations"})
 
 
 class _UsageError(Exception):
@@ -115,7 +119,7 @@ def _fill_defaults(args):
     """Give every setting that no flag set its config-file value, else its default."""
     config = _load_config(args.config) if args.config else {}
     for dest in SETTINGS:
-        if dest not in _FILES and getattr(args, dest, None) is None:
+        if getattr(args, dest, None) is None:
             setattr(args, dest, _config_value(dest, config.get(dest)))
 
 
@@ -290,10 +294,12 @@ COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(command=None) -> _Parser:
+    """The parser of every subcommand, or of ``command`` alone when it names one."""
     parser = _Parser(prog="ngcodes", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (handler, text, dests) in COMMANDS.items():
+    for name in [command] if command in COMMANDS else COMMANDS:
+        handler, text, dests = COMMANDS[name]
         sub = subs.add_parser(name, help=text)
         for dest in dests:
             flag, kind, _, text = SETTINGS[dest]
@@ -304,7 +310,8 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)  # a call runs one subcommand: build that one
     try:
         args = parser.parse_args(argv)
         _fill_defaults(args)

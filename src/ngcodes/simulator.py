@@ -91,9 +91,12 @@ def _decide(scheme: Scheme, p: ClusterParams, alive: np.ndarray, times: np.ndarr
     layers = np.array(scheme.layers)
     order = np.sort(times, axis=2)
     quorum = order[np.arange(layers.size), :, p.n - layers]  # (layers, trials)
-    best = np.argmin(quorum, axis=0)
-    latency = quorum[best, np.arange(quorum.shape[1])]
-    sigma = np.where(np.isinf(latency), -1, layers[best] - 1)
+    if layers.size == 1:  # gc, uncoded and ngc:0: one layer, nothing to choose
+        latency, decoded = quorum[0], layers[0] - 1
+    else:
+        best = np.argmin(quorum, axis=0)
+        latency, decoded = quorum[best, np.arange(quorum.shape[1])], layers[best] - 1
+    sigma = np.where(np.isinf(latency), -1, decoded)
     if scheme.kind == "ngc":
         tasks = np.zeros(alive.shape, dtype=np.intp)
         for column in times:

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -502,3 +503,78 @@ def test_analyze_deep_in_the_left_tail_of_a_high_layer(tmp_path):
                  "--t-max", "200", "--steps", "5", "--out", str(out)]) == 0
     probs = [p for _, p in curve_columns(read_csv(out)[1])["gc:255"]]
     assert 0.0 < probs[0] < 1e-90 and all(a < b for a, b in zip(probs, probs[1:]))
+
+
+def test_config_keys_of_the_file_settings_are_validation_errors(tmp_path, capsys):
+    # path, out and config are named on the command line only; a config file naming them is an error
+    code = tmp_path / "code.json"
+    assert main(["construct", "--n", "4", "--smax", "1", "--out", str(code)]) == 0
+    config = tmp_path / "config.json"
+    out = tmp_path / "here.csv"
+    cases = [
+        ("out", {"out": str(tmp_path / "elsewhere.csv"), "steps": 3}, ["analyze", "--out", str(out)]),
+        ("config", {"config": str(tmp_path / "other.json"), "steps": 3}, ["analyze", "--out", str(out)]),
+        ("path", {"path": str(tmp_path / "nofile.json")}, ["verify", str(code)]),
+    ]
+    capsys.readouterr()
+    for key, values, argv in cases:
+        config.write_text(json.dumps(values))
+        assert main([*argv, "--config", str(config)]) == 1, key
+        assert capsys.readouterr() == ("", f"error: unknown config key '{key}'\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["code.json", "config.json"]
+
+
+def subcommands(parser):
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_the_parser_of_one_subcommand_equals_that_subcommand_of_the_full_parser(name):
+    alone = subcommands(cli.build_parser(name))
+    assert list(alone) == [name]
+    assert alone[name].format_help() == subcommands(cli.build_parser())[name].format_help()
+
+
+REPRESENTATIVE_ARGV = {
+    "construct": ["construct", "--n", "6", "--smax", "2", "--seed", "3", "--out", "c.json"],
+    "verify": ["verify", "c.json", "--tol", "1e-9", "--cap", "10", "--config", "v.json"],
+    "analyze": ["analyze", "--schemes", "gc:2,ngc:2", "--lambda", "1.5", "--t-min", "1",
+                "--steps", "7", "--out", "a.csv"],
+    "simulate": ["simulate", "--schemes", "uncoded", "--n", "5", "--pe", "0", "--trials", "9",
+                 "--seed", "4", "--out", "s.csv"],
+    "gd-demo": ["gd-demo", "--m", "16", "--c", "2", "--eta", "0.1", "--smax", "1", "--rho", "0",
+                "--out", "g.csv"],
+}
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_the_parser_of_one_subcommand_parses_as_the_full_parser(name):
+    argv = REPRESENTATIVE_ARGV[name]
+    parsed = cli.build_parser(name).parse_args(argv)
+    assert parsed == cli.build_parser().parse_args(argv)
+    assert parsed.command == name and parsed.func is cli.COMMANDS[name][0]
+
+
+def test_main_without_argv_reads_the_command_line(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "a.csv"
+    monkeypatch.setattr(sys, "argv", ["ngcodes", "analyze", "--steps", "3", "--out", str(out)])
+    assert main() == 0
+    assert len(read_csv(out)[1]) == 3
+    capsys.readouterr()
+    monkeypatch.setattr(sys, "argv", ["ngcodes", "analyze", "--steps", "3"])
+    assert main() == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: --out\n"
+
+
+def test_argv_that_names_no_subcommand_keeps_the_full_parser_messages(capsys):
+    names = ", ".join(f"'{name}'" for name in cli.COMMANDS)
+    assert main([]) == 1
+    assert capsys.readouterr().err == "error: the following arguments are required: command\n"
+    assert main(["bogus"]) == 1
+    assert capsys.readouterr().err == f"error: argument command: invalid choice: 'bogus' (choose from {names})\n"
+    assert main(["--n", "3", "simulate"]) == 1
+    assert capsys.readouterr().err == f"error: argument command: invalid choice: '3' (choose from {names})\n"
+    with pytest.raises(SystemExit) as exit_:
+        main(["-h", "simulate"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == cli.build_parser().format_help()

@@ -289,6 +289,43 @@ def test_decision_of_a_stack_equals_the_decision_of_each_row():
                 assert np.array_equal(a[k:k + 1], b)
 
 
+def argmin_decide(scheme, p, alive, times):
+    """``_decide`` with an argmin over the layer axis whatever its length: the
+    reference for its one-layer shortcut."""
+    layers = np.array(scheme.layers)
+    order = np.sort(times, axis=2)
+    quorum = order[np.arange(layers.size), :, p.n - layers]
+    best = np.argmin(quorum, axis=0)
+    latency = quorum[best, np.arange(quorum.shape[1])]
+    sigma = np.where(np.isinf(latency), -1, layers[best] - 1)
+    if scheme.kind == "ngc":
+        tasks = np.zeros(alive.shape, dtype=np.intp)
+        for column in times:
+            tasks += column <= latency[:, None]
+        tasks *= alive
+    else:
+        tasks = int(layers[-1]) * alive
+    return latency, sigma, tasks
+
+
+@pytest.mark.parametrize("scheme", [Scheme("uncoded"), Scheme("gc", 0), Scheme("gc", 3),
+                                    Scheme("ngc", 0), Scheme("ngc", 3), Scheme("ngc", 7)])
+@pytest.mark.parametrize("p_e", [0.0, 0.3, 1.0])
+def test_decide_equals_the_argmin_decision_byte_for_byte(scheme, p_e):
+    p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=p_e, n=8)
+    alive, times = _draw(np.random.default_rng(11), p, 500, scheme.layers)
+    coarse = np.round(times)  # monotone, so each worker's times still rise; many ties
+    for drawn in (times, coarse):
+        got, want = _decide(scheme, p, alive, drawn), argmin_decide(scheme, p, alive, drawn)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if p_e == 1.0:
+        assert np.all(got[1] == -1)
+    elif scheme.kind == "ngc" and scheme.tolerance > 0:  # ties between layers were decided
+        quorum = np.sort(coarse, axis=2)[np.arange(len(scheme.layers)), :, p.n - np.array(scheme.layers)]
+        assert np.any(np.sum(quorum == quorum.min(axis=0), axis=0) > 1)
+
+
 def test_accepted_cluster_parameters_never_overflow():
     # about the smallest lam the overflow rule admits at n=8: no draw reaches inf
     p = ClusterParams(lam=8 * WAIT_BOUND / 1e308, rho=0.0, gamma=0.0, eps=0.0, p_e=0.0, n=8)
