@@ -63,15 +63,10 @@ def cyclic_support(i: int, sigma: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EncodingMatrix:
-    """An n x n encoding matrix with cyclic row supports of size sigma + 1.
-
-    ``h`` is the null-space witness drawn during construction (H @ entries.T
-    vanishes); it is kept for verification and is not serialized.
-    """
+    """An n x n encoding matrix with cyclic row supports of size sigma + 1."""
 
     entries: np.ndarray
     sigma: int
-    h: np.ndarray | None = None
 
     def __post_init__(self):
         # a NaN would send the least-squares decode into a solver that never returns
@@ -103,7 +98,7 @@ class NestedGradientCode:
 
 def identity_encoding(n: int) -> EncodingMatrix:
     """The tolerance-0 component: each worker computes exactly its own block."""
-    return EncodingMatrix(entries=np.eye(n), sigma=0, h=None)
+    return EncodingMatrix(entries=np.eye(n), sigma=0)
 
 
 def _attempt_cyclic(n: int, sigma: int, rng: np.random.Generator) -> EncodingMatrix:
@@ -124,7 +119,7 @@ def _attempt_cyclic(n: int, sigma: int, rng: np.random.Generator) -> EncodingMat
     residual = np.abs(h @ b.T).max()
     if residual > NULLSPACE_TOL:
         raise SingularSystem(f"null-space residual {residual:.3e} above {NULLSPACE_TOL:g}")
-    return EncodingMatrix(entries=b, sigma=sigma, h=h)
+    return EncodingMatrix(entries=b, sigma=sigma)
 
 
 def build_cyclic_encoding(n: int, sigma: int, seed: int) -> EncodingMatrix:
@@ -279,19 +274,32 @@ def code_to_json(ngc: NestedGradientCode) -> str:
 
 
 def code_from_json(text: str) -> NestedGradientCode:
+    """The code of a JSON document; ValueError unless it is an object holding n >= 1,
+    s_max in [0, n-1] (as build_ngc requires), seed and a list of component objects."""
     doc = json.loads(text)
-    n, s_max, seed = int(doc["n"]), int(doc["s_max"]), int(doc["seed"])
-    raw = doc["components"]
-    if len(raw) != s_max + 1:
-        raise ValueError(f"expected {s_max + 1} components, found {len(raw)}")
-    components = []
-    for sigma, comp in enumerate(raw):
-        if int(comp["sigma"]) != sigma:
-            raise ValueError(f"component {sigma} labelled sigma={comp['sigma']}")
-        entries = np.array(comp["entries"], dtype=float)
-        if entries.size != n * n:
-            raise ValueError(f"component {sigma}: expected {n * n} entries")
-        components.append(EncodingMatrix(entries=entries.reshape(n, n), sigma=sigma))
+    if not isinstance(doc, dict):
+        raise ValueError("code file must hold a JSON object")
+    if missing := [key for key in ("n", "s_max", "seed", "components") if key not in doc]:
+        raise ValueError(f"code file has no {missing[0]!r}")
+    try:
+        n, s_max, seed = int(doc["n"]), int(doc["s_max"]), int(doc["seed"])
+        if n < 1 or not 0 <= s_max <= n - 1:
+            raise ValueError(f"need n >= 1 and s_max in [0, n-1], got n={n}, s_max={s_max}")
+        raw = doc["components"]
+        if len(raw) != s_max + 1:
+            raise ValueError(f"expected {s_max + 1} components, found {len(raw)}")
+        components = []
+        for sigma, comp in enumerate(raw):
+            if not (isinstance(comp, dict) and "sigma" in comp and "entries" in comp):
+                raise ValueError(f"component {sigma} is not an object holding sigma and entries")
+            if int(comp["sigma"]) != sigma:
+                raise ValueError(f"component {sigma} labelled sigma={comp['sigma']}")
+            entries = np.array(comp["entries"], dtype=float)
+            if entries.size != n * n:
+                raise ValueError(f"component {sigma}: expected {n * n} entries")
+            components.append(EncodingMatrix(entries=entries.reshape(n, n), sigma=sigma))
+    except (TypeError, OverflowError) as exc:  # a value of the wrong JSON type, or an infinite one
+        raise ValueError(f"malformed code file: {exc}") from exc
     return NestedGradientCode(n=n, s_max=s_max, seed=seed, components=tuple(components))
 
 

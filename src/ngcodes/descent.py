@@ -234,10 +234,6 @@ class DescentRun:
     records: tuple[IterationRecord, ...]
 
     @property
-    def theta(self) -> np.ndarray:
-        return self.thetas[-1]
-
-    @property
     def losses(self) -> np.ndarray:
         return np.array([r.loss for r in self.records])
 
@@ -312,20 +308,6 @@ def run_descent(
                 resamples=int(resamples[t]),
             )
         )
-    return DescentRun(thetas=tuple(thetas), records=tuple(records))
-
-
-def plain_descent(dataset: Dataset, iterations: int, eta: float) -> DescentRun:
-    """Uncoded reference trajectory computed from the full gradient directly."""
-    if iterations < 1:
-        raise ValueError(f"iterations must be at least 1, got {iterations}")
-    theta = np.zeros(dataset.c)
-    thetas, records = [], []
-    for t in range(iterations):
-        gradient = dataset.data.T @ (dataset.data @ theta - dataset.labels)
-        theta = theta - (eta / dataset.m) * gradient
-        thetas.append(theta)
-        records.append(IterationRecord(t, dataset_loss(dataset, theta), 0.0, 0, 0.0, 0))
     return DescentRun(thetas=tuple(thetas), records=tuple(records))
 
 

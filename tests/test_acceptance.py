@@ -14,16 +14,15 @@ from ngcodes.descent import (
     dataset_loss,
     default_learning_rate,
     make_dataset,
-    plain_descent,
     run_descent,
 )
 from ngcodes.latency import (
     ClusterParams,
     Scheme,
     latency_curve,
-    ngc_latency_cdf_zero_shift,
 )
 from ngcodes.simulator import run_experiment
+from reference import ngc_latency_cdf_zero_shift, plain_descent
 
 FIG_PARAMS = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=8)
 FIG_GRID = np.linspace(2.0, 18.0, 100)

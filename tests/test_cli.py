@@ -578,3 +578,28 @@ def test_argv_that_names_no_subcommand_keeps_the_full_parser_messages(capsys):
         main(["-h", "simulate"])
     assert exit_.value.code == 0
     assert capsys.readouterr().out == cli.build_parser().format_help()
+
+
+@pytest.mark.parametrize("document", [
+    '{"n": 4}',
+    '[1, 2]',
+    '{"n": 2, "s_max": 0, "seed": 1, "components": [5]}',
+    '{"n": 0, "s_max": -1, "seed": 1, "components": []}',
+    '{"n": null, "s_max": 0, "seed": 1, "components": []}',
+    '{"n": 1, "s_max": 0, "seed": 1, "components": [{"sigma": 0, "entries": {"a": 1}}]}',
+], ids=["keys-missing", "not-an-object", "component-not-an-object", "no-workers", "null-n", "entries-object"])
+def test_verify_rejects_a_malformed_code_file(document, tmp_path, capsys):
+    path = tmp_path / "code.json"
+    path.write_text(document)
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_top_level_help_is_for_users_not_readers_of_the_source(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    text = capsys.readouterr().out
+    assert "Exit codes" in text
+    assert "``" not in text and "SETTINGS" not in text

@@ -78,10 +78,11 @@ def test_every_three_row_subset_recovers_ones():
         assert ones_residual(matrix.entries, subset) < 1e-9
 
 
-def test_nullspace_witness_orthogonal():
-    ngc = build_ngc(10, 4, seed=3)
-    for comp in ngc.components[1:]:
-        assert np.abs(comp.h @ comp.entries.T).max() <= 1e-9
+def test_a_null_space_residual_above_the_tolerance_fails_construction(monkeypatch):
+    monkeypatch.setattr(ngcodes.codes, "NULLSPACE_TOL", -1.0)  # no residual is below it
+    with pytest.raises(ConstructionFailed) as info:
+        build_cyclic_encoding(10, 4, 3)
+    assert "null-space residual" in str(info.value.__cause__)
 
 
 def test_identity_base_component():

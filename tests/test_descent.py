@@ -28,12 +28,12 @@ from ngcodes.descent import (
     make_dataset,
     partial_gradient,
     partition,
-    plain_descent,
     run_descent,
     default_learning_rate,
 )
 from ngcodes.latency import ClusterParams, Scheme
 from ngcodes.simulator import IterationOutcome, _decide, _draw, run_experiment
+from reference import plain_descent
 
 FIG_PARAMS = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=8)
 

@@ -12,15 +12,14 @@ from ngcodes.latency import (
     InvalidParams,
     LatencyCurve,
     Scheme,
+    _binom_pmf,
     _layer_cdf,
     _stirling_errors,
-    _zero_shift_reach,
-    failure_count_pmf,
     latency_curve,
-    ngc_latency_cdf_zero_shift,
     parse_scheme,
 )
 from ngcodes.simulator import run_experiment
+from reference import _zero_shift_reach, ngc_latency_cdf_zero_shift
 
 FIG_PARAMS = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=8)
 
@@ -138,16 +137,21 @@ def test_task_cdf_below_its_mean_matches_scipy_in_relative_terms(u, fraction):
     assert abs(_layer_cdf(u, np.array([t]), p)[0] / expected - 1.0) < 1e-10
 
 
+def binom_pmf(kappa, n, p_e):
+    """P(exactly kappa of n workers fail), from the engine's saddle-point binomial."""
+    return float(_binom_pmf(n, np.array([kappa]), np.array([p_e]), _stirling_errors(n))[0, 0])
+
+
 def test_failure_pmf_values():
-    assert abs(failure_count_pmf(0, 8, 0.05) - 0.95**8) < 1e-15
-    assert failure_count_pmf(0, 8, 0.0) == 1.0
+    assert abs(binom_pmf(0, 8, 0.05) - 0.95**8) < 1e-15
+    assert binom_pmf(0, 8, 0.0) == 1.0
     expected = math.comb(8, 3) * 0.05**3 * 0.95**5
-    assert abs(failure_count_pmf(3, 8, 0.05) - expected) < 1e-15
-    assert abs(sum(failure_count_pmf(k, 8, 0.23) for k in range(9)) - 1.0) < 1e-12
-    assert abs(failure_count_pmf(5, 11, 0.3) - scipy.stats.binom.pmf(5, 11, 0.3)) < 1e-12
+    assert abs(binom_pmf(3, 8, 0.05) - expected) < 1e-15
+    assert abs(sum(binom_pmf(k, 8, 0.23) for k in range(9)) - 1.0) < 1e-12
+    assert abs(binom_pmf(5, 11, 0.3) - scipy.stats.binom.pmf(5, 11, 0.3)) < 1e-12
     for kappa in (55, 275, 550):  # binomial coefficients beyond the float range
         expected = scipy.stats.binom.pmf(kappa, 1100, 0.25)
-        assert abs(failure_count_pmf(kappa, 1100, 0.25) - expected) <= 1e-12 * expected
+        assert abs(binom_pmf(kappa, 1100, 0.25) - expected) <= 1e-12 * expected
 
 
 def test_gc_terminal_probability():
@@ -155,13 +159,13 @@ def test_gc_terminal_probability():
     assert abs(latency_curve(Scheme("gc", 0), [1e3], p_sure).values[0] - 1.0) < 1e-12
     assert abs(latency_curve(Scheme("gc", 0), [1e3], FIG_PARAMS).values[0] - 0.95**8) < 1e-4
     for sigma in (1, 3, 6):
-        expected = sum(failure_count_pmf(k, 8, 0.05) for k in range(sigma + 1))
+        expected = scipy.stats.binom.cdf(sigma, 8, 0.05)
         assert abs(latency_curve(Scheme("gc", sigma), [1e6], FIG_PARAMS).values[0] - expected) < 1e-12
 
 
 def test_ngc_terminal_probability():
     for s_max in (1, 3, 6):
-        expected = sum(failure_count_pmf(k, 8, 0.05) for k in range(s_max + 1))
+        expected = scipy.stats.binom.cdf(s_max, 8, 0.05)
         assert abs(latency_curve(Scheme("ngc", s_max), [1e6], FIG_PARAMS).values[0] - expected) < 1e-12
 
 
