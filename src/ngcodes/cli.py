@@ -1,12 +1,15 @@
 """Command-line front end: construct/verify codes, evaluate and simulate
 latency curves, and run the coded gradient-descent demo.
 
-All outputs are CSV with 12-significant-digit floats and are byte-identical
-across runs for fixed seeds. Latency curves are emitted over t - gamma (the
-communication delay is a fixed offset for every scheme); the analytic and
-simulated commands share that convention, so their outputs are directly
-comparable. Exit codes: 0 success, 1 invalid parameters, 2 numerical or
-construction failure.
+Every output file is CSV: a header row, then one line per record, fields
+joined by commas with no quoting and each line ended by CRLF (as the csv
+module writes them), floats as ``%.12g`` and the integer columns (``iter``,
+``decoded_sigma``) as integers. Outputs are byte-identical across runs for
+fixed seeds. Latency curves are emitted over t - gamma (the communication
+delay is a fixed offset for every scheme); the analytic and simulated
+commands share that convention, so their outputs are directly comparable.
+Exit codes: 0 success, 1 invalid parameters, 2 numerical or construction
+failure.
 
 Each setting is declared once, in ``SETTINGS``; ``COMMANDS`` names the
 settings of each subcommand, and the parser is built from the two. A call
@@ -21,10 +24,10 @@ that writes.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -154,15 +157,13 @@ def _grid(args) -> np.ndarray:
     return np.linspace(args.t_min, args.t_max, args.steps)
 
 
-def _fmt(x) -> str:
-    return format(float(x), ".12g")
+_CURVE_LINE = "%s,%.12g,%.12g"  # scheme, t, prob
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, line, rows):
+    """Write the header row, then ``line % row`` for each row, in one write."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n" + "".join(map((line + "\r\n").__mod__, rows)))
 
 
 def _loads_path(out: str) -> str:
@@ -218,32 +219,27 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     schemes, cluster, grid = _schemes(args), _cluster_params(args), _grid(args)
-    rows = []
+    ts, rows = grid.tolist(), []
     for scheme in schemes:
         curve = latency_curve(scheme, grid + cluster.gamma, cluster)
-        rows.extend((scheme.label, _fmt(t), _fmt(v)) for t, v in zip(grid, curve.values))
-    _write_csv(args.out, ["scheme", "t", "prob"], rows)
+        rows += zip(repeat(scheme.label), ts, curve.values.tolist())
+    _write_csv(args.out, ["scheme", "t", "prob"], _CURVE_LINE, rows)
     print(f"wrote {args.out}: {len(schemes)} analytic curves, {args.steps} points each")
     return 0
 
 
 def cmd_simulate(args) -> int:
     schemes, cluster, grid = _schemes(args), _cluster_params(args), _grid(args)
-    rows, load_rows = [], []
+    ts, rows, load_rows = grid.tolist(), [], []
     for scheme in schemes:
         result = run_experiment(scheme, args.trials, args.seed, cluster, grid + cluster.gamma)
-        rows.extend((scheme.label, _fmt(t), _fmt(v)) for t, v in zip(grid, result.curve.values))
-        load_rows.append(
-            (
-                scheme.label,
-                _fmt(result.loads.mean_load),
-                _fmt(result.loads.p95_load),
-                _fmt(result.loads.undecodable_rate),
-            )
-        )
+        rows += zip(repeat(scheme.label), ts, result.curve.values.tolist())
+        loads = result.loads
+        load_rows.append((scheme.label, loads.mean_load, loads.p95_load, loads.undecodable_rate))
     loads_out = _loads_path(args.out)
-    _write_csv(args.out, ["scheme", "t", "prob"], rows)
-    _write_csv(loads_out, ["scheme", "mean_load", "p95_load", "undecodable_rate"], load_rows)
+    _write_csv(args.out, ["scheme", "t", "prob"], _CURVE_LINE, rows)
+    _write_csv(loads_out, ["scheme", "mean_load", "p95_load", "undecodable_rate"], "%s,%.12g,%.12g,%.12g",
+               load_rows)
     print(f"wrote {args.out} and {loads_out}: {len(schemes)} schemes x {args.trials} trials")
     return 0
 
@@ -255,14 +251,8 @@ def cmd_gd_demo(args) -> int:
     eta = args.eta if args.eta is not None else default_learning_rate(dataset, iterations)
     ngc = build_ngc(cluster.n, args.smax, seed)
     run = run_descent(dataset, ngc, iterations, eta, cluster, seed)
-    _write_csv(
-        args.out,
-        ["iter", "loss", "recovery_error", "decoded_sigma", "latency"],
-        [
-            (r.iteration, _fmt(r.loss), _fmt(r.recovery_error), r.decoded_sigma, _fmt(r.latency))
-            for r in run.records
-        ],
-    )
+    _write_csv(args.out, ["iter", "loss", "recovery_error", "decoded_sigma", "latency"], "%d,%.12g,%.12g,%d,%.12g",
+               [(r.iteration, r.loss, r.recovery_error, r.decoded_sigma, r.latency) for r in run.records])
     worst = float(np.max([r.recovery_error for r in run.records]))  # nan if any is nan
     print(
         f"wrote {args.out}: {iterations} iterations, eta={eta:.6g}, "

@@ -273,18 +273,29 @@ def code_to_json(ngc: NestedGradientCode) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _json_int(value, name: str) -> int:
+    """``value`` if it is a JSON integer; a float, a bool or a string is a ValueError."""
+    int(value)  # a null, a list, an object or a non-numeric string fails here, with int()'s message
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def code_from_json(text: str) -> NestedGradientCode:
-    """The code of a JSON document; ValueError unless it is an object holding n >= 1,
-    s_max in [0, n-1] (as build_ngc requires), seed and a list of component objects."""
+    """The code of a JSON document; ValueError unless it is an object holding the
+    integers n >= 1, s_max in [0, n-1] and seed >= 0 (as build_ngc requires) and
+    a list of component objects, each with its integer sigma."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("code file must hold a JSON object")
     if missing := [key for key in ("n", "s_max", "seed", "components") if key not in doc]:
         raise ValueError(f"code file has no {missing[0]!r}")
     try:
-        n, s_max, seed = int(doc["n"]), int(doc["s_max"]), int(doc["seed"])
+        n, s_max, seed = (_json_int(doc[key], key) for key in ("n", "s_max", "seed"))
         if n < 1 or not 0 <= s_max <= n - 1:
             raise ValueError(f"need n >= 1 and s_max in [0, n-1], got n={n}, s_max={s_max}")
+        if seed < 0:
+            raise ValueError(f"need seed >= 0, got seed={seed}")
         raw = doc["components"]
         if len(raw) != s_max + 1:
             raise ValueError(f"expected {s_max + 1} components, found {len(raw)}")
@@ -292,7 +303,7 @@ def code_from_json(text: str) -> NestedGradientCode:
         for sigma, comp in enumerate(raw):
             if not (isinstance(comp, dict) and "sigma" in comp and "entries" in comp):
                 raise ValueError(f"component {sigma} is not an object holding sigma and entries")
-            if int(comp["sigma"]) != sigma:
+            if _json_int(comp["sigma"], f"component {sigma} sigma") != sigma:
                 raise ValueError(f"component {sigma} labelled sigma={comp['sigma']}")
             entries = np.array(comp["entries"], dtype=float)
             if entries.size != n * n:

@@ -1,10 +1,13 @@
 """Reference implementations that only the tests use as oracles.
 
 ``ngc_latency_cdf_zero_shift`` is the rho = 0 nested-scheme CDF in closed
-Poisson form (acceptance criterion 6 checks ``latency_curve`` against it), and
+Poisson form (acceptance criterion 6 checks ``latency_curve`` against it),
 ``plain_descent`` the uncoded gradient-descent trajectory that coded descent
-must reproduce.
+must reproduce, and ``csv_bytes`` with ``fmt`` the csv-module writer whose
+bytes the command line's CSV files must equal.
 """
+import csv
+import io
 import math
 
 import numpy as np
@@ -58,3 +61,17 @@ def plain_descent(dataset: Dataset, iterations: int, eta: float) -> DescentRun:
         thetas.append(theta)
         records.append(IterationRecord(t, dataset_loss(dataset, theta), 0.0, 0, 0.0, 0))
     return DescentRun(thetas=tuple(thetas), records=tuple(records))
+
+
+def fmt(x) -> str:
+    """A float field as the command line writes it: 12 significant digits."""
+    return format(float(x), ".12g")
+
+
+def csv_bytes(header, rows) -> bytes:
+    """What ``csv.writer`` in its default dialect writes for ``header`` and ``rows``."""
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue().encode()

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 from ngcodes import cli
 from ngcodes.cli import main
-from ngcodes.codes import load_code
+from ngcodes.codes import build_ngc, code_to_json, load_code
+from ngcodes.descent import default_learning_rate, make_dataset, run_descent
+from ngcodes.latency import ClusterParams, latency_curve, parse_scheme
+from ngcodes.simulator import run_experiment
+
+from reference import csv_bytes, fmt
 
 
 def read_csv(path):
@@ -580,6 +585,16 @@ def test_argv_that_names_no_subcommand_keeps_the_full_parser_messages(capsys):
     assert capsys.readouterr().out == cli.build_parser().format_help()
 
 
+def edited_code(value, *path):
+    """A valid n=4, s_max=1 code file with the field at ``path`` set to ``value``."""
+    doc = json.loads(code_to_json(build_ngc(4, 1, 0)))
+    field = doc
+    for step in path[:-1]:
+        field = field[step]
+    field[path[-1]] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("document", [
     '{"n": 4}',
     '[1, 2]',
@@ -587,7 +602,12 @@ def test_argv_that_names_no_subcommand_keeps_the_full_parser_messages(capsys):
     '{"n": 0, "s_max": -1, "seed": 1, "components": []}',
     '{"n": null, "s_max": 0, "seed": 1, "components": []}',
     '{"n": 1, "s_max": 0, "seed": 1, "components": [{"sigma": 0, "entries": {"a": 1}}]}',
-], ids=["keys-missing", "not-an-object", "component-not-an-object", "no-workers", "null-n", "entries-object"])
+    edited_code(4.9, "n"),
+    edited_code(True, "s_max"),
+    edited_code(-3, "seed"),
+    edited_code(1.5, "components", 1, "sigma"),
+], ids=["keys-missing", "not-an-object", "component-not-an-object", "no-workers", "null-n", "entries-object",
+        "float-n", "bool-s_max", "negative-seed", "float-sigma"])
 def test_verify_rejects_a_malformed_code_file(document, tmp_path, capsys):
     path = tmp_path / "code.json"
     path.write_text(document)
@@ -603,3 +623,66 @@ def test_top_level_help_is_for_users_not_readers_of_the_source(capsys):
     text = capsys.readouterr().out
     assert "Exit codes" in text
     assert "``" not in text and "SETTINGS" not in text
+
+
+def curve_rows(name, grid, values):
+    return [(name, fmt(t), fmt(v)) for t, v in zip(grid, values)]
+
+
+def analyze_csv(names, cluster, grid):
+    rows = [row for name in names
+            for row in curve_rows(name, grid, latency_curve(parse_scheme(name), grid + cluster.gamma, cluster).values)]
+    return {"out.csv": csv_bytes(["scheme", "t", "prob"], rows)}
+
+
+def simulate_csv(names, cluster, grid, trials, seed):
+    results = {name: run_experiment(parse_scheme(name), trials, seed, cluster, grid + cluster.gamma) for name in names}
+    rows = [row for name, result in results.items() for row in curve_rows(name, grid, result.curve.values)]
+    load_rows = [(name, fmt(r.loads.mean_load), fmt(r.loads.p95_load), fmt(r.loads.undecodable_rate))
+                 for name, r in results.items()]
+    return {"out.csv": csv_bytes(["scheme", "t", "prob"], rows),
+            "out_loads.csv": csv_bytes(["scheme", "mean_load", "p95_load", "undecodable_rate"], load_rows)}
+
+
+def gd_demo_csv(cluster, s_max, iterations, seed):
+    dataset = make_dataset(64, 8, 0.1, seed)
+    eta = default_learning_rate(dataset, iterations)
+    run = run_descent(dataset, build_ngc(cluster.n, s_max, seed), iterations, eta, cluster, seed)
+    rows = [(r.iteration, fmt(r.loss), fmt(r.recovery_error), r.decoded_sigma, fmt(r.latency)) for r in run.records]
+    return {"out.csv": csv_bytes(["iter", "loss", "recovery_error", "decoded_sigma", "latency"], rows)}
+
+
+def headline(**changes):
+    return ClusterParams(**{"lam": 0.5, "rho": 0.5, "gamma": 0.0, "eps": 0.1, "p_e": 0.05, "n": 8, **changes})
+
+
+HEADLINE_SCHEMES = ["uncoded", "gc:3", "ngc:3"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["analyze", "--schemes", "uncoded,gc:3,ngc:3"],
+     lambda: analyze_csv(HEADLINE_SCHEMES, headline(), np.linspace(2, 18, 100))),
+    (["analyze", "--schemes", "uncoded,gc:3,ngc:3", "--pe", "1", "--t-min", "1e-300", "--t-max", "1e300",
+      "--steps", "9"],
+     lambda: analyze_csv(HEADLINE_SCHEMES, headline(p_e=1.0), np.linspace(1e-300, 1e300, 9))),
+    (["analyze", "--schemes", "gc:255", "--n", "256", "--rho", "0", "--t-min", "-20", "--t-max", "200",
+      "--steps", "45"],
+     lambda: analyze_csv(["gc:255"], headline(n=256, rho=0.0), np.linspace(-20, 200, 45))),
+    (["simulate", "--schemes", "uncoded,gc:3,ngc:3", "--trials", "3000", "--seed", "4", "--steps", "40"],
+     lambda: simulate_csv(HEADLINE_SCHEMES, headline(), np.linspace(2, 18, 40), 3000, 4)),
+    (["simulate", "--schemes", "uncoded,gc:3,ngc:3", "--pe", "1", "--trials", "500", "--steps", "10"],
+     lambda: simulate_csv(HEADLINE_SCHEMES, headline(p_e=1.0), np.linspace(2, 18, 10), 500, 42)),
+    (["gd-demo", "--n", "12", "--smax", "5", "--iterations", "60", "--seed", "3"],
+     lambda: gd_demo_csv(headline(n=12), 5, 60, 3)),
+    (["gd-demo", "--n", "12", "--smax", "0", "--iterations", "60", "--seed", "3"],
+     lambda: gd_demo_csv(headline(n=12), 0, 60, 3)),
+], ids=["analyze-headline", "analyze-extreme-grid", "analyze-gc255-negative-t", "simulate", "simulate-all-fail",
+        "gd-demo-smax5", "gd-demo-smax0"])
+def test_each_csv_is_byte_identical_to_the_csv_module_writer(argv, expected, tmp_path, capsys):
+    # the library computes the values here and in the CLI alike, so only the formatting is compared
+    assert main([*argv, "--out", str(tmp_path / "out.csv")]) == 0
+    capsys.readouterr()
+    files = expected()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+    for name, content in files.items():
+        assert (tmp_path / name).read_bytes() == content, name
