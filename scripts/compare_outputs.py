@@ -38,6 +38,7 @@ MALFORMED = {
 HUGE = str(10**400)
 SIZE = "100000000000000"  # 10**14 floats: numpy refuses the allocation at once
 OVERFLOW = ["--rho", "1e308", "--eps", "1e308"]
+HEADLINE = ["--lambda", "0.5", "--rho", "0.5", "--gamma", "0", "--eps", "0.1", "--pe", "0.05"]
 
 # name -> (input files {name: text}, invocations run in order)
 CASES = {
@@ -57,6 +58,13 @@ CASES = {
          "--steps", "50", "--out", "analyze.csv"],
         ["simulate", "--schemes", "uncoded,gc:32,ngc:4", "--n", "256", "--trials", "2000", "--seed", "7",
          "--t-min", "10", "--t-max", "60", "--steps", "50", "--out", "simulate.csv"],
+    ]),
+    "analyze-ladder": ({}, [  # the benchmark's ngc rungs on the headline cluster, and a large ngc curve
+        *[["analyze", "--schemes", f"uncoded,gc:{s_max},ngc:{s_max}", "--n", str(n), *HEADLINE,
+           "--t-min", "2", "--t-max", "18", "--steps", "100", "--out", f"ladder-n{n}.csv"]
+          for n, s_max in ((8, 3), (10, 4), (12, 5), (14, 6))],
+        ["analyze", "--schemes", "ngc:31", "--n", "64", *HEADLINE, "--t-min", "8", "--t-max", "40",
+         "--steps", "25", "--out", "ngc31-n64.csv"],
     ]),
     "formatting": ({}, [
         ["analyze", "--schemes", "uncoded,gc:3,ngc:3", "--pe", "1", "--t-min", "1e-300", "--t-max", "1e300",

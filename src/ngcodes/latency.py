@@ -20,7 +20,12 @@ overflows and no precision is lost at large n. Each layer above the bottom
 one carries the O(n^2) terms of the mass that misses its quorum down; the
 bottom layer evaluates only its quorum tail, the terms that decode. A grid
 point costs O(1) for uncoded, O(sigma) for gc:sigma and O(s_max * n^2) for
-ngc:s_max, and the memory is O(n) per grid point.
+ngc:s_max. Each layer evaluates its binomials Bin(n - k, .) in blocks of
+consecutive counts k, one call per block: a block holds as many counts as fit
+in BLOCK_TERMS terms (one per value and grid point), and a single count when
+one count alone has more. Small n thus costs few numpy calls; the sums still
+run count by count in ascending k. The memory is at most the block budget per
+call, plus O(n) per grid point.
 """
 from __future__ import annotations
 
@@ -31,6 +36,7 @@ import numpy as np
 
 
 WAIT_BOUND = 50.0  # above lam times any exponential wait the simulator can draw
+BLOCK_TERMS = 2**13  # binomial terms (value, grid point) per _binom_pmf call; bounds the engine's memory
 
 
 class InvalidParams(ValueError):
@@ -189,32 +195,42 @@ def _stirling_errors(n: int) -> np.ndarray:
     return out
 
 
-def _binom_pmf(size: int, j: np.ndarray, p: np.ndarray, stirling: np.ndarray) -> np.ndarray:
+def _binom_pmf(size, j: np.ndarray, p: np.ndarray, stirling: np.ndarray) -> np.ndarray:
     """P(Binomial(size, p) = j), shape (len(j), len(p)), in log space.
 
-    Interior counts use the saddle-point form (Loader, "Fast and accurate
-    computation of binomial probabilities", 2000): only small Stirling
-    corrections and deviances enter, never log-factorials, so the relative
-    error stays near machine precision at any size. ``stirling`` is
-    ``_stirling_errors(n)`` for some n >= size.
+    ``size`` is either one int for all of ``j``, which then ascends, or an int
+    array like ``j`` that gives each value its own size. Interior values use
+    the saddle-point form (Loader, "Fast and accurate computation of binomial
+    probabilities", 2000): only small Stirling corrections and deviances
+    enter, never log-factorials, so the relative error stays near machine
+    precision at any size. ``stirling`` is ``_stirling_errors(n)`` for some
+    n >= every size.
     """
     col = j[:, None]
-    # built in place in three (len(j), len(p)) buffers, so no other array of that
-    # size is allocated. Each deviance x log(x / m) + m - x is taken as
+    per_value = isinstance(size, np.ndarray)
+    sizes = size[:, None] if per_value else size
+    # built in place in three (len(j), len(p)) buffers; only an array of sizes
+    # allocates two more, the means size * p and size * (1 - p). Each
+    # deviance x log(x / m) + m - x is taken as
     # x log1p(d / m) - d with d = x - m, free of cancellation when x is close to m.
     log_pmf, d, dev = (np.empty((len(j), len(p))) for _ in range(3))
-    log_pmf[:] = stirling[size] - stirling[col] - stirling[size - col]
+    log_pmf[:] = stirling[sizes] - stirling[col] - stirling[sizes - col]
     with np.errstate(divide="ignore", invalid="ignore"):
-        for x, m in ((col, size * p), (size - col, size * (1.0 - p))):
+        for x, m in ((col, sizes * p), (sizes - col, sizes * (1.0 - p))):
             np.subtract(x, m, out=d)
             np.multiply(x, np.log1p(np.divide(d, m, out=dev), out=dev), out=dev)
             log_pmf -= np.subtract(dev, d, out=dev)
-        log_pmf -= 0.5 * np.log(2 * math.pi * col * (size - col) / size)
+        log_pmf -= 0.5 * np.log(2 * math.pi * col * (sizes - col) / sizes)
         # the end points are single powers; 0 * log(0) counts as 0
-        if j[0] == 0:  # j ascends
-            log_pmf[0] = size * np.log1p(-p) if size else 0.0
-        if j[-1] == size:
-            log_pmf[-1] = size * np.log(p) if size else 0.0
+        if not per_value:  # j ascends, so only its first and last value can be one
+            if j[0] == 0:
+                log_pmf[0] = size * np.log1p(-p) if size else 0.0
+            if j[-1] == size:
+                log_pmf[-1] = size * np.log(p) if size else 0.0
+        else:
+            for end, log_q in ((j == 0, np.log1p(-p)), (j == size, np.log(p))):
+                at = size[end, None]
+                log_pmf[end] = np.where(at > 0, at * log_q, 0.0)
     return np.exp(log_pmf, out=log_pmf)
 
 
@@ -256,13 +272,25 @@ def _decode_cdf(reach: np.ndarray, layers: list[int], p: ClusterParams) -> np.nd
         keep = n - u + 1
         bottom = u == layers[0]  # no layer below reads its undecoded mass
         lower = None if bottom else np.zeros((keep, q.shape[1]))
-        for k in range(mass.shape[0]):
-            start = keep - k if bottom else 0  # the bottom layer needs only its quorum tail
-            joint = _binom_pmf(n - k, np.arange(start, n - k + 1), r, stirling)
-            joint *= mass[k]
-            if not bottom:
-                lower[k:] += joint[: keep - k]
-            decoded += joint[keep - k - start :].sum(axis=0)
+        # count k evaluates Bin(n - k, r) at j = 0..n - k, the bottom layer only at its
+        # quorum tail of u values; count 0 has the most values
+        step = max(1, BLOCK_TERMS // ((u if bottom else n + 1) * q.shape[1]))  # counts per call
+        for first in range(0, len(mass), step):
+            ks = range(first, min(first + step, len(mass)))
+            js = [np.arange(keep - k if bottom else 0, n - k + 1) for k in ks]
+            if len(ks) == 1:
+                joint = _binom_pmf(n - first, js[0], r, stirling)
+            else:
+                sizes = np.repeat([n - k for k in ks], [len(j) for j in js])
+                joint = _binom_pmf(sizes, np.concatenate(js), r, stirling)
+            row = 0
+            for k, j in zip(ks, js):  # ascending k, as the sums require
+                rows = joint[row : row + len(j)]
+                row += len(j)
+                rows *= mass[k]
+                if not bottom:
+                    lower[k:] += rows[: keep - k]
+                decoded += (rows if bottom else rows[keep - k :]).sum(axis=0)
         mass, above = lower, q_u
     return np.clip(decoded, 0.0, 1.0)
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,6 +155,16 @@ def test_failure_pmf_values():
         assert abs(binom_pmf(kappa, 1100, 0.25) - expected) <= 1e-12 * expected
 
 
+def test_a_size_per_value_gives_the_bits_of_one_size_at_a_time():
+    stirling = _stirling_errors(12)
+    p = np.array([0.0, 0.05, 0.5, 1.0])
+    sizes = np.array([0, 3, 3, 3, 3, 12, 12, 12])
+    j = np.array([0, 0, 1, 2, 3, 0, 7, 12])
+    got = _binom_pmf(sizes, j, p, stirling)
+    for row, (size, value) in enumerate(zip(sizes.tolist(), j.tolist())):
+        assert got[row].tobytes() == _binom_pmf(size, np.array([value]), p, stirling)[0].tobytes(), (size, value)
+
+
 def test_gc_terminal_probability():
     p_sure = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.0, n=8)
     assert abs(latency_curve(Scheme("gc", 0), [1e3], p_sure).values[0] - 1.0) < 1e-12
@@ -306,6 +317,45 @@ def test_zero_shift_route_is_bit_identical_to_the_dense_engine(n):
             expected = dense_decode_cdf(_zero_shift_reach(np.array([t]), s_max, p), list(range(1, s_max + 2)), p)
             got = ngc_latency_cdf_zero_shift(t, s_max, p)
             assert np.float64(got).tobytes() == expected[0].tobytes(), (s_max, p_e, t)
+
+
+@pytest.mark.parametrize("budget", ["one term", "two counts"])
+@pytest.mark.parametrize("n", [8, 14, 32])
+def test_every_block_split_is_bit_identical_to_the_dense_engine(n, budget, monkeypatch):
+    # the benchmark's sizes never reach these splits: one count per call, and
+    # counts 0 and 1 of each layer above the bottom one in the first call
+    calls = []  # (counts in the call, whether it is above the bottom layer: those evaluate j = 0)
+
+    def recording(size, j, p, stirling):
+        calls.append((len(set(np.atleast_1d(size).tolist())), bool(j[0] == 0)))
+        return _binom_pmf(size, j, p, stirling)
+
+    monkeypatch.setattr("ngcodes.latency._binom_pmf", recording)
+    for s_max, p_e in itertools.product(range(n), (0.0, 0.05, 1.0)):
+        p = ClusterParams(lam=0.5, rho=0.5, gamma=0.2, eps=0.1, p_e=p_e, n=n)
+        scheme = Scheme("ngc", s_max)
+        ts = bitwise_grid(scheme, p)
+        monkeypatch.setattr("ngcodes.latency.BLOCK_TERMS", 1 if budget == "one term" else 2 * (n + 1) * len(ts))
+        reach = np.stack([_layer_cdf(u, ts, p) for u in scheme.layers])
+        expected = dense_decode_cdf(reach, scheme.layers, p)
+        assert latency_curve(scheme, ts, p).values.tobytes() == expected.tobytes(), (s_max, p_e)
+    if budget == "one term":
+        assert max(counts for counts, _ in calls) == 1
+    else:
+        assert max(counts for counts, above in calls if above) == 2
+
+
+def test_latency_curve_memory_stays_bounded_at_large_n():
+    # one count per call and O(n) per grid point take 1.4 MB here; a block budget
+    # that traded memory for speed would not fit
+    p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=256)
+    tracemalloc.start()
+    try:
+        latency_curve(Scheme("ngc", 32), np.linspace(10.0, 60.0, 100), p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_zero_shift_requires_rho_zero():
