@@ -33,9 +33,9 @@ def main(argv=None):
         values = result.curve.values
         median = grid[np.searchsorted(values, 0.5)] if values[-1] >= 0.5 else float("inf")
         p90 = grid[np.searchsorted(values, 0.9)] if values[-1] >= 0.9 else float("inf")
-        print(f"{s_max:>5} {s_max + 1:>10} {result.loads.mean_load:>10.3f} "
-              f"{result.loads.p95_load:>9.1f} {median:>9.2f} {p90:>9.2f} "
-              f"{result.loads.undecodable_rate:>11.4f}")
+        print(f"{s_max:>5} {s_max + 1:>10} {result.mean_load:>10.3f} "
+              f"{result.p95_load:>9.1f} {median:>9.2f} {p90:>9.2f} "
+              f"{result.undecodable / args.trials:>11.4f}")
     return 0
 
 

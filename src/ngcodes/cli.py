@@ -39,8 +39,8 @@ from .codes import (
     NumericalFailure,
     VERIFY_CAP,
     build_ngc,
-    load_code,
-    save_code,
+    code_from_json,
+    code_to_json,
     verify_gradient_code,
     verify_nesting,
 )
@@ -150,6 +150,8 @@ def _schemes(args) -> tuple[Scheme, ...]:
 
 def _grid(args) -> np.ndarray:
     """The time grid on the reported axis (t - gamma)."""
+    if not math.isfinite(args.t_max - args.t_min):  # nan or inf when a bound is, or when the span overflows
+        raise ValueError(f"need finite t_min, t_max and t_max - t_min, got {args.t_min} and {args.t_max}")
     if not args.t_min < args.t_max:
         raise ValueError(f"need t_min < t_max, got {args.t_min} >= {args.t_max}")
     if args.steps < 2:
@@ -175,7 +177,7 @@ def _loads_path(out: str) -> str:
 def cmd_construct(args) -> int:
     n, s_max, seed = args.n, args.smax, args.seed
     ngc = build_ngc(n, s_max, seed)
-    save_code(ngc, args.out)
+    Path(args.out).write_text(code_to_json(ngc) + "\n")
     print(f"wrote {args.out}: n={n}, s_max={s_max}, seed={seed}, {len(ngc.components)} components")
     for comp in ngc.components:
         sizes = {int(np.count_nonzero(comp.entries[i])) for i in range(n)}
@@ -198,7 +200,7 @@ def cmd_verify(args) -> int:
     tol = args.tol
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"--tol must be finite and positive, got {tol}")
-    ngc = load_code(args.path)
+    ngc = code_from_json(Path(args.path).read_text())
     all_ok = True
     for comp in ngc.components:
         report = verify_gradient_code(comp, comp.sigma, tol=tol, cap=args.cap)
@@ -234,8 +236,7 @@ def cmd_simulate(args) -> int:
     for scheme in schemes:
         result = run_experiment(scheme, args.trials, args.seed, cluster, grid + cluster.gamma)
         rows += zip(repeat(scheme.label), ts, result.curve.values.tolist())
-        loads = result.loads
-        load_rows.append((scheme.label, loads.mean_load, loads.p95_load, loads.undecodable_rate))
+        load_rows.append((scheme.label, result.mean_load, result.p95_load, result.undecodable / args.trials))
     loads_out = _loads_path(args.out)
     _write_csv(args.out, ["scheme", "t", "prob"], _CURVE_LINE, rows)
     _write_csv(loads_out, ["scheme", "mean_load", "p95_load", "undecodable_rate"], "%s,%.12g,%.12g,%.12g",
@@ -250,7 +251,8 @@ def cmd_gd_demo(args) -> int:
     dataset = make_dataset(args.m, args.c, args.noise, seed)
     eta = args.eta if args.eta is not None else default_learning_rate(dataset, iterations)
     ngc = build_ngc(cluster.n, args.smax, seed)
-    run = run_descent(dataset, ngc, iterations, eta, cluster, seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverging run fails the gates below instead
+        run = run_descent(dataset, ngc, iterations, eta, cluster, seed)
     _write_csv(args.out, ["iter", "loss", "recovery_error", "decoded_sigma", "latency"], "%d,%.12g,%.12g,%d,%.12g",
                [(r.iteration, r.loss, r.recovery_error, r.decoded_sigma, r.latency) for r in run.records])
     worst = float(np.max([r.recovery_error for r in run.records]))  # nan if any is nan

@@ -161,13 +161,20 @@ def build_ngc(n: int, s_max: int, seed: int) -> NestedGradientCode:
     return NestedGradientCode(n=n, s_max=s_max, seed=seed, components=tuple(components))
 
 
-def _combination(code: EncodingMatrix, chosen: tuple[int, ...]) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients combining the chosen rows into all-ones."""
+def _combination(code: EncodingMatrix, chosen: tuple[int, ...], tol: float) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients combining the chosen rows into all-ones, and
+    their residual. A residual above ``tol`` gets up to two correction steps,
+    each solving the same system for the residual 1 - a B and adding the result."""
     rows = code.entries[list(chosen)]
     solution, *_ = np.linalg.lstsq(rows.T, np.ones(code.n), rcond=None)
     a = np.zeros(code.n)
     a[list(chosen)] = solution
     residual = float(np.abs(a @ code.entries - 1.0).max())
+    for _ in range(2):
+        if not tol < residual < np.inf:  # a NaN or infinite residual is kept: no step corrects it
+            break
+        a[list(chosen)] += np.linalg.lstsq(rows.T, 1.0 - a @ code.entries, rcond=None)[0]
+        residual = float(np.abs(a @ code.entries - 1.0).max())
     return a, residual
 
 
@@ -186,7 +193,7 @@ def decode_row(code: EncodingMatrix, responsive_set, tol: float = DECODE_TOL) ->
     if len(responders) < need:
         raise NotDecodable(f"{len(responders)} responsive workers, need {need} for sigma={code.sigma}")
     chosen = tuple(responders[:need])
-    a, residual = _combination(code, chosen)
+    a, residual = _combination(code, chosen, tol)
     if residual > tol:
         raise NumericalFailure(f"decode residual {residual:.3e} above {tol:g}")
     return DecodingRow(responsive_set=frozenset(chosen), coefficients=a)
@@ -218,7 +225,7 @@ def verify_gradient_code(
     support_ok = all(np.count_nonzero(code.entries[i]) >= sigma + 1 for i in range(n))
     subsets = itertools.combinations(range(n), n - sigma)
     # np.max propagates a NaN residual, which then fails the tolerance check
-    max_residual = float(np.max([_combination(code, subset)[1] for subset in subsets]))
+    max_residual = float(np.max([_combination(code, subset, tol)[1] for subset in subsets]))
     return VerificationReport(support_ok, bool(max_residual <= tol), max_residual)
 
 
@@ -312,14 +319,3 @@ def code_from_json(text: str) -> NestedGradientCode:
     except (TypeError, OverflowError) as exc:  # a value of the wrong JSON type, or an infinite one
         raise ValueError(f"malformed code file: {exc}") from exc
     return NestedGradientCode(n=n, s_max=s_max, seed=seed, components=tuple(components))
-
-
-def save_code(ngc: NestedGradientCode, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(code_to_json(ngc))
-        fh.write("\n")
-
-
-def load_code(path) -> NestedGradientCode:
-    with open(path) as fh:
-        return code_from_json(fh.read())

@@ -4,7 +4,7 @@ The data matrix is split into n contiguous row blocks (zero-padded to a
 multiple of n), held as one (n, size, c) stack. Each simulated iteration
 decides which component code decoded first, reconstructs the full gradient
 from the responsive workers' encoded responses, checks it against the directly
-summed gradient, and applies the standard update theta -= (eta / m) * gradient.
+summed gradient, and applies the update theta -= step * gradient, step = eta / m.
 
 Stream rule: a run draws nothing itself. Iteration t is the (t + 1)-th
 decodable trial of the simulator's ngc:s_max chunk streams, and its resamples
@@ -120,21 +120,6 @@ def dataset_loss(dataset: Dataset, theta: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class DescentState:
-    theta: np.ndarray
-    eta: float
-    iteration: int
-
-
-@dataclass(frozen=True)
-class RecoveryReport:
-    relative_error: float
-    decoded_sigma: int
-    latency: float
-    kappa: int
-
-
-@dataclass(frozen=True)
 class _Decoder:
     """How one (sigma, responsive set) decodes: which workers answer, and how."""
 
@@ -181,41 +166,30 @@ def _decode(decoder: _Decoder, gradients: np.ndarray) -> tuple[np.ndarray, float
 
 
 def coded_iteration(
-    state: DescentState,
+    theta: np.ndarray,
+    step: float,
     ngc: NestedGradientCode,
     outcome: IterationOutcome,
     gradients: np.ndarray,
-    m: int,
     decoders: dict | None = None,
-) -> tuple[DescentState, RecoveryReport]:
-    """Apply one update from the decoded gradient of a simulated iteration.
+) -> tuple[np.ndarray, float]:
+    """``theta - step * decoded`` for the gradient decoded from one simulated
+    iteration, and its relative error against the directly summed gradient.
 
-    ``gradients`` holds the n block gradients at ``state.theta``, one row per
+    ``gradients`` holds the n block gradients at ``theta``, one row per
     block. Workers hold gradients for the cyclic block window their completed
     tasks cover; responses are formed with the decoded component's rows and
     combined with its decoding coefficients (MissingGradient if a row reaches
-    past its worker's window). The report compares the decoded gradient
-    against the directly summed one. ``decoders`` keeps the decoding of each
+    past its worker's window). ``decoders`` keeps the decoding of each
     (sigma, responsive set) for later calls.
     """
     if outcome.decoded_sigma is None:
         raise UndecodableIteration(f"{outcome.kappa} failures exceed s_max={ngc.s_max}")
-    if gradients.shape != (ngc.n, state.theta.size):
-        raise ValueError(f"gradients must be ({ngc.n}, {state.theta.size}), got {gradients.shape}")
+    if gradients.shape != (ngc.n, theta.size):
+        raise ValueError(f"gradients must be ({ngc.n}, {theta.size}), got {gradients.shape}")
     decoder = _resolve(ngc, outcome.decoded_sigma, outcome.tasks_done, {} if decoders is None else decoders)
     decoded, relative_error = _decode(decoder, gradients)
-    report = RecoveryReport(
-        relative_error=relative_error,
-        decoded_sigma=outcome.decoded_sigma,
-        latency=float(outcome.latency),
-        kappa=outcome.kappa,
-    )
-    new_state = DescentState(
-        theta=state.theta - (state.eta / m) * decoded,
-        eta=state.eta,
-        iteration=state.iteration + 1,
-    )
-    return new_state, report
+    return theta - step * decoded, relative_error
 
 
 @dataclass(frozen=True)

@@ -133,7 +133,6 @@ class LatencyCurve:
 
     grid: np.ndarray
     values: np.ndarray
-    label: str
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -300,4 +299,4 @@ def latency_curve(scheme: Scheme, grid, p: ClusterParams) -> LatencyCurve:
     ts = _check_grid(grid)
     _check_tolerance(scheme, p)
     reach = np.stack([_layer_cdf(u, ts, p) for u in scheme.layers])
-    return LatencyCurve(grid=ts, values=_decode_cdf(reach, scheme.layers, p), label=scheme.label)
+    return LatencyCurve(grid=ts, values=_decode_cdf(reach, scheme.layers, p))

@@ -16,8 +16,10 @@ u_max being the largest layer, and chunk c draws from
 ``run_experiment`` reads the first ``trials`` trials, and coded descent reads
 the decodable ngc trials as its iterations. Results are a function of
 (scheme, trials, seed, cluster) alone, and distinct seeds give independent
-streams. Load statistics come from a histogram of the tasks done, so
-``run_experiment`` holds O(trials + chunk) memory.
+streams. ``run_experiment`` returns the curve, the mean and 95th-percentile
+tasks done by a worker in a trial, and the trials decoded at each sigma and at
+none (a rate is such a count over ``trials``). The loads come from a histogram
+of the tasks done, so ``run_experiment`` holds O(trials + chunk) memory.
 """
 from __future__ import annotations
 
@@ -136,23 +138,17 @@ def simulate_ngc_iteration(rng: np.random.Generator, s_max: int, p: ClusterParam
 
 
 @dataclass(frozen=True)
-class LoadStats:
-    mean_load: float
-    p95_load: float
-    undecodable_rate: float
-
-
-@dataclass(frozen=True)
 class ExperimentResult:
     curve: LatencyCurve
-    loads: LoadStats
+    mean_load: float          # mean tasks done by one worker in one trial
+    p95_load: float           # their 95th percentile
     decoded: tuple[int, ...]  # trials decoded at sigma = 0, 1, ..., tolerance
     undecodable: int          # trials no layer of the scheme could decode
 
 
 def run_experiment(scheme: Scheme, trials: int, seed: int, p: ClusterParams, grid) -> ExperimentResult:
-    """Empirical latency CDF, load statistics and decode counts per sigma over
-    independent trials.
+    """Empirical latency CDF, mean and 95th-percentile load, and decode counts
+    per sigma and of undecodable trials, over independent trials.
 
     Undecodable trials count as infinite latency (never <= t). Deterministic
     for fixed (seed, trials): the first ``trials`` trials of the stream rule.
@@ -176,14 +172,13 @@ def run_experiment(scheme: Scheme, trials: int, seed: int, p: ClusterParams, gri
 
     ordered = np.sort(latencies)
     values = np.searchsorted(ordered, ts, side="right") / trials
-    curve = LatencyCurve(grid=ts, values=values, label=scheme.label)
-    stats = LoadStats(
+    return ExperimentResult(
+        curve=LatencyCurve(grid=ts, values=values),
         mean_load=int(loads @ np.arange(u_max + 1)) / (trials * p.n),
         p95_load=_percentile(loads, 95),
-        undecodable_rate=int(counts[0]) / trials,
+        decoded=tuple(counts[1:].tolist()),
+        undecodable=int(counts[0]),
     )
-    return ExperimentResult(curve=curve, loads=stats, decoded=tuple(counts[1:].tolist()),
-                            undecodable=int(counts[0]))
 
 
 def _percentile(histogram: np.ndarray, q: float) -> float:

@@ -149,6 +149,6 @@ def test_criterion_7_exact_recovery_descent():
 def test_criterion_8_flexible_load():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.0, n=8)
     result = run_experiment(Scheme("ngc", 3), TRIALS, 200, p, FIG_GRID)
-    mean_load = result.loads.mean_load
+    mean_load = result.mean_load
     report(8, "mean completed tasks below the fixed-load 4", mean_load < 4.0,
            f"mean load {mean_load:.3f} over {TRIALS} trials")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ngcodes.codes
+from ngcodes.cli import main
 from ngcodes.codes import (
     CapExceeded,
     ConstructionFailed,
@@ -22,8 +23,6 @@ from ngcodes.codes import (
     decode_row,
     encode_response,
     identity_encoding,
-    load_code,
-    save_code,
     verify_gradient_code,
     verify_nesting,
 )
@@ -161,10 +160,31 @@ def test_verify_built_code_passes(monkeypatch):
     report = verify_gradient_code(matrix, sigma=3)
     assert report.support_ok and report.decodable_ok
     # a NaN residual compares false against any tolerance: it must not pass
-    monkeypatch.setattr(ngcodes.codes, "_combination", lambda code, chosen: (np.zeros(code.n), math.nan))
+    monkeypatch.setattr(ngcodes.codes, "_combination", lambda code, chosen, tol: (np.zeros(code.n), math.nan))
     report = verify_gradient_code(matrix, sigma=3)
     assert report.support_ok and not report.decodable_ok and not report.passed
     assert math.isnan(report.max_residual)
+
+
+def first_solve_combination(code, chosen):
+    """The decoding coefficients and residual of a single least-squares solve,
+    as decoding computed them before residuals above the gate were corrected."""
+    rows = code.entries[list(chosen)]
+    solution, *_ = np.linalg.lstsq(rows.T, np.ones(code.n), rcond=None)
+    a = np.zeros(code.n)
+    a[list(chosen)] = solution
+    residual = float(np.abs(a @ code.entries - 1.0).max())
+    return a, residual
+
+
+def test_a_decoding_within_the_gate_keeps_its_first_solve_bits():
+    ngc = build_ngc(12, 5, seed=42)
+    for code in ngc.components:
+        for subset in itertools.combinations(range(12), 12 - code.sigma):
+            a, residual = ngcodes.codes._combination(code, subset, ngcodes.codes.DECODE_TOL)
+            expected_a, expected_residual = first_solve_combination(code, subset)
+            assert expected_residual <= ngcodes.codes.DECODE_TOL
+            assert (a.tobytes(), residual) == (expected_a.tobytes(), expected_residual)
 
 
 def test_verify_identity_fails_at_sigma_one():
@@ -265,9 +285,11 @@ def test_serialization_roundtrip_bit_identical(tmp_path):
     assert (loaded.n, loaded.s_max, loaded.seed) == (8, 3, 42)
     for a, b in zip(ngc.components, loaded.components):
         assert np.array_equal(a.entries, b.entries)
+    # the construct command's file holds the same document and reads back to the same code
     path = tmp_path / "code.json"
-    save_code(ngc, path)
-    reloaded = load_code(path)
+    assert main(["construct", "--n", "8", "--smax", "3", "--seed", "42", "--out", str(path)]) == 0
+    assert path.read_text() == code_to_json(ngc) + "\n"
+    reloaded = code_from_json(path.read_text())
     for a, b in zip(ngc.components, reloaded.components):
         assert np.array_equal(a.entries, b.entries)
 

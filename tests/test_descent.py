@@ -20,7 +20,6 @@ from ngcodes.codes import (
 from ngcodes.descent import (
     DataBlock,
     Dataset,
-    DescentState,
     IterationRecord,
     UndecodableIteration,
     coded_iteration,
@@ -115,33 +114,33 @@ def test_coded_iteration_identity_component_is_exact():
     ds = make_dataset(32, 4, 0.1, seed=5)
     ngc = build_ngc(8, 3, seed=5)
     blocks = partition(ds, 8)
-    state = DescentState(theta=np.zeros(4), eta=0.5, iteration=0)
+    theta = np.zeros(4)
     outcome = outcome_for([4, 4, 4, 4, 4, 4, 4, 4], sigma=0)
-    _, report = coded_iteration(state, ngc, outcome, partial_gradient(blocks, state.theta), ds.m)
-    assert report.relative_error < 1e-12
+    _, relative_error = coded_iteration(theta, 0.5 / ds.m, ngc, outcome, partial_gradient(blocks, theta))
+    assert relative_error < 1e-12
 
 
 def test_coded_iteration_recovers_for_every_straggler_triple():
     ds = make_dataset(32, 4, 0.1, seed=6)
     ngc = build_ngc(8, 3, seed=6)
     blocks = partition(ds, 8)
-    state = DescentState(theta=np.full(4, 0.3), eta=0.5, iteration=0)
+    theta = np.full(4, 0.3)
     for stragglers in itertools.combinations(range(8), 3):
         tasks = np.full(8, 4)
         tasks[list(stragglers)] = 0
         outcome = outcome_for(tasks, sigma=3)
-        _, report = coded_iteration(state, ngc, outcome, partial_gradient(blocks, state.theta), ds.m)
-        assert report.relative_error < 1e-8
+        _, relative_error = coded_iteration(theta, 0.5 / ds.m, ngc, outcome, partial_gradient(blocks, theta))
+        assert relative_error < 1e-8
 
 
 def test_coded_iteration_rejects_undecodable():
     ds = make_dataset(16, 2, 0.1, seed=7)
     ngc = build_ngc(8, 1, seed=7)
     blocks = partition(ds, 8)
-    state = DescentState(theta=np.zeros(2), eta=0.5, iteration=0)
+    theta = np.zeros(2)
     outcome = IterationOutcome(latency=None, decoded_sigma=None, tasks_done=np.zeros(8, int), kappa=3)
     with pytest.raises(UndecodableIteration):
-        coded_iteration(state, ngc, outcome, partial_gradient(blocks, state.theta), ds.m)
+        coded_iteration(theta, 0.5 / ds.m, ngc, outcome, partial_gradient(blocks, theta))
 
 
 def test_two_coded_steps_follow_plain_gradient_descent():
@@ -224,17 +223,16 @@ def reach_past_window_code():
 def test_coded_iteration_rejects_row_past_finished_window():
     ds = make_dataset(16, 3, 0.1, seed=14)
     ngc = reach_past_window_code()
-    state = DescentState(theta=np.full(3, 0.2), eta=0.5, iteration=0)
-    gradients = partial_gradient(partition(ds, 4), state.theta)
+    theta, step = np.full(3, 0.2), 0.5 / ds.m
+    gradients = partial_gradient(partition(ds, 4), theta)
     with pytest.raises(MissingGradient):
-        coded_iteration(state, ngc, outcome_for([2, 2, 2, 2], sigma=1), gradients, ds.m)
+        coded_iteration(theta, step, ngc, outcome_for([2, 2, 2, 2], sigma=1), gradients)
     # a decoding already solved for this responsive set is checked again
     decoders = {}
-    _, report = coded_iteration(state, ngc, outcome_for([3, 2, 2, 2], sigma=1), gradients, ds.m,
-                                decoders)
-    assert report.relative_error < 1e-12
+    _, relative_error = coded_iteration(theta, step, ngc, outcome_for([3, 2, 2, 2], sigma=1), gradients, decoders)
+    assert relative_error < 1e-12
     with pytest.raises(MissingGradient):
-        coded_iteration(state, ngc, outcome_for([2, 2, 2, 2], sigma=1), gradients, ds.m, decoders)
+        coded_iteration(theta, step, ngc, outcome_for([2, 2, 2, 2], sigma=1), gradients, decoders)
 
 
 def stream_trials(cluster, s_max, seed):
@@ -380,20 +378,20 @@ def test_a_longer_run_starts_with_the_iterations_of_a_shorter_one():
 
 def coded_iteration_loop(ds, ngc, iterations, eta, cluster, seed):
     """Reference: one coded_iteration per oracle outcome, sharing one decoders
-    dict, with the loss of the residual at each new theta."""
+    dict, with the loss of the residual at each new theta and the sigma and
+    latency of the outcome."""
     expected = oracle_outcomes(cluster, ngc.s_max, seed, iterations)
     blocks = partition(ds, ngc.n)
-    state = DescentState(theta=np.zeros(ds.c), eta=eta, iteration=0)
+    theta, step = np.zeros(ds.c), eta / ds.m
     decoders = {}
     thetas, records = [], []
     for t, (outcome, resamples) in enumerate(expected):
-        gradients = partial_gradient(blocks, state.theta)
-        state, report = coded_iteration(state, ngc, outcome, gradients, ds.m, decoders)
-        residual = blocks.data @ state.theta - blocks.labels
-        thetas.append(state.theta)
-        records.append(IterationRecord(t, 0.5 * float(np.vdot(residual, residual)),
-                                       report.relative_error, report.decoded_sigma, report.latency,
-                                       resamples))
+        gradients = partial_gradient(blocks, theta)
+        theta, relative_error = coded_iteration(theta, step, ngc, outcome, gradients, decoders)
+        residual = blocks.data @ theta - blocks.labels
+        thetas.append(theta)
+        records.append(IterationRecord(t, 0.5 * float(np.vdot(residual, residual)), relative_error,
+                                       outcome.decoded_sigma, outcome.latency, resamples))
     return thetas, records
 
 

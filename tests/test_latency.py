@@ -460,9 +460,9 @@ def test_analytic_and_simulated_curves_reject_the_same_bad_grids(grid):
 
 def test_latency_curve_validates_values():
     with pytest.raises(InvalidParams):
-        LatencyCurve(np.array([0.0, 1.0]), np.array([0.5, 0.2]), "bad")
+        LatencyCurve(np.array([0.0, 1.0]), np.array([0.5, 0.2]))
     with pytest.raises(InvalidParams):
-        LatencyCurve(np.array([0.0, 1.0]), np.array([0.5, 1.5]), "bad")
+        LatencyCurve(np.array([0.0, 1.0]), np.array([0.5, 1.5]))
 
 
 def test_scheme_parsing():

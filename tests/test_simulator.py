@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ngcodes.cli import main
 from ngcodes.latency import WAIT_BOUND, ClusterParams, Scheme, _layer_cdf, latency_curve
 from ngcodes.simulator import (
     CHUNK_ELEMENTS,
@@ -174,7 +175,7 @@ def test_run_experiment_deterministic():
     a = run_experiment(Scheme("gc", 2), 500, 9, FIG_PARAMS, grid)
     b = run_experiment(Scheme("gc", 2), 500, 9, FIG_PARAMS, grid)
     assert np.array_equal(a.curve.values, b.curve.values)
-    assert a.loads == b.loads
+    assert (a.mean_load, a.p95_load, a.undecodable) == (b.mean_load, b.p95_load, b.undecodable)
 
 
 def test_run_experiment_deterministic_across_chunks():
@@ -183,7 +184,7 @@ def test_run_experiment_deterministic_across_chunks():
     a = run_experiment(Scheme("ngc", 3), trials, 9, FIG_PARAMS, grid)
     b = run_experiment(Scheme("ngc", 3), trials, 9, FIG_PARAMS, grid)
     assert a.curve.values.tobytes() == b.curve.values.tobytes()
-    assert a.loads == b.loads
+    assert (a.mean_load, a.p95_load, a.undecodable) == (b.mean_load, b.p95_load, b.undecodable)
 
 
 def test_distinct_seeds_give_distinct_curves():
@@ -223,8 +224,8 @@ def test_flexible_load_stays_below_fixed_load():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.0, n=8)
     grid = np.linspace(2.0, 18.0, 10)
     result = run_experiment(Scheme("ngc", 3), 20_000, 21, p, grid)
-    assert 1.0 <= result.loads.mean_load < 4.0
-    assert result.loads.undecodable_rate == 0.0
+    assert 1.0 <= result.mean_load < 4.0
+    assert result.undecodable == 0
 
 
 def test_undecodable_rate_matches_binomial_tail():
@@ -234,7 +235,7 @@ def test_undecodable_rate_matches_binomial_tail():
     result = run_experiment(Scheme("gc", 1), trials, 3, p, grid)
     tail = sum(math.comb(8, k) * 0.3**k * 0.7 ** (8 - k) for k in range(2, 9))
     margin = 4.0 * math.sqrt(tail * (1.0 - tail) / trials)
-    assert abs(result.loads.undecodable_rate - tail) <= margin
+    assert abs(result.undecodable / trials - tail) <= margin
 
 
 def test_decode_counts_sum_to_trials():
@@ -267,13 +268,18 @@ def test_fixed_code_without_failures_decodes_every_trial_at_its_sigma():
     assert run_experiment(Scheme("uncoded"), 500, 4, p, np.linspace(2.0, 18.0, 10)).decoded == (500,)
 
 
-def test_undecodable_count_matches_undecodable_rate():
+def test_undecodable_count_matches_undecodable_rate(tmp_path):
+    # the simulate command's undecodable_rate is the count over the trials
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.3, n=8)
     trials = 20_000
     result = run_experiment(Scheme("gc", 1), trials, 3, p, np.linspace(2.0, 18.0, 10))
     assert result.undecodable > 0
-    assert result.undecodable / trials == result.loads.undecodable_rate
     assert result.decoded == (0, trials - result.undecodable)
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "--schemes", "gc:1", "--pe", "0.3", "--trials", str(trials), "--seed", "3",
+                 "--steps", "10", "--out", str(out)]) == 0
+    (row,) = (tmp_path / "sim_loads.csv").read_text().splitlines()[1:]
+    assert row == "gc:1,%.12g,%.12g,%.12g" % (result.mean_load, result.p95_load, result.undecodable / trials)
 
 
 def test_decision_of_a_stack_equals_the_decision_of_each_row():
@@ -354,9 +360,9 @@ def test_load_histogram_statistics_equal_numpy_on_the_full_loads(n, tolerance, p
         for trials in (1, 7, chunk + 1, 20_000):
             result = run_experiment(scheme, trials, 3, p, grid)
             loads, latencies = chunk_loads(scheme, trials, 3, p)
-            assert result.loads.mean_load == float(np.mean(loads))
-            assert result.loads.p95_load == float(np.percentile(loads, 95))
-            assert result.loads.undecodable_rate == float(np.mean(np.isinf(latencies)))
+            assert result.mean_load == float(np.mean(loads))
+            assert result.p95_load == float(np.percentile(loads, 95))
+            assert result.undecodable / trials == float(np.mean(np.isinf(latencies)))
 
 
 def test_histogram_percentile_equals_numpy_percentile():
