@@ -79,14 +79,6 @@ class EncodingMatrix:
 
 
 @dataclass(frozen=True)
-class DecodingRow:
-    """Coefficients combining n - sigma responsive rows into the all-ones row."""
-
-    responsive_set: frozenset[int]
-    coefficients: np.ndarray
-
-
-@dataclass(frozen=True)
 class NestedGradientCode:
     """Component codes for sigma = 0..s_max with nested row supports."""
 
@@ -178,12 +170,14 @@ def _combination(code: EncodingMatrix, chosen: tuple[int, ...], tol: float) -> t
     return a, residual
 
 
-def decode_row(code: EncodingMatrix, responsive_set, tol: float = DECODE_TOL) -> DecodingRow:
-    """Decoding coefficients for one straggler pattern.
+def decode_row(code: EncodingMatrix, responsive_set, tol: float = DECODE_TOL) -> np.ndarray:
+    """Decoding coefficients for one straggler pattern: a length-n vector whose
+    combination of the code's rows is the all-ones row.
 
-    ``responsive_set`` may hold more than n - sigma workers; the n - sigma
-    smallest indices are used. Raises NotDecodable when fewer than n - sigma
-    workers responded, NumericalFailure when the residual exceeds ``tol``.
+    ``responsive_set`` may hold more than n - sigma workers; only the n - sigma
+    smallest indices get a coefficient, and every other entry is 0. Raises
+    NotDecodable when fewer than n - sigma workers responded, NumericalFailure
+    when the residual exceeds ``tol``.
     """
     n = code.n
     responders = sorted({int(i) for i in responsive_set})
@@ -196,7 +190,7 @@ def decode_row(code: EncodingMatrix, responsive_set, tol: float = DECODE_TOL) ->
     a, residual = _combination(code, chosen, tol)
     if residual > tol:
         raise NumericalFailure(f"decode residual {residual:.3e} above {tol:g}")
-    return DecodingRow(responsive_set=frozenset(chosen), coefficients=a)
+    return a
 
 
 @dataclass(frozen=True)
@@ -222,7 +216,7 @@ def verify_gradient_code(
     n = code.n
     if n > cap:
         raise CapExceeded(f"n={n} above exhaustive verification cap {cap}")
-    support_ok = all(np.count_nonzero(code.entries[i]) >= sigma + 1 for i in range(n))
+    support_ok = bool((np.count_nonzero(code.entries, axis=1) >= sigma + 1).all())
     subsets = itertools.combinations(range(n), n - sigma)
     # np.max propagates a NaN residual, which then fails the tolerance check
     max_residual = float(np.max([_combination(code, subset, tol)[1] for subset in subsets]))
@@ -235,14 +229,11 @@ def verify_nesting(ngc: NestedGradientCode):
     Returns (True, None) when nested, else (False, (sigma, row)) for the first
     violation.
     """
-    for sigma in range(ngc.s_max):
-        lo = ngc.components[sigma].entries
-        hi = ngc.components[sigma + 1].entries
-        for i in range(ngc.n):
-            inner = set(np.flatnonzero(lo[i]).tolist())
-            outer = set(np.flatnonzero(hi[i]).tolist())
-            if not inner <= outer:
-                return False, (sigma, i)
+    nonzero = np.array([comp.entries != 0 for comp in ngc.components])
+    # (sigma, row) of each row of component sigma with a block outside that row of sigma + 1, sigma-major
+    violations = np.argwhere((nonzero[:-1] & ~nonzero[1:]).any(axis=2))
+    if violations.size:
+        return False, tuple(violations[0].tolist())  # Python ints: the tuple is printed
     return True, None
 
 

@@ -1,14 +1,14 @@
 """Coded distributed gradient descent on a synthetic least-squares problem.
 
 The data matrix is split into n contiguous row blocks (zero-padded to a
-multiple of n), held as one (n, size, c) stack. Each simulated iteration
+multiple of n): data (n, size, c), labels (n, size). Each simulated iteration
 decides which component code decoded first, reconstructs the full gradient
 from the responsive workers' encoded responses, checks it against the directly
 summed gradient, and applies the update theta -= step * gradient, step = eta / m.
 
 Stream rule: a run draws nothing itself. Iteration t is the (t + 1)-th
 decodable trial of the simulator's ngc:s_max chunk streams, and its resamples
-are the undecodable trials since the one before. No outcome depends on theta,
+are the undecodable trials since the one before. No trial depends on theta,
 so a run reads them all before the first update.
 
 The decodings are resolved for the whole run before the first update too:
@@ -30,7 +30,7 @@ import numpy as np
 from .codes import CodeError, EncodingMatrix, MissingGradient, NestedGradientCode, decode_row
 from .codes import encode_response  # noqa: F401 -- bench/workloads.py traces it under this module
 from .latency import ClusterParams, Scheme
-from .simulator import IterationOutcome, _decided_chunks
+from .simulator import _decided_chunks
 from .simulator import simulate_ngc_iteration  # noqa: F401 -- bench/workloads.py traces it under this module
 
 _TARGET_GAP = 1e-9  # loss excess left after a default-rate run, relative to its start
@@ -73,20 +73,11 @@ def make_dataset(m: int, c: int, noise: float, seed: int) -> Dataset:
     return Dataset(data=data, labels=labels)
 
 
-@dataclass(frozen=True)
-class DataBlock:
-    """Rows of one block, data (size, c) with labels (size,), or of a stack of
-    blocks along a leading axis, data (n, size, c) with labels (n, size)."""
-
-    data: np.ndarray
-    labels: np.ndarray
-
-
-def partition(dataset: Dataset, n: int) -> DataBlock:
+def partition(dataset: Dataset, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Split into n contiguous equal blocks, zero-padding the tail if needed.
 
-    The blocks come back as one stack: a reshape of the padded data, not a copy
-    per block. Block i is ``DataBlock(blocks.data[i], blocks.labels[i])``.
+    The blocks come back as data (n, size, c) and labels (n, size): reshapes
+    of the padded arrays, not a copy per block. Block i is (data[i], labels[i]).
     """
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
@@ -96,22 +87,19 @@ def partition(dataset: Dataset, n: int) -> DataBlock:
     if rows != m:
         data = np.vstack([data, np.zeros((rows - m, dataset.c))])
         labels = np.concatenate([labels, np.zeros(rows - m)])
-    return DataBlock(data.reshape(n, rows // n, dataset.c), labels.reshape(n, rows // n))
+    return data.reshape(n, rows // n, dataset.c), labels.reshape(n, rows // n)
 
 
-def _residual(block: DataBlock, theta: np.ndarray) -> np.ndarray:
-    return block.data @ theta - block.labels
-
-
-def _block_gradients(block: DataBlock, residual: np.ndarray) -> np.ndarray:
+def _block_gradients(data: np.ndarray, residual: np.ndarray) -> np.ndarray:
     # residual^T X of each block, as one batched product over the leading block axis
-    return (residual[..., None, :] @ block.data)[..., 0, :]
+    return (residual[..., None, :] @ data)[..., 0, :]
 
 
-def partial_gradient(block: DataBlock, theta: np.ndarray) -> np.ndarray:
-    """Squared-error gradient summed over the block's rows: (c,) for one block,
-    (n, c) for a stack of blocks."""
-    return _block_gradients(block, _residual(block, theta))
+def partial_gradient(data: np.ndarray, labels: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Squared-error gradient summed over a block's rows: (c,) for one block,
+    data (size, c) and labels (size,); (n, c) for a stack of blocks, data
+    (n, size, c) and labels (n, size)."""
+    return _block_gradients(data, data @ theta - labels)
 
 
 def dataset_loss(dataset: Dataset, theta: np.ndarray) -> float:
@@ -130,13 +118,13 @@ class _Decoder:
 
 
 def _decoder(component: EncodingMatrix, responsive: np.ndarray) -> _Decoder:
-    row = decode_row(component, responsive)  # NumericalFailure unless within the residual gate
-    workers = np.array(sorted(row.responsive_set))
+    coefficients = decode_row(component, responsive)  # NumericalFailure unless within the residual gate
+    workers = responsive[:component.n - component.sigma]  # the ones decode_row gives a coefficient
     rows = component.entries[workers]
     # task r of worker i computes block (i + r) mod n, so block j needs (j - i) mod n + 1 tasks
     offsets = (np.arange(component.n) - workers[:, None]) % component.n
     reach = np.where(rows != 0, offsets + 1, 0).max(axis=1)
-    return _Decoder(workers, reach, rows, row.coefficients[workers])
+    return _Decoder(workers, reach, rows, coefficients[workers])
 
 
 def _resolve(ngc: NestedGradientCode, sigma: int, tasks_done: np.ndarray, decoders: dict) -> _Decoder:
@@ -169,25 +157,28 @@ def coded_iteration(
     theta: np.ndarray,
     step: float,
     ngc: NestedGradientCode,
-    outcome: IterationOutcome,
+    sigma: int,
+    tasks_done: np.ndarray,
     gradients: np.ndarray,
     decoders: dict | None = None,
 ) -> tuple[np.ndarray, float]:
     """``theta - step * decoded`` for the gradient decoded from one simulated
     iteration, and its relative error against the directly summed gradient.
 
-    ``gradients`` holds the n block gradients at ``theta``, one row per
-    block. Workers hold gradients for the cyclic block window their completed
-    tasks cover; responses are formed with the decoded component's rows and
-    combined with its decoding coefficients (MissingGradient if a row reaches
-    past its worker's window). ``decoders`` keeps the decoding of each
-    (sigma, responsive set) for later calls.
+    ``sigma`` and ``tasks_done`` are the iteration's decoded tolerance and
+    tasks finished per worker, as ``simulate_ngc_iteration`` gives them;
+    UndecodableIteration when sigma is -1. ``gradients`` holds the n block
+    gradients at ``theta``, one row per block. Workers hold gradients for the
+    cyclic block window their completed tasks cover; responses are formed with
+    the decoded component's rows and combined with its decoding coefficients
+    (MissingGradient if a row reaches past its worker's window). ``decoders``
+    keeps the decoding of each (sigma, responsive set) for later calls.
     """
-    if outcome.decoded_sigma is None:
-        raise UndecodableIteration(f"{outcome.kappa} failures exceed s_max={ngc.s_max}")
+    if sigma < 0:
+        raise UndecodableIteration(f"more failures than s_max={ngc.s_max} tolerates")
     if gradients.shape != (ngc.n, theta.size):
         raise ValueError(f"gradients must be ({ngc.n}, {theta.size}), got {gradients.shape}")
-    decoder = _resolve(ngc, outcome.decoded_sigma, outcome.tasks_done, {} if decoders is None else decoders)
+    decoder = _resolve(ngc, sigma, tasks_done, {} if decoders is None else decoders)
     decoded, relative_error = _decode(decoder, gradients)
     return theta - step * decoded, relative_error
 
@@ -248,8 +239,8 @@ def run_descent(
     UndecodableIteration names the first iteration with no decodable draw in
     ``max_resamples`` resamples (see the module's stream rule). A decoding
     that fails (NumericalFailure, MissingGradient) raises as one
-    ``coded_iteration`` per outcome would at its first failing iteration, but
-    before the first update.
+    ``coded_iteration`` per iteration's (sigma, tasks done) would at its first
+    failing iteration, but before the first update.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
@@ -262,15 +253,15 @@ def run_descent(
     latency, sigma, tasks, resamples = _iteration_trials(cluster, ngc.s_max, seed, iterations, max_resamples)
     decoders = {}
     plan = [_resolve(ngc, s, row, decoders) for s, row in zip(sigma.tolist(), tasks)]
-    blocks = partition(dataset, ngc.n)
+    data, labels = partition(dataset, ngc.n)
     step = eta / dataset.m
     theta = np.zeros(dataset.c)
-    residual = _residual(blocks, theta)  # one per theta: its loss and the next gradients
+    residual = data @ theta - labels  # one per theta: its loss and the next gradients
     thetas, records = [], []
     for t, decoder in enumerate(plan):
-        decoded, relative_error = _decode(decoder, _block_gradients(blocks, residual))
+        decoded, relative_error = _decode(decoder, _block_gradients(data, residual))
         theta = theta - step * decoded
-        residual = _residual(blocks, theta)
+        residual = data @ theta - labels
         thetas.append(theta)
         records.append(
             IterationRecord(

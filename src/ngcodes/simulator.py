@@ -7,7 +7,8 @@ shifted-exponential model (infinite for a failed worker), storing only the
 tasks of the layers the scheme may decode at (``Scheme.layers``): one column
 for gc and uncoded, every column for ngc. Its decision (``_decide``) takes,
 per trial, the earliest moment at which one of those layers has its quorum of
-n - u + 1 workers with u tasks done. An infinite latency is exactly "more
+n - u + 1 workers with u tasks done, and gives each trial as (latency, sigma,
+tasks done per worker). An infinite latency, with sigma -1, is exactly "more
 workers failed than the scheme tolerates".
 
 Stream rule: trials come in chunks of max(1, 2**15 // (n * u_max)) trials,
@@ -31,21 +32,6 @@ import numpy as np
 from .latency import ClusterParams, InvalidParams, LatencyCurve, Scheme, _check_grid, _check_tolerance
 
 CHUNK_ELEMENTS = 2**15  # finish times drawn per chunk; bounds the kernel's memory
-
-
-@dataclass(frozen=True)
-class IterationOutcome:
-    """Result of one simulated iteration.
-
-    ``latency`` and ``decoded_sigma`` are None when more workers failed than
-    the scheme tolerates. ``tasks_done`` counts completed tasks per worker at
-    the moment the iteration stopped (all assigned tasks when it never could).
-    """
-
-    latency: float | None
-    decoded_sigma: int | None
-    tasks_done: np.ndarray
-    kappa: int
 
 
 def _finish_times(p: ClusterParams, uniforms: np.ndarray, waits: np.ndarray, layers):
@@ -120,21 +106,19 @@ def _decided_chunks(scheme: Scheme, p: ClusterParams, seed: int, trials: float =
         c += 1
 
 
-def simulate_ngc_iteration(rng: np.random.Generator, s_max: int, p: ClusterParams) -> IterationOutcome:
+def simulate_ngc_iteration(rng: np.random.Generator, s_max: int, p: ClusterParams) -> tuple[float, int, np.ndarray]:
     """One nested-scheme iteration: stop at the first layer reaching quorum.
 
     Layer u (u = 1..s_max+1) is decodable once n - u + 1 alive workers have
     finished u tasks; the latency is the earliest such moment and the component
-    used is sigma = u - 1, ties resolved toward the smaller tolerance.
+    used is sigma = u - 1, ties resolved toward the smaller tolerance. Returns
+    ``_decide``'s row for the trial, (latency, sigma, tasks done per worker):
+    (inf, -1, every alive worker's tasks) when more workers failed than s_max.
     """
     scheme = Scheme("ngc", s_max)
     _check_tolerance(scheme, p)
-    alive, times = _draw(rng, p, 1, scheme.layers)
-    (latency,), (sigma,), (tasks,) = _decide(scheme, p, alive, times)
-    kappa = p.n - int(alive.sum())
-    if math.isinf(latency):
-        return IterationOutcome(None, None, tasks, kappa)
-    return IterationOutcome(float(latency), int(sigma), tasks, kappa)
+    (latency,), (sigma,), (tasks,) = _decide(scheme, p, *_draw(rng, p, 1, scheme.layers))
+    return float(latency), int(sigma), tasks
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ def test_criterion_2_exhaustive_code_correctness():
             for size in range(sigma + 1):
                 for stragglers in itertools.combinations(range(n), size):
                     responsive = sorted(set(range(n)) - set(stragglers))
-                    coeff = decode_row(component, responsive).coefficients
+                    coeff = decode_row(component, responsive)
                     error = np.abs(coeff @ responses - direct).max() / scale
                     worst = max(worst, error)
                     checked += 1

@@ -43,7 +43,7 @@ def sum_recovery_error(matrix, stragglers, rng):
     gradients = rng.standard_normal((n, 3))
     responses = matrix.entries @ gradients
     responsive = sorted(set(range(n)) - set(stragglers))
-    coeff = decode_row(matrix, responsive).coefficients
+    coeff = decode_row(matrix, responsive)
     recovered = coeff @ responses
     direct = gradients.sum(axis=0)
     return float(np.abs(recovered - direct).max() / np.abs(direct).max())
@@ -88,8 +88,7 @@ def test_identity_base_component():
     ngc = build_ngc(8, 0, seed=5)
     assert len(ngc.components) == 1
     assert np.array_equal(ngc.components[0].entries, np.eye(8))
-    row = decode_row(ngc.components[0], range(8))
-    assert np.allclose(row.coefficients, 1.0)
+    assert np.allclose(decode_row(ngc.components[0], range(8)), 1.0)
 
 
 def test_full_density_at_max_tolerance():
@@ -118,8 +117,15 @@ def test_nesting_violation_reported():
         components=(ngc.components[2], ngc.components[1], ngc.components[0]),
     )
     ok, violation = verify_nesting(shuffled)
-    assert not ok
-    assert violation is not None and violation[0] in (0, 1)
+    assert not ok and violation == (0, 0)
+    assert all(type(v) is int for v in violation)  # verify prints the tuple: no np.int64(...)
+    # the first violating row of the first violating sigma: rows 5 and 6 of
+    # component 2 drop their own block, which component 1 holds
+    entries = ngc.components[2].entries.copy()
+    entries[[6, 5], [6, 5]] = 0.0
+    cut = ngc.__class__(n=8, s_max=2, seed=11,
+                        components=(*ngc.components[:2], EncodingMatrix(entries, sigma=2)))
+    assert verify_nesting(cut) == (False, (1, 5))
 
 
 def test_construction_is_deterministic():
@@ -139,15 +145,15 @@ def test_decode_requires_quorum():
 
 def test_decode_subset_support_and_residual():
     matrix = build_cyclic_encoding(8, 3, seed=2)
-    row = decode_row(matrix, {0, 1, 2, 3, 4})
-    assert set(np.flatnonzero(row.coefficients)) <= {0, 1, 2, 3, 4}
-    assert np.abs(row.coefficients @ matrix.entries - 1.0).max() <= 1e-8
+    coefficients = decode_row(matrix, {0, 1, 2, 3, 4})
+    assert set(np.flatnonzero(coefficients)) <= {0, 1, 2, 3, 4}
+    assert np.abs(coefficients @ matrix.entries - 1.0).max() <= 1e-8
 
 
 def test_decode_uses_smallest_indices_when_overprovisioned():
     matrix = build_cyclic_encoding(8, 3, seed=2)
-    row = decode_row(matrix, range(8))
-    assert row.responsive_set == frozenset({0, 1, 2, 3, 4})
+    coefficients = decode_row(matrix, range(8))
+    assert np.flatnonzero(coefficients).tolist() == [0, 1, 2, 3, 4]
 
 
 def test_verify_identity_passes_at_sigma_zero():

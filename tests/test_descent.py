@@ -18,7 +18,6 @@ from ngcodes.codes import (
     identity_encoding,
 )
 from ngcodes.descent import (
-    DataBlock,
     Dataset,
     IterationRecord,
     UndecodableIteration,
@@ -31,69 +30,61 @@ from ngcodes.descent import (
     default_learning_rate,
 )
 from ngcodes.latency import ClusterParams, Scheme
-from ngcodes.simulator import IterationOutcome, _decide, _draw, run_experiment
+from ngcodes.simulator import _decide, _draw, run_experiment
 from reference import plain_descent
 
 FIG_PARAMS = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=8)
 
 
-def block_loss(block, theta):
-    residual = block.data @ theta - block.labels
+def block_loss(data, labels, theta):
+    residual = data @ theta - labels
     return 0.5 * float(residual @ residual)
 
 
-def finite_difference_gradient(block, theta, h=1e-6):
+def finite_difference_gradient(data, labels, theta, h=1e-6):
     """Oracle: central differences of the block loss."""
     grad = np.zeros_like(theta)
     for j in range(theta.size):
         plus, minus = theta.copy(), theta.copy()
         plus[j] += h
         minus[j] -= h
-        grad[j] = (block_loss(block, plus) - block_loss(block, minus)) / (2 * h)
+        grad[j] = (block_loss(data, labels, plus) - block_loss(data, labels, minus)) / (2 * h)
     return grad
-
-
-def outcome_for(tasks_done, sigma, kappa=0, latency=1.0):
-    return IterationOutcome(
-        latency=latency, decoded_sigma=sigma, tasks_done=np.asarray(tasks_done), kappa=kappa
-    )
 
 
 def test_partition_one_row_blocks():
     ds = make_dataset(8, 3, 0.1, seed=0)
-    blocks = partition(ds, 8)
-    assert blocks.data.shape == (8, 1, 3) and blocks.labels.shape == (8, 1)
-    assert np.array_equal(blocks.data.reshape(-1, 3), ds.data)
+    data, labels = partition(ds, 8)
+    assert data.shape == (8, 1, 3) and labels.shape == (8, 1)
+    assert np.array_equal(data.reshape(-1, 3), ds.data)
 
 
 def test_partition_pads_with_zero_rows():
     ds = make_dataset(10, 3, 0.1, seed=1)
-    blocks = partition(ds, 8)
-    stacked = blocks.data.reshape(-1, 3)
-    labels = blocks.labels.reshape(-1)
+    data, labels = partition(ds, 8)
+    stacked = data.reshape(-1, 3)
     assert stacked.shape == (16, 3)
-    assert blocks.data.shape == (8, 2, 3)
+    assert data.shape == (8, 2, 3)
     assert np.array_equal(stacked[:10], ds.data)
-    assert np.all(stacked[10:] == 0.0) and np.all(labels[10:] == 0.0)
+    assert np.all(stacked[10:] == 0.0) and np.all(labels.reshape(-1)[10:] == 0.0)
     # padded rows contribute nothing to the gradient sum
     theta = np.ones(3)
-    total = partial_gradient(blocks, theta).sum(axis=0)
+    total = partial_gradient(data, labels, theta).sum(axis=0)
     direct = ds.data.T @ (ds.data @ theta - ds.labels)
     assert np.allclose(total, direct, atol=1e-12)
 
 
 def test_partial_gradient_closed_form():
-    blocks = partition(Dataset(np.array([[1.0, 0.0]]), np.array([1.0])), 1)
-    block = DataBlock(blocks.data[0], blocks.labels[0])
-    assert np.array_equal(partial_gradient(block, np.zeros(2)), np.array([-1.0, 0.0]))
-    assert np.array_equal(partial_gradient(blocks, np.zeros(2)), np.array([[-1.0, 0.0]]))
+    data, labels = partition(Dataset(np.array([[1.0, 0.0]]), np.array([1.0])), 1)
+    assert np.array_equal(partial_gradient(data[0], labels[0], np.zeros(2)), np.array([-1.0, 0.0]))
+    assert np.array_equal(partial_gradient(data, labels, np.zeros(2)), np.array([[-1.0, 0.0]]))
 
 
 def test_gradient_sum_vanishes_at_least_squares_solution():
     ds = make_dataset(40, 5, 0.3, seed=2)
     theta_star, *_ = np.linalg.lstsq(ds.data, ds.labels, rcond=None)
-    blocks = partition(ds, 8)
-    total = partial_gradient(blocks, theta_star).sum(axis=0)
+    data, labels = partition(ds, 8)
+    total = partial_gradient(data, labels, theta_star).sum(axis=0)
     assert np.abs(total).max() <= 1e-8
 
 
@@ -101,11 +92,11 @@ def test_partial_gradient_matches_finite_differences():
     ds = make_dataset(24, 4, 0.2, seed=3)
     rng = np.random.default_rng(4)
     theta = rng.standard_normal(4)
-    blocks = partition(ds, 8)
-    stacked = partial_gradient(blocks, theta)
+    data, labels = partition(ds, 8)
+    stacked = partial_gradient(data, labels, theta)
     for i in range(8):
         exact = stacked[i]
-        approx = finite_difference_gradient(DataBlock(blocks.data[i], blocks.labels[i]), theta)
+        approx = finite_difference_gradient(data[i], labels[i], theta)
         scale = max(1.0, np.abs(exact).max())
         assert np.abs(exact - approx).max() / scale <= 1e-5
 
@@ -113,34 +104,32 @@ def test_partial_gradient_matches_finite_differences():
 def test_coded_iteration_identity_component_is_exact():
     ds = make_dataset(32, 4, 0.1, seed=5)
     ngc = build_ngc(8, 3, seed=5)
-    blocks = partition(ds, 8)
+    data, labels = partition(ds, 8)
     theta = np.zeros(4)
-    outcome = outcome_for([4, 4, 4, 4, 4, 4, 4, 4], sigma=0)
-    _, relative_error = coded_iteration(theta, 0.5 / ds.m, ngc, outcome, partial_gradient(blocks, theta))
+    tasks = np.full(8, 4)
+    _, relative_error = coded_iteration(theta, 0.5 / ds.m, ngc, 0, tasks, partial_gradient(data, labels, theta))
     assert relative_error < 1e-12
 
 
 def test_coded_iteration_recovers_for_every_straggler_triple():
     ds = make_dataset(32, 4, 0.1, seed=6)
     ngc = build_ngc(8, 3, seed=6)
-    blocks = partition(ds, 8)
+    data, labels = partition(ds, 8)
     theta = np.full(4, 0.3)
     for stragglers in itertools.combinations(range(8), 3):
         tasks = np.full(8, 4)
         tasks[list(stragglers)] = 0
-        outcome = outcome_for(tasks, sigma=3)
-        _, relative_error = coded_iteration(theta, 0.5 / ds.m, ngc, outcome, partial_gradient(blocks, theta))
+        _, relative_error = coded_iteration(theta, 0.5 / ds.m, ngc, 3, tasks, partial_gradient(data, labels, theta))
         assert relative_error < 1e-8
 
 
 def test_coded_iteration_rejects_undecodable():
     ds = make_dataset(16, 2, 0.1, seed=7)
     ngc = build_ngc(8, 1, seed=7)
-    blocks = partition(ds, 8)
+    data, labels = partition(ds, 8)
     theta = np.zeros(2)
-    outcome = IterationOutcome(latency=None, decoded_sigma=None, tasks_done=np.zeros(8, int), kappa=3)
     with pytest.raises(UndecodableIteration):
-        coded_iteration(theta, 0.5 / ds.m, ngc, outcome, partial_gradient(blocks, theta))
+        coded_iteration(theta, 0.5 / ds.m, ngc, -1, np.zeros(8, int), partial_gradient(data, labels, theta))
 
 
 def test_two_coded_steps_follow_plain_gradient_descent():
@@ -224,15 +213,15 @@ def test_coded_iteration_rejects_row_past_finished_window():
     ds = make_dataset(16, 3, 0.1, seed=14)
     ngc = reach_past_window_code()
     theta, step = np.full(3, 0.2), 0.5 / ds.m
-    gradients = partial_gradient(partition(ds, 4), theta)
+    gradients = partial_gradient(*partition(ds, 4), theta)
     with pytest.raises(MissingGradient):
-        coded_iteration(theta, step, ngc, outcome_for([2, 2, 2, 2], sigma=1), gradients)
+        coded_iteration(theta, step, ngc, 1, np.array([2, 2, 2, 2]), gradients)
     # a decoding already solved for this responsive set is checked again
     decoders = {}
-    _, relative_error = coded_iteration(theta, step, ngc, outcome_for([3, 2, 2, 2], sigma=1), gradients, decoders)
+    _, relative_error = coded_iteration(theta, step, ngc, 1, np.array([3, 2, 2, 2]), gradients, decoders)
     assert relative_error < 1e-12
     with pytest.raises(MissingGradient):
-        coded_iteration(theta, step, ngc, outcome_for([2, 2, 2, 2], sigma=1), gradients, decoders)
+        coded_iteration(theta, step, ngc, 1, np.array([2, 2, 2, 2]), gradients, decoders)
 
 
 def stream_trials(cluster, s_max, seed):
@@ -245,22 +234,22 @@ def stream_trials(cluster, s_max, seed):
         alive, times = _draw(rng, cluster, chunk, scheme.layers)
         latency, sigma, tasks = _decide(scheme, cluster, alive, times)
         for k in range(chunk):
-            yield latency[k], sigma[k], tasks[k], cluster.n - int(alive[k].sum())
+            yield float(latency[k]), int(sigma[k]), tasks[k]
 
 
 def oracle_outcomes(cluster, s_max, seed, iterations, max_resamples=1000):
-    """Oracle: (outcome, resamples) of each iteration, iteration t being the
-    (t + 1)-th decodable stream trial and its resamples the undecodable trials
-    since the one before. Ends with (None, max_resamples + 1) at the first
-    iteration that meets max_resamples + 1 undecodable trials in a row."""
+    """Oracle: ((latency, sigma, tasks), resamples) of each iteration, iteration
+    t being the (t + 1)-th decodable stream trial and its resamples the
+    undecodable trials since the one before. Ends with (None, max_resamples + 1)
+    at the first iteration that meets max_resamples + 1 undecodable trials in a row."""
     outcomes, run = [], 0
-    for latency, sigma, tasks, kappa in stream_trials(cluster, s_max, seed):
+    for latency, sigma, tasks in stream_trials(cluster, s_max, seed):
         if sigma < 0:
             run += 1
             if run > max_resamples:
                 return outcomes + [(None, run)]
             continue
-        outcomes.append((IterationOutcome(float(latency), int(sigma), tasks, kappa), run))
+        outcomes.append(((latency, sigma, tasks), run))
         run = 0
         if len(outcomes) == iterations:
             return outcomes
@@ -270,24 +259,23 @@ def reference_descent(ds, ngc, iterations, eta, cluster, seed):
     """Oracle: one update per outcome from per-block gradients, a fresh decoding
     row and per-worker responses over each worker's finished window."""
     n = ngc.n
-    blocks = partition(ds, n)
+    data, labels = partition(ds, n)
     theta = np.zeros(ds.c)
     thetas, records = [], []
-    for outcome, _ in oracle_outcomes(cluster, ngc.s_max, seed, iterations):
-        sigma = outcome.decoded_sigma
+    for (latency, sigma, tasks), _ in oracle_outcomes(cluster, ngc.s_max, seed, iterations):
         component = ngc.components[sigma]
-        gradients = [partial_gradient(DataBlock(blocks.data[i], blocks.labels[i]), theta)
-                     for i in range(n)]
-        row = decode_row(component, [i for i in range(n) if outcome.tasks_done[i] >= sigma + 1])
+        gradients = [partial_gradient(data[i], labels[i], theta) for i in range(n)]
+        responsive = [i for i in range(n) if tasks[i] >= sigma + 1]
+        coefficients = decode_row(component, responsive)
         decoded = np.zeros(ds.c)
-        for i in sorted(row.responsive_set):
+        for i in responsive:
             available = [None] * n
-            for r in range(int(outcome.tasks_done[i])):
+            for r in range(int(tasks[i])):
                 available[(i + r) % n] = gradients[(i + r) % n]
-            decoded += row.coefficients[i] * encode_response(component.entries[i], available)
+            decoded += coefficients[i] * encode_response(component.entries[i], available)
         theta = theta - (eta / ds.m) * decoded
         thetas.append(theta)
-        records.append((dataset_loss(ds, theta), sigma, float(outcome.latency)))
+        records.append((dataset_loss(ds, theta), sigma, latency))
     return thetas, records
 
 
@@ -320,9 +308,8 @@ def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
     cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=12)
     run = run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
     keys = set()
-    for outcome, _ in oracle_outcomes(cluster, ngc.s_max, 16, len(run.records)):
-        sigma = outcome.decoded_sigma
-        keys.add((sigma, frozenset(np.flatnonzero(outcome.tasks_done >= sigma + 1).tolist())))
+    for (_, sigma, tasks), _ in oracle_outcomes(cluster, ngc.s_max, 16, len(run.records)):
+        keys.add((sigma, frozenset(np.flatnonzero(tasks >= sigma + 1).tolist())))
     assert len(calls) == len(set(calls)) == len(keys) < len(run.records)
     assert set(calls) == keys
     # a fresh run solves its decodings again: nothing is kept between runs
@@ -346,8 +333,8 @@ def test_run_descent_draws_the_per_iteration_streams(s_max, p_e, round_rows):
     cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=p_e, n=12)
     run = run_descent(ds, ngc, 40, default_learning_rate(ds, 40), cluster, seed=17)
     expected = oracle_outcomes(cluster, s_max, 17, 40)
-    assert [r.decoded_sigma for r in run.records] == [o.decoded_sigma for o, _ in expected]
-    assert [r.latency for r in run.records] == [o.latency for o, _ in expected]
+    assert [r.decoded_sigma for r in run.records] == [sigma for (_, sigma, _), _ in expected]
+    assert [r.latency for r in run.records] == [latency for (latency, _, _), _ in expected]
     assert [r.resamples for r in run.records] == [a for _, a in expected]
     if p_e == 0.3:
         assert sum(r.resamples for r in run.records) > 0
@@ -381,17 +368,17 @@ def coded_iteration_loop(ds, ngc, iterations, eta, cluster, seed):
     dict, with the loss of the residual at each new theta and the sigma and
     latency of the outcome."""
     expected = oracle_outcomes(cluster, ngc.s_max, seed, iterations)
-    blocks = partition(ds, ngc.n)
+    data, labels = partition(ds, ngc.n)
     theta, step = np.zeros(ds.c), eta / ds.m
     decoders = {}
     thetas, records = [], []
-    for t, (outcome, resamples) in enumerate(expected):
-        gradients = partial_gradient(blocks, theta)
-        theta, relative_error = coded_iteration(theta, step, ngc, outcome, gradients, decoders)
-        residual = blocks.data @ theta - blocks.labels
+    for t, ((latency, sigma, tasks), resamples) in enumerate(expected):
+        gradients = partial_gradient(data, labels, theta)
+        theta, relative_error = coded_iteration(theta, step, ngc, sigma, tasks, gradients, decoders)
+        residual = data @ theta - labels
         thetas.append(theta)
         records.append(IterationRecord(t, 0.5 * float(np.vdot(residual, residual)), relative_error,
-                                       outcome.decoded_sigma, outcome.latency, resamples))
+                                       sigma, latency, resamples))
     return thetas, records
 
 

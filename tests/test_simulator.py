@@ -8,7 +8,6 @@ from ngcodes.cli import main
 from ngcodes.latency import WAIT_BOUND, ClusterParams, Scheme, _layer_cdf, latency_curve
 from ngcodes.simulator import (
     CHUNK_ELEMENTS,
-    IterationOutcome,
     _decide,
     _draw,
     _finish_times,
@@ -31,17 +30,14 @@ def draw_all(rng, p, trials, u_max):
 
 
 def simulate(rng, scheme, p, trials):
-    """Latency, sigma, tasks done and failures of ``trials`` fresh kernel draws from ``rng``."""
-    alive, times = _draw(rng, p, trials, scheme.layers)
-    return *_decide(scheme, p, alive, times), p.n - alive.sum(axis=1)
+    """Latency, sigma and tasks done of ``trials`` fresh kernel draws from ``rng``."""
+    return _decide(scheme, p, *_draw(rng, p, trials, scheme.layers))
 
 
 def one_trial(scheme, seed, p):
-    """The kernel on a single trial drawn from default_rng(seed)."""
-    latency, sigma, tasks, kappa = simulate(np.random.default_rng(seed), scheme, p, 1)
-    if math.isinf(latency[0]):
-        return IterationOutcome(None, None, tasks[0], int(kappa[0]))
-    return IterationOutcome(float(latency[0]), int(sigma[0]), tasks[0], int(kappa[0]))
+    """The kernel's (latency, sigma, tasks done) on a single trial drawn from default_rng(seed)."""
+    latency, sigma, tasks = simulate(np.random.default_rng(seed), scheme, p, 1)
+    return float(latency[0]), int(sigma[0]), tasks[0]
 
 
 def test_chunk_streams_are_reproducible():
@@ -93,74 +89,74 @@ def test_trace_empirical_cdf_matches_analytic():
 def test_ngc_with_zero_tolerance_waits_for_everyone():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.0, n=8)
     for seed in range(20):
-        outcome = simulate_ngc_iteration(np.random.default_rng(seed), 0, p)
+        latency, sigma, _ = simulate_ngc_iteration(np.random.default_rng(seed), 0, p)
         _, times = draw_all(np.random.default_rng(seed), p, 1, 1)
-        assert outcome.latency == pytest.approx(times.max())
-        assert outcome.decoded_sigma == 0
+        assert latency == pytest.approx(times.max())
+        assert sigma == 0
 
 
 def test_ngc_undecodable_when_all_fail():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=1.0, n=8)
-    outcome = simulate_ngc_iteration(np.random.default_rng(0), 3, p)
-    assert outcome.latency is None and outcome.decoded_sigma is None
-    assert outcome.kappa == 8
-    assert np.all(outcome.tasks_done == 0)
+    latency, sigma, tasks = simulate_ngc_iteration(np.random.default_rng(0), 3, p)
+    assert math.isinf(latency) and sigma == -1
+    alive, _ = draw_all(np.random.default_rng(0), p, 1, 4)
+    assert p.n - alive.sum() == 8
+    assert np.all(tasks == 0)
 
 
 def test_ngc_quorum_and_no_earlier_layer():
     p = FIG_PARAMS
     s_max = 3
     for seed in range(500):
-        outcome = simulate_ngc_iteration(np.random.default_rng(seed), s_max, p)
-        if outcome.latency is None:
-            assert outcome.kappa > s_max
-            continue
-        sigma = outcome.decoded_sigma
-        assert 0 <= sigma <= s_max
-        assert np.sum(outcome.tasks_done >= sigma + 1) >= p.n - sigma
-        assert np.all(outcome.tasks_done <= s_max + 1)
-        # replay the identical stream to inspect raw finish times
+        latency, sigma, tasks = simulate_ngc_iteration(np.random.default_rng(seed), s_max, p)
+        # replay the identical stream to inspect raw failures and finish times
         alive, times = draw_all(np.random.default_rng(seed), p, 1, s_max + 1)
         alive, times = alive[0], times[0]
+        if math.isinf(latency):
+            assert sigma == -1 and p.n - alive.sum() > s_max
+            continue
+        assert 0 <= sigma <= s_max
+        assert np.sum(tasks >= sigma + 1) >= p.n - sigma
+        assert np.all(tasks <= s_max + 1)
         for u in range(1, sigma + 1):  # u < sigma + 1
-            strictly_before = int(np.sum(alive & (times[:, u - 1] < outcome.latency)))
+            strictly_before = int(np.sum(alive & (times[:, u - 1] < latency)))
             assert strictly_before < p.n - u + 1
         for i in range(p.n):
-            expected = int(np.searchsorted(times[i], outcome.latency, side="right")) if alive[i] else 0
-            assert outcome.tasks_done[i] == expected
+            expected = int(np.searchsorted(times[i], latency, side="right")) if alive[i] else 0
+            assert tasks[i] == expected
 
 
 def test_gc_fixed_load_and_order_statistic():
     p = FIG_PARAMS
     for seed in range(200):
-        outcome = one_trial(Scheme("gc", 3), seed, p)
-        alive = outcome.tasks_done > 0
-        assert np.all(outcome.tasks_done[alive] == 4)
-        if outcome.latency is None:
-            assert outcome.kappa > 3
-            continue
+        latency, sigma, tasks = one_trial(Scheme("gc", 3), seed, p)
+        alive = tasks > 0
+        assert np.all(tasks[alive] == 4)
         replay_alive, times = draw_all(np.random.default_rng(seed), p, 1, 4)
+        if math.isinf(latency):
+            assert sigma == -1 and p.n - replay_alive.sum() > 3
+            continue
         finals = sorted(times[0, replay_alive[0], -1])
-        assert outcome.latency == pytest.approx(finals[p.n - 3 - 1])
+        assert latency == pytest.approx(finals[p.n - 3 - 1])
 
 
 def test_gc_and_ngc_agree_at_zero_tolerance():
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.0, n=8)
     for seed in range(50):
-        a = one_trial(Scheme("gc", 0), seed, p)
-        b = one_trial(Scheme("ngc", 0), seed, p)
-        assert a.latency == pytest.approx(b.latency)
+        a, _, _ = one_trial(Scheme("gc", 0), seed, p)
+        b, _, _ = one_trial(Scheme("ngc", 0), seed, p)
+        assert a == pytest.approx(b)
 
 
 def test_ngc_never_slower_than_gc_on_shared_draws():
     p = FIG_PARAMS
     for seed in range(2000):
-        gc_out = one_trial(Scheme("gc", 3), seed, p)
-        ngc_out = one_trial(Scheme("ngc", 3), seed, p)
-        if gc_out.latency is None:
-            assert ngc_out.latency is None
+        gc_latency, _, _ = one_trial(Scheme("gc", 3), seed, p)
+        ngc_latency, ngc_sigma, _ = one_trial(Scheme("ngc", 3), seed, p)
+        if math.isinf(gc_latency):
+            assert math.isinf(ngc_latency) and ngc_sigma == -1
             continue
-        assert ngc_out.latency <= gc_out.latency + 1e-12
+        assert ngc_latency <= gc_latency + 1e-12
 
 
 def test_run_experiment_single_trial_is_step_function():
