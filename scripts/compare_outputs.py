@@ -26,6 +26,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 CODE = {"n": 2, "s_max": 1, "seed": 1, "components": [  # a code whose sigma=1 component is all zeros
+    {"sigma": 0, "windows": [1.0, 1.0]}, {"sigma": 1, "windows": [0.0] * 4}]}
+DENSE = {"n": 2, "s_max": 1, "seed": 1, "components": [  # the same code in the old dense n x n format
     {"sigma": 0, "entries": [1.0, 0.0, 0.0, 1.0]}, {"sigma": 1, "entries": [0.0] * 4}]}
 MALFORMED = {
     "keys-missing.json": '{"n": 4}',
@@ -33,7 +35,8 @@ MALFORMED = {
     "component-not-an-object.json": '{"n": 2, "s_max": 0, "seed": 1, "components": [5]}',
     "no-workers.json": '{"n": 0, "s_max": -1, "seed": 1, "components": []}',
     "null-n.json": '{"n": null, "s_max": 0, "seed": 1, "components": []}',
-    "entries-object.json": '{"n": 1, "s_max": 0, "seed": 1, "components": [{"sigma": 0, "entries": {"a": 1}}]}',
+    "windows-object.json": '{"n": 1, "s_max": 0, "seed": 1, "components": [{"sigma": 0, "windows": {"a": 1}}]}',
+    "windows-not-numbers.json": '{"n": 2, "s_max": 0, "seed": 1, "components": [{"sigma": 0, "windows": ["1", true]}]}',
 }
 HUGE = str(10**400)
 SIZE = "100000000000000"  # 10**14 floats: numpy refuses the allocation at once
@@ -82,12 +85,13 @@ CASES = {
         [], ["frobnicate"], ["--n", "3", "simulate"], ["simulate", "--out", "x.csv", "--bogus", "1"],
         ["construct"], ["analyze"], ["simulate"], ["gd-demo"],
     ]),
-    "code-files": ({**MALFORMED, "tampered.json": json.dumps(CODE)}, [
+    "code-files": ({**MALFORMED, "tampered.json": json.dumps(CODE), "dense.json": json.dumps(DENSE)}, [
         ["construct", "--n", "4", "--smax", "4", "--seed", "1", "--out", "bad-tolerance.json"],
         ["construct", "--n", "6", "--smax", "2", "--seed", "3", "--out", "code.json"],
         *[["verify", "code.json", f"--tol={tol}"] for tol in ("nan", "-1", "inf")],
         ["verify", "nope.json"],
         ["verify", "tampered.json"],
+        ["verify", "dense.json"],
         *[["verify", name] for name in MALFORMED],
     ]),
     "analyze-errors": ({}, [

@@ -180,7 +180,7 @@ def cmd_construct(args) -> int:
     Path(args.out).write_text(code_to_json(ngc) + "\n")
     print(f"wrote {args.out}: n={n}, s_max={s_max}, seed={seed}, {len(ngc.components)} components")
     for comp in ngc.components:
-        sizes = set(np.count_nonzero(comp.entries, axis=1).tolist())
+        sizes = set(np.count_nonzero(comp.windows, axis=1).tolist())
         print(f"  sigma={comp.sigma}: row support size {sorted(sizes)}")
     if n <= VERIFY_CAP:
         ok = all(

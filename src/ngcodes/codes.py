@@ -11,7 +11,9 @@ n - sigma worker responses.
 
 A nested family stacks one such code per tolerance sigma = 0..s_max; the
 cyclic windows grow by one block per level, so each worker can serve every
-level of the family from a single layered task schedule.
+level of the family from a single layered task schedule. A component and its
+code file hold only the n (sigma + 1) window coefficients; B itself is built
+where a computation needs it.
 """
 from __future__ import annotations
 
@@ -63,19 +65,30 @@ def cyclic_support(i: int, sigma: int, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EncodingMatrix:
-    """An n x n encoding matrix with cyclic row supports of size sigma + 1."""
+    """An n x n encoding matrix held as its cyclic windows: ``windows[i, k]``
+    is row i's coefficient of block (i + k) mod n, for k = 0..sigma."""
 
-    entries: np.ndarray
-    sigma: int
+    windows: np.ndarray
 
     def __post_init__(self):
         # a NaN would send the least-squares decode into a solver that never returns
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("encoding matrix entries must be finite")
+        if not (self.windows.ndim == 2 and 1 <= self.windows.shape[1] <= len(self.windows)
+                and np.isfinite(self.windows).all()):
+            raise ValueError("windows must be a finite (n, sigma + 1) array with sigma in [0, n-1]")
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.windows.shape[0]
+
+    @property
+    def sigma(self) -> int:
+        return self.windows.shape[1] - 1
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix B, each window placed on its blocks and zeros elsewhere."""
+        b = np.zeros((self.n, self.n))
+        np.put_along_axis(b, cyclic_support(np.arange(self.n)[:, None], self.sigma, self.n), self.windows, axis=1)
+        return b
 
 
 @dataclass(frozen=True)
@@ -90,7 +103,7 @@ class NestedGradientCode:
 
 def identity_encoding(n: int) -> EncodingMatrix:
     """The tolerance-0 component: each worker computes exactly its own block."""
-    return EncodingMatrix(entries=np.eye(n), sigma=0)
+    return EncodingMatrix(np.ones((n, 1)))
 
 
 def _attempt_cyclic(n: int, sigma: int, rng: np.random.Generator) -> EncodingMatrix:
@@ -98,20 +111,17 @@ def _attempt_cyclic(n: int, sigma: int, rng: np.random.Generator) -> EncodingMat
     h[:, -1] = -h[:, :-1].sum(axis=1)  # rows sum to zero, so ones lies in null(H)
     # row i puts 1 on block i and solves H[:, tail] x = -H[:, i] over the rest
     # of its window; the n systems are stacked as one (n, sigma, sigma) batch
-    windows = cyclic_support(np.arange(n)[:, None], sigma, n)
-    heads, tails = windows[:, 0], windows[:, 1:]
+    blocks = cyclic_support(np.arange(n)[:, None], sigma, n)
+    heads, tails = blocks[:, 0], blocks[:, 1:]
     systems = h[:, tails].transpose(1, 0, 2)
     ill = np.flatnonzero(np.linalg.cond(systems) > COND_LIMIT)
     if ill.size:
         raise SingularSystem(f"row {ill[0]}: coefficient system condition number above {COND_LIMIT:g}")
-    b = np.zeros((n, n))
-    rows = np.arange(n)
-    b[rows, heads] = 1.0
-    b[rows[:, None], tails] = np.linalg.solve(systems, -h[:, heads].T[:, :, None])[:, :, 0]
-    residual = np.abs(h @ b.T).max()
+    code = EncodingMatrix(np.hstack([np.ones((n, 1)), np.linalg.solve(systems, -h[:, heads].T[:, :, None])[:, :, 0]]))
+    residual = np.abs(h @ code.dense().T).max()
     if residual > NULLSPACE_TOL:
         raise SingularSystem(f"null-space residual {residual:.3e} above {NULLSPACE_TOL:g}")
-    return EncodingMatrix(entries=b, sigma=sigma)
+    return code
 
 
 def build_cyclic_encoding(n: int, sigma: int, seed: int) -> EncodingMatrix:
@@ -153,20 +163,20 @@ def build_ngc(n: int, s_max: int, seed: int) -> NestedGradientCode:
     return NestedGradientCode(n=n, s_max=s_max, seed=seed, components=tuple(components))
 
 
-def _combination(code: EncodingMatrix, chosen: tuple[int, ...], tol: float) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients combining the chosen rows into all-ones, and
-    their residual. A residual above ``tol`` gets up to two correction steps,
-    each solving the same system for the residual 1 - a B and adding the result."""
-    rows = code.entries[list(chosen)]
-    solution, *_ = np.linalg.lstsq(rows.T, np.ones(code.n), rcond=None)
-    a = np.zeros(code.n)
+def _combination(b: np.ndarray, chosen: tuple[int, ...], tol: float) -> tuple[np.ndarray, float]:
+    """Least-squares coefficients combining the chosen rows of the dense ``b``
+    into all-ones, and their residual. A residual above ``tol`` gets up to two
+    correction steps, each solving the system for 1 - a b and adding the result."""
+    rows = b[list(chosen)]
+    solution, *_ = np.linalg.lstsq(rows.T, np.ones(len(b)), rcond=None)
+    a = np.zeros(len(b))
     a[list(chosen)] = solution
-    residual = float(np.abs(a @ code.entries - 1.0).max())
+    residual = float(np.abs(a @ b - 1.0).max())
     for _ in range(2):
         if not tol < residual < np.inf:  # a NaN or infinite residual is kept: no step corrects it
             break
-        a[list(chosen)] += np.linalg.lstsq(rows.T, 1.0 - a @ code.entries, rcond=None)[0]
-        residual = float(np.abs(a @ code.entries - 1.0).max())
+        a[list(chosen)] += np.linalg.lstsq(rows.T, 1.0 - a @ b, rcond=None)[0]
+        residual = float(np.abs(a @ b - 1.0).max())
     return a, residual
 
 
@@ -187,7 +197,7 @@ def decode_row(code: EncodingMatrix, responsive_set, tol: float = DECODE_TOL) ->
     if len(responders) < need:
         raise NotDecodable(f"{len(responders)} responsive workers, need {need} for sigma={code.sigma}")
     chosen = tuple(responders[:need])
-    a, residual = _combination(code, chosen, tol)
+    a, residual = _combination(code.dense(), chosen, tol)
     if residual > tol:
         raise NumericalFailure(f"decode residual {residual:.3e} above {tol:g}")
     return a
@@ -210,37 +220,39 @@ def verify_gradient_code(
     """Exhaustively check the defining properties for tolerance sigma.
 
     Enumerates every (n - sigma)-subset of rows, so n is capped (CapExceeded
-    above ``cap``). The report records support sizes and per-subset
-    decodability; a NaN residual counts as undecodable.
+    above ``cap``). The support is ok when the windows span at least sigma + 1
+    blocks with no zero inside a window; a NaN residual counts as undecodable.
     """
     n = code.n
     if n > cap:
         raise CapExceeded(f"n={n} above exhaustive verification cap {cap}")
-    support_ok = bool((np.count_nonzero(code.entries, axis=1) >= sigma + 1).all())
-    subsets = itertools.combinations(range(n), n - sigma)
+    support_ok = bool(code.sigma >= sigma and code.windows.all())
+    b, subsets = code.dense(), itertools.combinations(range(n), n - sigma)
     # np.max propagates a NaN residual, which then fails the tolerance check
-    max_residual = float(np.max([_combination(code, subset, tol)[1] for subset in subsets]))
+    max_residual = float(np.max([_combination(b, subset, tol)[1] for subset in subsets]))
     return VerificationReport(support_ok, bool(max_residual <= tol), max_residual)
 
 
 def verify_nesting(ngc: NestedGradientCode):
-    """Check row-support inclusion between adjacent components.
+    """Check row-support inclusion between adjacent components, window offset
+    by window offset (offset k of row i is block (i + k) mod n at every sigma).
 
     Returns (True, None) when nested, else (False, (sigma, row)) for the first
     violation.
     """
-    nonzero = np.array([comp.entries != 0 for comp in ngc.components])
-    # (sigma, row) of each row of component sigma with a block outside that row of sigma + 1, sigma-major
-    violations = np.argwhere((nonzero[:-1] & ~nonzero[1:]).any(axis=2))
-    if violations.size:
-        return False, tuple(violations[0].tolist())  # Python ints: the tuple is printed
+    for sigma, (comp, wider) in enumerate(zip(ngc.components, ngc.components[1:])):
+        lost, width = comp.windows != 0, min(comp.sigma, wider.sigma) + 1
+        lost[:, :width] &= wider.windows[:, :width] == 0  # an offset past the wider window stays lost
+        rows = np.flatnonzero(lost.any(axis=1))
+        if rows.size:
+            return False, (sigma, int(rows[0]))  # Python ints: the tuple is printed
     return True, None
 
 
 def encode_response(coeff_row: np.ndarray, partial_gradients) -> np.ndarray:
     """One worker's response: the coefficient-weighted sum of its gradients.
 
-    ``partial_gradients`` is indexed by block; entries outside the row support
+    ``partial_gradients`` is indexed by block; blocks outside the row support
     may be None and are never read. MissingGradient if a support index is None.
     """
     coeff_row = np.asarray(coeff_row, dtype=float)
@@ -258,13 +270,13 @@ def encode_response(coeff_row: np.ndarray, partial_gradients) -> np.ndarray:
 
 
 def code_to_json(ngc: NestedGradientCode) -> str:
-    """Serialize to JSON with row-major entries (exact double round-trip)."""
+    """Serialize to JSON with row-major windows (exact double round-trip)."""
     doc = {
         "n": ngc.n,
         "s_max": ngc.s_max,
         "seed": ngc.seed,
         "components": [
-            {"sigma": comp.sigma, "entries": comp.entries.reshape(-1).tolist()}
+            {"sigma": comp.sigma, "windows": comp.windows.reshape(-1).tolist()}
             for comp in ngc.components
         ],
     }
@@ -282,7 +294,7 @@ def _json_int(value, name: str) -> int:
 def code_from_json(text: str) -> NestedGradientCode:
     """The code of a JSON document; ValueError unless it is an object holding the
     integers n >= 1, s_max in [0, n-1] and seed >= 0 (as build_ngc requires) and
-    a list of component objects, each with its integer sigma."""
+    a list of component objects, each with its integer sigma and n (sigma + 1) windows."""
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise ValueError("code file must hold a JSON object")
@@ -299,14 +311,18 @@ def code_from_json(text: str) -> NestedGradientCode:
             raise ValueError(f"expected {s_max + 1} components, found {len(raw)}")
         components = []
         for sigma, comp in enumerate(raw):
-            if not (isinstance(comp, dict) and "sigma" in comp and "entries" in comp):
-                raise ValueError(f"component {sigma} is not an object holding sigma and entries")
+            if isinstance(comp, dict) and "entries" in comp and "windows" not in comp:
+                raise ValueError(f"component {sigma} uses the old dense format; rerun construct to rewrite the file")
+            if not (isinstance(comp, dict) and "sigma" in comp and "windows" in comp):
+                raise ValueError(f"component {sigma} is not an object holding sigma and windows")
             if _json_int(comp["sigma"], f"component {sigma} sigma") != sigma:
                 raise ValueError(f"component {sigma} labelled sigma={comp['sigma']}")
-            entries = np.array(comp["entries"], dtype=float)
-            if entries.size != n * n:
-                raise ValueError(f"component {sigma}: expected {n * n} entries")
-            components.append(EncodingMatrix(entries=entries.reshape(n, n), sigma=sigma))
+            values = comp["windows"]
+            if not isinstance(values, list) or len(values) != n * (sigma + 1):
+                raise ValueError(f"component {sigma}: expected a list of {n * (sigma + 1)} window coefficients")
+            if bad := [v for v in values if type(v) not in (int, float)]:  # a bool, a string, a null, a list
+                raise ValueError(f"component {sigma}: window coefficients must be numbers, got {json.dumps(bad[0])}")
+            components.append(EncodingMatrix(np.array(values, dtype=float).reshape(n, sigma + 1)))
     except (TypeError, OverflowError) as exc:  # a value of the wrong JSON type, or an infinite one
         raise ValueError(f"malformed code file: {exc}") from exc
     return NestedGradientCode(n=n, s_max=s_max, seed=seed, components=tuple(components))

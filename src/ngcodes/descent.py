@@ -12,13 +12,14 @@ are the undecodable trials since the one before. No trial depends on theta,
 so a run reads them all before the first update.
 
 The decodings are resolved for the whole run before the first update too:
-each (sigma, responsive set) is solved once, and every iteration's finished
-tasks are checked against the rows its decoding uses, so a run that cannot
-decode fails before it starts. The update loop then runs only the data
-products, the decode and the update. It computes one residual X theta - y
-per theta, which gives both the recorded loss and all n block gradients of
-the next iteration (one batched product); the responses of the workers a
-decoding uses are one product of their encoding rows with those gradients.
+each (sigma, responsive set) is solved once, so a run that cannot decode
+fails before it starts. A responsive worker at sigma has finished at least
+sigma + 1 tasks, which cover its whole window, so every row a decoding uses
+can be formed. The update loop then runs only the data products, the decode
+and the update. It computes one residual X theta - y per theta, which gives
+both the recorded loss and all n block gradients of the next iteration (one
+batched product); the responses of the workers a decoding uses are one
+product of their encoding rows with those gradients.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeError, EncodingMatrix, MissingGradient, NestedGradientCode, decode_row
+from .codes import CodeError, NestedGradientCode, decode_row
 from .codes import encode_response  # noqa: F401 -- bench/workloads.py traces it under this module
 from .latency import ClusterParams, Scheme
 from .simulator import _decided_chunks
@@ -112,37 +113,20 @@ class _Decoder:
     """How one (sigma, responsive set) decodes: which workers answer, and how."""
 
     workers: np.ndarray  # the responsive workers the decoding row uses, ascending
-    reach: np.ndarray    # tasks each must have finished to hold its row's blocks
-    rows: np.ndarray     # their rows of the component's encoding matrix
+    rows: np.ndarray     # their rows of the component's dense encoding matrix
     weights: np.ndarray  # their decoding coefficients
 
 
-def _decoder(component: EncodingMatrix, responsive: np.ndarray) -> _Decoder:
-    coefficients = decode_row(component, responsive)  # NumericalFailure unless within the residual gate
-    workers = responsive[:component.n - component.sigma]  # the ones decode_row gives a coefficient
-    rows = component.entries[workers]
-    # task r of worker i computes block (i + r) mod n, so block j needs (j - i) mod n + 1 tasks
-    offsets = (np.arange(component.n) - workers[:, None]) % component.n
-    reach = np.where(rows != 0, offsets + 1, 0).max(axis=1)
-    return _Decoder(workers, reach, rows, coefficients[workers])
-
-
 def _resolve(ngc: NestedGradientCode, sigma: int, tasks_done: np.ndarray, decoders: dict) -> _Decoder:
-    """The decoding at ``sigma``, solved once per (sigma, responsive set) in
-    ``decoders``; MissingGradient if a row it uses reaches past ``tasks_done``."""
+    """The decoding at ``sigma``, solved once per (sigma, responsive set) in ``decoders``."""
     responsive = np.flatnonzero(tasks_done >= sigma + 1)
     key = (sigma, tuple(responsive.tolist()))
-    decoder = decoders.get(key)
-    if decoder is None:
-        decoder = decoders[key] = _decoder(ngc.components[sigma], responsive)
-    short = tasks_done[decoder.workers] < decoder.reach
-    if short.any():
-        k = int(np.argmax(short))
-        raise MissingGradient(
-            f"worker {decoder.workers[k]} finished {tasks_done[decoder.workers[k]]} tasks, "
-            f"but its encoding row needs {decoder.reach[k]}"
-        )
-    return decoder
+    if key not in decoders:
+        component = ngc.components[sigma]
+        coefficients = decode_row(component, responsive)  # NumericalFailure unless within the residual gate
+        workers = responsive[:ngc.n - sigma]  # the ones decode_row gives a coefficient
+        decoders[key] = _Decoder(workers, component.dense()[workers], coefficients[workers])
+    return decoders[key]
 
 
 def _decode(decoder: _Decoder, gradients: np.ndarray) -> tuple[np.ndarray, float]:
@@ -168,11 +152,11 @@ def coded_iteration(
     ``sigma`` and ``tasks_done`` are the iteration's decoded tolerance and
     tasks finished per worker, as ``simulate_ngc_iteration`` gives them;
     UndecodableIteration when sigma is -1. ``gradients`` holds the n block
-    gradients at ``theta``, one row per block. Workers hold gradients for the
-    cyclic block window their completed tasks cover; responses are formed with
-    the decoded component's rows and combined with its decoding coefficients
-    (MissingGradient if a row reaches past its worker's window). ``decoders``
-    keeps the decoding of each (sigma, responsive set) for later calls.
+    gradients at ``theta``, one row per block. A worker that finished sigma + 1
+    tasks holds the gradients of its whole window, so the responses are formed
+    with the decoded component's rows and combined with its decoding
+    coefficients. ``decoders`` keeps the decoding of each (sigma, responsive
+    set) for later calls.
     """
     if sigma < 0:
         raise UndecodableIteration(f"more failures than s_max={ngc.s_max} tolerates")
@@ -238,9 +222,9 @@ def run_descent(
 
     UndecodableIteration names the first iteration with no decodable draw in
     ``max_resamples`` resamples (see the module's stream rule). A decoding
-    that fails (NumericalFailure, MissingGradient) raises as one
-    ``coded_iteration`` per iteration's (sigma, tasks done) would at its first
-    failing iteration, but before the first update.
+    that fails (NumericalFailure) raises as one ``coded_iteration`` per
+    iteration's (sigma, tasks done) would at its first failing iteration, but
+    before the first update.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")

@@ -69,7 +69,7 @@ def test_criterion_2_exhaustive_code_correctness():
         scale = np.abs(direct).max()
         for sigma in range(1, ngc.s_max + 1):
             component = ngc.components[sigma]
-            responses = component.entries @ gradients
+            responses = component.dense() @ gradients
             for size in range(sigma + 1):
                 for stragglers in itertools.combinations(range(n), size):
                     responsive = sorted(set(range(n)) - set(stragglers))

@@ -63,7 +63,7 @@ def test_construct_roundtrip_bit_identical(tmp_path):
     assert first.read_bytes() == second.read_bytes()
     a, b = code_from_json(first.read_text()), code_from_json(second.read_text())
     for x, y in zip(a.components, b.components):
-        assert np.array_equal(x.entries, y.entries)
+        assert np.array_equal(x.windows, y.windows)
 
 
 def test_construct_rejects_out_of_range_tolerance(tmp_path):
@@ -79,7 +79,7 @@ def test_verify_accepts_good_and_rejects_tampered_files(tmp_path, capsys):
     assert "all checks passed" in capsys.readouterr().out
 
     doc = json.loads(out.read_text())
-    doc["components"][2]["entries"] = [0.0] * 36
+    doc["components"][2]["windows"] = [0.0] * 18
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["verify", str(bad)]) == 2
@@ -639,14 +639,45 @@ def edited_code(value, *path):
     edited_code(True, "s_max"),
     edited_code(-3, "seed"),
     edited_code(1.5, "components", 1, "sigma"),
+    '{"n": 1, "s_max": 0, "seed": 1, "components": [{"sigma": 0, "windows": {"a": 1}}]}',
+    '{"n": 2, "s_max": 0, "seed": 1, "components": [{"sigma": 0, "windows": ["1", true]}]}',
+    edited_code("0.5", "components", 1, "windows", 0),
+    edited_code(True, "components", 0, "windows", 3),
+    edited_code(None, "components", 1, "windows", 7),
+    edited_code([[1.0, 0.5]] * 4, "components", 1, "windows"),
+    edited_code([1.0] * 4, "components", 1, "windows"),
+    '{"n": 2, "s_max": 0, "seed": 1, "components": [{"sigma": 0, "entries": ["1", "0", "0", true]}]}',
 ], ids=["keys-missing", "not-an-object", "component-not-an-object", "no-workers", "null-n", "entries-object",
-        "float-n", "bool-s_max", "negative-seed", "float-sigma"])
+        "float-n", "bool-s_max", "negative-seed", "float-sigma", "windows-object", "windows-string-and-bool",
+        "window-string", "window-bool", "window-null", "windows-nested", "windows-too-short", "old-dense-strings"])
 def test_verify_rejects_a_malformed_code_file(document, tmp_path, capsys):
     path = tmp_path / "code.json"
     path.write_text(document)
     assert main(["verify", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
+
+
+def test_verify_names_the_old_dense_format_and_how_to_rewrite_it(tmp_path, capsys):
+    ngc = build_ngc(4, 1, 0)
+    dense = {"n": 4, "s_max": 1, "seed": 0,
+             "components": [{"sigma": c.sigma, "entries": c.dense().reshape(-1).tolist()} for c in ngc.components]}
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(dense, indent=2))
+    assert main(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: component 0 uses the old dense format; rerun construct to rewrite the file\n")
+
+
+def test_construct_at_n256_writes_n_sigma_plus_one_numbers_per_component(tmp_path, capsys):
+    path = tmp_path / "code.json"
+    assert main(["construct", "--n", "256", "--smax", "32", "--seed", "2", "--out", str(path)]) == 0
+    assert "row support size [33]" in capsys.readouterr().out
+    assert path.stat().st_size < 5_000_000
+    doc = json.loads(path.read_text())
+    assert [len(c["windows"]) for c in doc["components"]] == [256 * (sigma + 1) for sigma in range(33)]
+    assert all(set(c) == {"sigma", "windows"} for c in doc["components"])
 
 
 def test_top_level_help_is_for_users_not_readers_of_the_source(capsys):

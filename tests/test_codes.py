@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -28,11 +29,12 @@ from ngcodes.codes import (
 )
 
 
-def ones_residual(entries, subset):
+def ones_residual(b, subset):
     """Oracle: least-squares distance from the all-ones row to the span of the
-    chosen rows, solved through scipy independently of the decoding path."""
-    rows = entries[list(subset)]
-    solution, *_ = scipy.linalg.lstsq(rows.T, np.ones(entries.shape[0]))
+    chosen rows of the dense matrix b, solved through scipy independently of
+    the decoding path."""
+    rows = b[list(subset)]
+    solution, *_ = scipy.linalg.lstsq(rows.T, np.ones(b.shape[0]))
     return float(np.abs(rows.T @ solution - 1.0).max())
 
 
@@ -41,7 +43,7 @@ def sum_recovery_error(matrix, stragglers, rng):
     of encoded responses against the directly summed random gradients."""
     n = matrix.n
     gradients = rng.standard_normal((n, 3))
-    responses = matrix.entries @ gradients
+    responses = matrix.dense() @ gradients
     responsive = sorted(set(range(n)) - set(stragglers))
     coeff = decode_row(matrix, responsive)
     recovered = coeff @ responses
@@ -58,15 +60,16 @@ def test_cyclic_encoding_rejects_sigma_out_of_range():
 
 def test_cyclic_supports_wrap():
     matrix = build_cyclic_encoding(8, 3, seed=1)
-    assert set(np.flatnonzero(matrix.entries[0])) == {0, 1, 2, 3}
-    assert set(np.flatnonzero(matrix.entries[6])) == {6, 7, 0, 1}  # wraps past n
+    assert set(np.flatnonzero(matrix.dense()[0])) == {0, 1, 2, 3}
+    assert set(np.flatnonzero(matrix.dense()[6])) == {6, 7, 0, 1}  # wraps past n
 
 
 def test_support_exactly_sigma_plus_one():
     for seed in range(3):
         matrix = build_cyclic_encoding(8, 3, seed=seed)
+        assert matrix.windows.shape == (8, 4) and matrix.sigma == 3
         for i in range(8):
-            support = set(np.flatnonzero(matrix.entries[i]))
+            support = set(np.flatnonzero(matrix.dense()[i]))
             assert support == set(cyclic_support(i, 3, 8).tolist())
             assert len(support) == 4
 
@@ -74,7 +77,7 @@ def test_support_exactly_sigma_plus_one():
 def test_every_three_row_subset_recovers_ones():
     matrix = build_cyclic_encoding(4, 1, seed=0)
     for subset in itertools.combinations(range(4), 3):
-        assert ones_residual(matrix.entries, subset) < 1e-9
+        assert ones_residual(matrix.dense(), subset) < 1e-9
 
 
 def test_a_null_space_residual_above_the_tolerance_fails_construction(monkeypatch):
@@ -87,14 +90,15 @@ def test_a_null_space_residual_above_the_tolerance_fails_construction(monkeypatc
 def test_identity_base_component():
     ngc = build_ngc(8, 0, seed=5)
     assert len(ngc.components) == 1
-    assert np.array_equal(ngc.components[0].entries, np.eye(8))
+    assert np.array_equal(ngc.components[0].windows, np.ones((8, 1)))
+    assert np.array_equal(ngc.components[0].dense(), np.eye(8))
     assert np.allclose(decode_row(ngc.components[0], range(8)), 1.0)
 
 
 def test_full_density_at_max_tolerance():
     ngc = build_ngc(6, 5, seed=1)
-    dense = ngc.components[5]
-    assert all(np.count_nonzero(dense.entries[i]) == 6 for i in range(6))
+    b = ngc.components[5].dense()
+    assert all(np.count_nonzero(b[i]) == 6 for i in range(6))
 
 
 def test_nesting_holds_for_built_families():
@@ -120,21 +124,47 @@ def test_nesting_violation_reported():
     assert not ok and violation == (0, 0)
     assert all(type(v) is int for v in violation)  # verify prints the tuple: no np.int64(...)
     # the first violating row of the first violating sigma: rows 5 and 6 of
-    # component 2 drop their own block, which component 1 holds
-    entries = ngc.components[2].entries.copy()
-    entries[[6, 5], [6, 5]] = 0.0
+    # component 2 drop their own block (window offset 0), which component 1 holds
+    windows = ngc.components[2].windows.copy()
+    windows[[6, 5], 0] = 0.0
     cut = ngc.__class__(n=8, s_max=2, seed=11,
-                        components=(*ngc.components[:2], EncodingMatrix(entries, sigma=2)))
+                        components=(*ngc.components[:2], EncodingMatrix(windows)))
     assert verify_nesting(cut) == (False, (1, 5))
+    # a zero at the last offset of component 2 drops a block component 1 never held: still nested
+    windows = ngc.components[2].windows.copy()
+    windows[3, 2] = 0.0
+    assert verify_nesting(ngc.__class__(n=8, s_max=2, seed=11,
+                                        components=(*ngc.components[:2], EncodingMatrix(windows)))) == (True, None)
+
+
+def dense_nesting_violation(ngc):
+    """Oracle: the first (sigma, row) whose dense row holds a block that the
+    next component's row does not, or None."""
+    for sigma, (a, b) in enumerate(zip(ngc.components, ngc.components[1:])):
+        for row in range(ngc.n):
+            if np.any((a.dense()[row] != 0) & (b.dense()[row] == 0)):
+                return sigma, row
+    return None
+
+
+def test_window_nesting_matches_the_dense_masks():
+    rng = np.random.default_rng(7)
+    ngc = build_ngc(10, 5, seed=4)
+    for _ in range(200):
+        components = [EncodingMatrix(np.where(rng.random(c.windows.shape) < 0.1, 0.0, c.windows))
+                      for c in ngc.components]
+        tampered = ngc.__class__(n=10, s_max=5, seed=4, components=tuple(components))
+        expected = dense_nesting_violation(tampered)
+        assert verify_nesting(tampered) == ((True, None) if expected is None else (False, expected))
 
 
 def test_construction_is_deterministic():
     a = build_ngc(9, 4, seed=123)
     b = build_ngc(9, 4, seed=123)
     for x, y in zip(a.components, b.components):
-        assert np.array_equal(x.entries, y.entries)
+        assert np.array_equal(x.windows, y.windows)
     c = build_ngc(9, 4, seed=124)
-    assert not np.array_equal(a.components[1].entries, c.components[1].entries)
+    assert not np.array_equal(a.components[1].windows, c.components[1].windows)
 
 
 def test_decode_requires_quorum():
@@ -147,7 +177,7 @@ def test_decode_subset_support_and_residual():
     matrix = build_cyclic_encoding(8, 3, seed=2)
     coefficients = decode_row(matrix, {0, 1, 2, 3, 4})
     assert set(np.flatnonzero(coefficients)) <= {0, 1, 2, 3, 4}
-    assert np.abs(coefficients @ matrix.entries - 1.0).max() <= 1e-8
+    assert np.abs(coefficients @ matrix.dense() - 1.0).max() <= 1e-8
 
 
 def test_decode_uses_smallest_indices_when_overprovisioned():
@@ -166,7 +196,7 @@ def test_verify_built_code_passes(monkeypatch):
     report = verify_gradient_code(matrix, sigma=3)
     assert report.support_ok and report.decodable_ok
     # a NaN residual compares false against any tolerance: it must not pass
-    monkeypatch.setattr(ngcodes.codes, "_combination", lambda code, chosen, tol: (np.zeros(code.n), math.nan))
+    monkeypatch.setattr(ngcodes.codes, "_combination", lambda b, chosen, tol: (np.zeros(len(b)), math.nan))
     report = verify_gradient_code(matrix, sigma=3)
     assert report.support_ok and not report.decodable_ok and not report.passed
     assert math.isnan(report.max_residual)
@@ -175,11 +205,12 @@ def test_verify_built_code_passes(monkeypatch):
 def first_solve_combination(code, chosen):
     """The decoding coefficients and residual of a single least-squares solve,
     as decoding computed them before residuals above the gate were corrected."""
-    rows = code.entries[list(chosen)]
+    b = code.dense()
+    rows = b[list(chosen)]
     solution, *_ = np.linalg.lstsq(rows.T, np.ones(code.n), rcond=None)
     a = np.zeros(code.n)
     a[list(chosen)] = solution
-    residual = float(np.abs(a @ code.entries - 1.0).max())
+    residual = float(np.abs(a @ b - 1.0).max())
     return a, residual
 
 
@@ -187,7 +218,7 @@ def test_a_decoding_within_the_gate_keeps_its_first_solve_bits():
     ngc = build_ngc(12, 5, seed=42)
     for code in ngc.components:
         for subset in itertools.combinations(range(12), 12 - code.sigma):
-            a, residual = ngcodes.codes._combination(code, subset, ngcodes.codes.DECODE_TOL)
+            a, residual = ngcodes.codes._combination(code.dense(), subset, ngcodes.codes.DECODE_TOL)
             expected_a, expected_residual = first_solve_combination(code, subset)
             assert expected_residual <= ngcodes.codes.DECODE_TOL
             assert (a.tobytes(), residual) == (expected_a.tobytes(), expected_residual)
@@ -242,7 +273,7 @@ def test_construction_failure_is_reachable(monkeypatch):
 
 def per_row_attempt(n, sigma, rng):
     """Oracle: one construction attempt a row at a time, each row's condition
-    check before its solve. Returns the entries, or the first ill-conditioned row."""
+    check before its solve. Returns the dense matrix, or the first ill-conditioned row."""
     h = rng.standard_normal((sigma, n))
     h[:, -1] = -h[:, :-1].sum(axis=1)
     b = np.zeros((n, n))
@@ -267,7 +298,7 @@ def test_batched_construction_matches_per_row_solves():
     for n in range(2, 17):
         for sigma in range(1, n):
             for seed in range(3):
-                built = build_cyclic_encoding(n, sigma, seed).entries
+                built = build_cyclic_encoding(n, sigma, seed).dense()
                 assert built.tobytes() == per_row_encoding(n, sigma, seed).tobytes(), (n, sigma, seed)
 
 
@@ -290,14 +321,14 @@ def test_serialization_roundtrip_bit_identical(tmp_path):
     loaded = code_from_json(code_to_json(ngc))
     assert (loaded.n, loaded.s_max, loaded.seed) == (8, 3, 42)
     for a, b in zip(ngc.components, loaded.components):
-        assert np.array_equal(a.entries, b.entries)
+        assert np.array_equal(a.windows, b.windows)
     # the construct command's file holds the same document and reads back to the same code
     path = tmp_path / "code.json"
     assert main(["construct", "--n", "8", "--smax", "3", "--seed", "42", "--out", str(path)]) == 0
     assert path.read_text() == code_to_json(ngc) + "\n"
     reloaded = code_from_json(path.read_text())
     for a, b in zip(ngc.components, reloaded.components):
-        assert np.array_equal(a.entries, b.entries)
+        assert np.array_equal(a.windows, b.windows)
 
 
 def test_deserialization_rejects_bad_documents():
@@ -312,10 +343,33 @@ def test_deserialization_rejects_bad_documents():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_encoding_matrix_rejects_non_finite_entries(bad):
-    entries = np.eye(4)
-    entries[1, 2] = bad
+    windows = np.ones((4, 2))
+    windows[1, 1] = bad
     with pytest.raises(ValueError):
-        EncodingMatrix(entries=entries, sigma=0)
+        EncodingMatrix(windows)
+
+
+@pytest.mark.parametrize("shape", [(4,), (4, 0), (4, 5), (2, 2, 2)])
+def test_encoding_matrix_rejects_windows_that_are_not_n_by_sigma_plus_one(shape):
+    with pytest.raises(ValueError):
+        EncodingMatrix(np.ones(shape))
+
+
+# sha256 of np.stack of the dense components of build_ngc(n, s_max, seed),
+# recorded while components stored their n x n matrices: the windows must
+# rebuild those coefficients bit for bit
+PINNED = {
+    (6, 2, 3): "a9b5714bd7091dbed15a8dbfd9a8b111b756c839ace13a8dda3b30af28b1af0c",
+    (8, 3, 1): "76ef8c51054f3e2cd3d52cea4cff7b339653afaa5597280c668ce36efa0553dc",
+    (12, 5, 42): "aac04b9c6a6195c0ffa85df9f5087a30e3d042cadb7ed95bb266699abd6fb747",
+    (64, 8, 2): "1f294ddc759ceb804bc3694fda95a94ce653b894b5d6a32df25990397a1e6ad9",
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED), ids=lambda args: "n%d-smax%d-seed%d" % args)
+def test_dense_components_reproduce_the_pinned_coefficients(args):
+    stacked = np.stack([comp.dense() for comp in build_ngc(*args).components])
+    assert hashlib.sha256(stacked.tobytes()).hexdigest() == PINNED[args]
 
 
 @st.composite

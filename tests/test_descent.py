@@ -8,14 +8,10 @@ import pytest
 import ngcodes.descent as descent
 import ngcodes.simulator as simulator
 from ngcodes.codes import (
-    EncodingMatrix,
-    MissingGradient,
-    NestedGradientCode,
     NumericalFailure,
     build_ngc,
     decode_row,
     encode_response,
-    identity_encoding,
 )
 from ngcodes.descent import (
     Dataset,
@@ -198,30 +194,21 @@ def test_dataset_validation():
         partition(make_dataset(8, 2, 0.1, seed=0), 0)
 
 
-def reach_past_window_code():
-    """n=4 family whose sigma=1 row 0 uses block 2, two blocks past worker 0's
-    own: decodable (rows 0, 1, 2 sum to ones) but needing worker 0's third task."""
-    rows = np.array([[1.0, 0.0, 1.0, 0.0],
-                     [0.0, 1.0, 0.0, 0.0],
-                     [0.0, 0.0, 0.0, 1.0],
-                     [1.0, 0.0, 0.0, 1.0]])
-    return NestedGradientCode(n=4, s_max=1, seed=0,
-                              components=(identity_encoding(4), EncodingMatrix(rows, sigma=1)))
-
-
-def test_coded_iteration_rejects_row_past_finished_window():
-    ds = make_dataset(16, 3, 0.1, seed=14)
-    ngc = reach_past_window_code()
-    theta, step = np.full(3, 0.2), 0.5 / ds.m
-    gradients = partial_gradient(*partition(ds, 4), theta)
-    with pytest.raises(MissingGradient):
-        coded_iteration(theta, step, ngc, 1, np.array([2, 2, 2, 2]), gradients)
-    # a decoding already solved for this responsive set is checked again
-    decoders = {}
-    _, relative_error = coded_iteration(theta, step, ngc, 1, np.array([3, 2, 2, 2]), gradients, decoders)
-    assert relative_error < 1e-12
-    with pytest.raises(MissingGradient):
-        coded_iteration(theta, step, ngc, 1, np.array([2, 2, 2, 2]), gradients, decoders)
+def test_a_worker_with_sigma_plus_one_tasks_holds_every_block_its_row_uses():
+    # a worker's first sigma + 1 tasks are its window, so its response forms from those blocks alone
+    ds = make_dataset(40, 3, 0.1, seed=14)
+    ngc = build_ngc(8, 3, seed=14)
+    theta = np.full(3, 0.2)
+    gradients = partial_gradient(*partition(ds, 8), theta)
+    for sigma in range(1, 4):
+        tasks = np.full(8, sigma + 1)
+        tasks[sigma] = sigma  # a straggler one task short of the layer
+        b = ngc.components[sigma].dense()
+        for i in np.flatnonzero(tasks >= sigma + 1):
+            held = [gradients[j] if (j - i) % 8 < tasks[i] else None for j in range(8)]
+            encode_response(b[i], held)  # MissingGradient if the row reads past the finished tasks
+        _, relative_error = coded_iteration(theta, 0.1, ngc, sigma, tasks, gradients)
+        assert relative_error < 1e-10
 
 
 def stream_trials(cluster, s_max, seed):
@@ -272,7 +259,7 @@ def reference_descent(ds, ngc, iterations, eta, cluster, seed):
             available = [None] * n
             for r in range(int(tasks[i])):
                 available[(i + r) % n] = gradients[(i + r) % n]
-            decoded += coefficients[i] * encode_response(component.entries[i], available)
+            decoded += coefficients[i] * encode_response(component.dense()[i], available)
         theta = theta - (eta / ds.m) * decoded
         thetas.append(theta)
         records.append((dataset_loss(ds, theta), sigma, latency))
@@ -415,18 +402,6 @@ def updates(monkeypatch):
 
     monkeypatch.setattr(descent, "_block_gradients", counted)
     return calls
-
-
-def test_run_descent_raises_the_first_missing_gradient_before_any_update(updates):
-    ds = make_dataset(16, 3, 0.1, seed=22)
-    ngc = reach_past_window_code()
-    # iteration 0 decodes at sigma 0, iteration 1 at sigma 1 with worker 0 a task short of block 2
-    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=4)
-    expected = raised_by(lambda: coded_iteration_loop(ds, ngc, 40, 0.1, cluster, seed=0))
-    assert expected[0] is MissingGradient and len(updates) > 0
-    updates.clear()
-    assert raised_by(lambda: run_descent(ds, ngc, 40, 0.1, cluster, seed=0)) == expected
-    assert updates == []
 
 
 @pytest.mark.parametrize("k", [1, 4, 15])
