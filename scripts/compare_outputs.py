@@ -81,6 +81,10 @@ CASES = {
         ["gd-demo", "--n", "12", "--smax", "5", "--seed", "3", "--out", "coded.csv"],
         ["gd-demo", "--n", "12", "--smax", "0", "--seed", "3", "--out", "uncoded.csv"],
     ]),
+    "gd-demo-n64": ({}, [  # the decoding path at n=64, where almost every responsive set is new
+        ["gd-demo", "--n", "64", "--smax", "8", "--m", "4096", "--c", "16", "--iterations", "200", "--seed", "3",
+         "--out", "coded.csv"],
+    ]),
     "usage-errors": ({}, [
         [], ["frobnicate"], ["--n", "3", "simulate"], ["simulate", "--out", "x.csv", "--bogus", "1"],
         ["construct"], ["analyze"], ["simulate"], ["gd-demo"],

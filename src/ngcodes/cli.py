@@ -183,9 +183,7 @@ def cmd_construct(args) -> int:
         sizes = set(np.count_nonzero(comp.windows, axis=1).tolist())
         print(f"  sigma={comp.sigma}: row support size {sorted(sizes)}")
     if n <= VERIFY_CAP:
-        ok = all(
-            verify_gradient_code(comp, comp.sigma).passed for comp in ngc.components
-        )
+        ok = all(verify_gradient_code(comp).passed for comp in ngc.components)
         nested, violation = verify_nesting(ngc)
         print(f"  verification: components {'ok' if ok else 'FAILED'}, "
               f"nesting {'ok' if nested else f'FAILED at {violation}'}")
@@ -203,7 +201,7 @@ def cmd_verify(args) -> int:
     ngc = code_from_json(Path(args.path).read_text())
     all_ok = True
     for comp in ngc.components:
-        report = verify_gradient_code(comp, comp.sigma, tol=tol, cap=args.cap)
+        report = verify_gradient_code(comp, tol=tol, cap=args.cap)
         all_ok &= report.passed
         print(
             f"sigma={comp.sigma}: support {'ok' if report.support_ok else 'FAIL'}, "

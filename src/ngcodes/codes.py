@@ -12,14 +12,16 @@ n - sigma worker responses.
 A nested family stacks one such code per tolerance sigma = 0..s_max; the
 cyclic windows grow by one block per level, so each worker can serve every
 level of the family from a single layered task schedule. A component and its
-code file hold only the n (sigma + 1) window coefficients; B itself is built
-where a computation needs it.
+code file hold only the n (sigma + 1) window coefficients. Decoding uses one cached SVD
+of B per component: every a with a B = 1 is a0 + M z, M spanning B's left null space, so
+each straggler pattern is one sigma x sigma solve (``decode_row``, ``verify_gradient_code``).
 """
 from __future__ import annotations
 
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +30,7 @@ COND_LIMIT = 1e8
 NULLSPACE_TOL = 1e-10
 MAX_BUILD_ATTEMPTS = 8
 VERIFY_CAP = 12
+VERIFY_CHUNK = 4096  # straggler sets per decoding call: C(12, 6) = 924 fits, a raised cap stays in memory
 
 
 class CodeError(Exception):
@@ -71,7 +74,7 @@ class EncodingMatrix:
     windows: np.ndarray
 
     def __post_init__(self):
-        # a NaN would send the least-squares decode into a solver that never returns
+        # a NaN has no decoding, and the SVD of a matrix holding one does not converge
         if not (self.windows.ndim == 2 and 1 <= self.windows.shape[1] <= len(self.windows)
                 and np.isfinite(self.windows).all()):
             raise ValueError("windows must be a finite (n, sigma + 1) array with sigma in [0, n-1]")
@@ -89,6 +92,16 @@ class EncodingMatrix:
         b = np.zeros((self.n, self.n))
         np.put_along_axis(b, cyclic_support(np.arange(self.n)[:, None], self.sigma, self.n), self.windows, axis=1)
         return b
+
+    @cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """B, its pseudo-inverse on the top n - sigma singular values, and M, the
+        n x sigma left singular vectors of the sigma smallest: one SVD of B."""
+        b = self.dense()
+        u, s, vt = np.linalg.svd(b)
+        keep = self.n - self.sigma
+        scale = np.divide(1.0, s[:keep], out=np.zeros(keep), where=s[:keep] > 0)  # 0, not 1/0, for a zero value
+        return b, (vt[:keep].T * scale) @ u[:, :keep].T, u[:, keep:].copy()  # a copy: a view would keep all of u
 
 
 @dataclass(frozen=True)
@@ -163,31 +176,33 @@ def build_ngc(n: int, s_max: int, seed: int) -> NestedGradientCode:
     return NestedGradientCode(n=n, s_max=s_max, seed=seed, components=tuple(components))
 
 
-def _combination(b: np.ndarray, chosen: tuple[int, ...], tol: float) -> tuple[np.ndarray, float]:
-    """Least-squares coefficients combining the chosen rows of the dense ``b``
-    into all-ones, and their residual. A residual above ``tol`` gets up to two
-    correction steps, each solving the system for 1 - a b and adding the result."""
-    rows = b[list(chosen)]
-    solution, *_ = np.linalg.lstsq(rows.T, np.ones(len(b)), rcond=None)
-    a = np.zeros(len(b))
-    a[list(chosen)] = solution
-    residual = float(np.abs(a @ b - 1.0).max())
+def _straggler_decodings(code: EncodingMatrix, stragglers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decoding vectors (k, n), exactly 0 on each row of the (k, sigma) ``stragglers``, and their
+    residuals |a B - 1|max. Each of two passes solves for 1 - a B through the pseudo-inverse and moves
+    the step along M to 0 on the stragglers; a singular M block's pattern shows as a residual."""
+    b, pinv, null = code.factors
+    try:
+        inverse = np.linalg.inv(null[stragglers])
+    except np.linalg.LinAlgError:
+        inverse = np.linalg.pinv(null[stragglers])
+    sets = np.arange(len(stragglers))[:, None]
+    a = np.zeros((len(stragglers), code.n))
     for _ in range(2):
-        if not tol < residual < np.inf:  # a NaN or infinite residual is kept: no step corrects it
-            break
-        a[list(chosen)] += np.linalg.lstsq(rows.T, 1.0 - a @ b, rcond=None)[0]
-        residual = float(np.abs(a @ b - 1.0).max())
-    return a, residual
+        step = (1.0 - a @ b) @ pinv
+        step -= (inverse @ step[sets, stragglers][..., None])[..., 0] @ null.T
+        step[sets, stragglers] = 0.0
+        a += step
+    return a, np.abs(a @ b - 1.0).max(axis=1)
 
 
-def decode_row(code: EncodingMatrix, responsive_set, tol: float = DECODE_TOL) -> np.ndarray:
+def decode_row(code: EncodingMatrix, responsive_set) -> np.ndarray:
     """Decoding coefficients for one straggler pattern: a length-n vector whose
     combination of the code's rows is the all-ones row.
 
     ``responsive_set`` may hold more than n - sigma workers; only the n - sigma
     smallest indices get a coefficient, and every other entry is 0. Raises
     NotDecodable when fewer than n - sigma workers responded, NumericalFailure
-    when the residual exceeds ``tol``.
+    when the residual exceeds ``DECODE_TOL``.
     """
     n = code.n
     responders = sorted({int(i) for i in responsive_set})
@@ -196,11 +211,10 @@ def decode_row(code: EncodingMatrix, responsive_set, tol: float = DECODE_TOL) ->
     need = n - code.sigma
     if len(responders) < need:
         raise NotDecodable(f"{len(responders)} responsive workers, need {need} for sigma={code.sigma}")
-    chosen = tuple(responders[:need])
-    a, residual = _combination(code.dense(), chosen, tol)
-    if residual > tol:
-        raise NumericalFailure(f"decode residual {residual:.3e} above {tol:g}")
-    return a
+    a, residual = _straggler_decodings(code, np.array([sorted(set(range(n)).difference(responders[:need]))], dtype=int))
+    if not residual[0] <= DECODE_TOL:  # a NaN residual fails too
+        raise NumericalFailure(f"decode residual {residual[0]:.3e} above {DECODE_TOL:g}")
+    return a[0]
 
 
 @dataclass(frozen=True)
@@ -214,23 +228,21 @@ class VerificationReport:
         return self.support_ok and self.decodable_ok
 
 
-def verify_gradient_code(
-    code: EncodingMatrix, sigma: int, tol: float = DECODE_TOL, cap: int = VERIFY_CAP
-) -> VerificationReport:
-    """Exhaustively check the defining properties for tolerance sigma.
+def verify_gradient_code(code: EncodingMatrix, tol: float = DECODE_TOL, cap: int = VERIFY_CAP) -> VerificationReport:
+    """Exhaustively check the defining properties at the code's tolerance sigma.
 
-    Enumerates every (n - sigma)-subset of rows, so n is capped (CapExceeded
-    above ``cap``). The support is ok when the windows span at least sigma + 1
-    blocks with no zero inside a window; a NaN residual counts as undecodable.
+    Decodes every sigma-subset of stragglers, so n is capped (CapExceeded above
+    ``cap``). The support is ok when no window holds a zero; a NaN residual
+    counts as undecodable.
     """
     n = code.n
     if n > cap:
         raise CapExceeded(f"n={n} above exhaustive verification cap {cap}")
-    support_ok = bool(code.sigma >= sigma and code.windows.all())
-    b, subsets = code.dense(), itertools.combinations(range(n), n - sigma)
-    # np.max propagates a NaN residual, which then fails the tolerance check
-    max_residual = float(np.max([_combination(b, subset, tol)[1] for subset in subsets]))
-    return VerificationReport(support_ok, bool(max_residual <= tol), max_residual)
+    patterns, worst = itertools.combinations(range(n), code.sigma), []
+    while chunk := list(itertools.islice(patterns, VERIFY_CHUNK)):
+        worst.append(_straggler_decodings(code, np.array(chunk, dtype=int).reshape(len(chunk), code.sigma))[1].max())
+    max_residual = float(np.max(worst))  # np.max propagates a NaN residual, which then fails the tolerance check
+    return VerificationReport(bool(code.windows.all()), bool(max_residual <= tol), max_residual)
 
 
 def verify_nesting(ngc: NestedGradientCode):

@@ -113,7 +113,7 @@ class _Decoder:
     """How one (sigma, responsive set) decodes: which workers answer, and how."""
 
     workers: np.ndarray  # the responsive workers the decoding row uses, ascending
-    rows: np.ndarray     # their rows of the component's dense encoding matrix
+    rows: np.ndarray     # their rows of the component's encoding matrix B
     weights: np.ndarray  # their decoding coefficients
 
 
@@ -125,7 +125,7 @@ def _resolve(ngc: NestedGradientCode, sigma: int, tasks_done: np.ndarray, decode
         component = ngc.components[sigma]
         coefficients = decode_row(component, responsive)  # NumericalFailure unless within the residual gate
         workers = responsive[:ngc.n - sigma]  # the ones decode_row gives a coefficient
-        decoders[key] = _Decoder(workers, component.dense()[workers], coefficients[workers])
+        decoders[key] = _Decoder(workers, component.factors[0][workers], coefficients[workers])
     return decoders[key]
 
 

@@ -82,7 +82,11 @@ def test_verify_accepts_good_and_rejects_tampered_files(tmp_path, capsys):
     doc["components"][2]["windows"] = [0.0] * 18
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    assert main(["verify", str(bad)]) == 2
+    assert main_without_warnings(["verify", str(bad)]) == 2
+    # an all-zero component decodes nothing, with no LinAlgError or divide-by-zero warning on the way
+    captured = capsys.readouterr()
+    assert "sigma=2: support FAIL, decodable FAIL, max residual 1.000e+00\n" in captured.out
+    assert captured.err == "error: code file failed verification\n"
 
 
 def test_verify_missing_file_is_validation_error(tmp_path):
@@ -445,15 +449,19 @@ def test_gd_demo_that_diverges_fails_the_recovery_gate(tmp_path, capsys):
     assert capsys.readouterr().err == "error: recovery error nan above gate 1e-06\n"
 
 
+NEAR_GATE_SEEDS = (195, 251, 384, 23, 114, 171, 321, 337)
+
+
 @pytest.mark.parametrize("argv", [
-    *(["construct", "--n", "12", "--smax", "5", "--seed", str(seed)] for seed in (195, 251, 384)),
+    *(["construct", "--n", "12", "--smax", "5", "--seed", str(seed)] for seed in NEAR_GATE_SEEDS),
     ["gd-demo", "--n", "12", "--smax", "5", "--m", "4096", "--c", "32", "--iterations", "200", "--seed", "1833",
      "--lambda", "0.5", "--rho", "0.5", "--gamma", "0", "--eps", "0.1", "--pe", "0.05"],
     ["gd-demo", "--n", "64", "--smax", "8", "--m", "4096", "--c", "16", "--iterations", "200", "--seed", "3"],
-], ids=["construct-n12-seed195", "construct-n12-seed251", "construct-n12-seed384", "gd-demo-n12-seed1833",
-        "gd-demo-n64-seed3"])
-def test_a_decoding_whose_first_solve_misses_the_gate_is_corrected(argv, tmp_path, capsys):
-    # each run meets a responsive set whose first least-squares residual lies just above 1e-8
+], ids=[*(f"construct-n12-seed{seed}" for seed in NEAR_GATE_SEEDS), "gd-demo-n12-seed1833", "gd-demo-n64-seed3"])
+def test_a_decoding_near_the_residual_gate_passes(argv, tmp_path, capsys):
+    # each run meets a responsive set near the 1e-8 residual gate. A single least-squares solve misses it
+    # in the first three construct runs and both gd-demo runs; a single pass of the sigma x sigma decode
+    # misses it in the last five construct runs and both gd-demo runs
     assert main([*argv, "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
 

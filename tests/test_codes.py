@@ -187,53 +187,41 @@ def test_decode_uses_smallest_indices_when_overprovisioned():
 
 
 def test_verify_identity_passes_at_sigma_zero():
-    report = verify_gradient_code(identity_encoding(6), sigma=0)
+    report = verify_gradient_code(identity_encoding(6))
     assert report.passed and report.max_residual <= 1e-12
 
 
 def test_verify_built_code_passes(monkeypatch):
     matrix = build_cyclic_encoding(8, 3, seed=4)
-    report = verify_gradient_code(matrix, sigma=3)
+    report = verify_gradient_code(matrix)
     assert report.support_ok and report.decodable_ok
+
+    def nan_residuals(code, stragglers):
+        return np.zeros((len(stragglers), code.n)), np.full(len(stragglers), math.nan)
+
     # a NaN residual compares false against any tolerance: it must not pass
-    monkeypatch.setattr(ngcodes.codes, "_combination", lambda b, chosen, tol: (np.zeros(len(b)), math.nan))
-    report = verify_gradient_code(matrix, sigma=3)
+    monkeypatch.setattr(ngcodes.codes, "_straggler_decodings", nan_residuals)
+    report = verify_gradient_code(matrix)
     assert report.support_ok and not report.decodable_ok and not report.passed
     assert math.isnan(report.max_residual)
 
 
-def first_solve_combination(code, chosen):
-    """The decoding coefficients and residual of a single least-squares solve,
-    as decoding computed them before residuals above the gate were corrected."""
-    b = code.dense()
-    rows = b[list(chosen)]
-    solution, *_ = np.linalg.lstsq(rows.T, np.ones(code.n), rcond=None)
-    a = np.zeros(code.n)
-    a[list(chosen)] = solution
-    residual = float(np.abs(a @ b - 1.0).max())
-    return a, residual
-
-
-def test_a_decoding_within_the_gate_keeps_its_first_solve_bits():
-    ngc = build_ngc(12, 5, seed=42)
-    for code in ngc.components:
-        for subset in itertools.combinations(range(12), 12 - code.sigma):
-            a, residual = ngcodes.codes._combination(code.dense(), subset, ngcodes.codes.DECODE_TOL)
-            expected_a, expected_residual = first_solve_combination(code, subset)
-            assert expected_residual <= ngcodes.codes.DECODE_TOL
-            assert (a.tobytes(), residual) == (expected_a.tobytes(), expected_residual)
-
-
-def test_verify_identity_fails_at_sigma_one():
-    report = verify_gradient_code(identity_encoding(8), sigma=1)
-    assert not report.support_ok
-    assert not report.decodable_ok
-    assert not report.passed
+def test_decodings_at_n128_are_exact_on_the_stragglers_and_within_1e_10():
+    n, sigma = 128, 16
+    matrix = build_cyclic_encoding(n, sigma, seed=0)
+    b = matrix.dense()
+    rng = np.random.default_rng(0)
+    patterns = [rng.choice(n, sigma, replace=False) for _ in range(20)]
+    patterns += [(start + np.arange(sigma)) % n for start in rng.integers(0, n, 20)]
+    for stragglers in patterns:
+        coefficients = decode_row(matrix, set(range(n)) - set(stragglers.tolist()))
+        assert np.all(coefficients[stragglers] == 0.0)
+        assert np.abs(coefficients @ b - 1.0).max() <= 1e-10
 
 
 def test_verify_cap():
     with pytest.raises(CapExceeded):
-        verify_gradient_code(identity_encoding(13), sigma=0)
+        verify_gradient_code(identity_encoding(13))
 
 
 def test_encode_response_identity_row():

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import ngcodes.codes as codes
 import ngcodes.descent as descent
 import ngcodes.simulator as simulator
 from ngcodes.codes import (
@@ -292,6 +293,13 @@ def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
     monkeypatch.setattr(descent, "decode_row", counted)
     ds = make_dataset(96, 4, 0.1, seed=16)
     ngc = build_ngc(12, 5, seed=16)
+    factorisations, real_svd = [], codes.np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        factorisations.append(1)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(codes.np.linalg, "svd", counted_svd)
     cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=12)
     run = run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
     keys = set()
@@ -299,9 +307,10 @@ def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
         keys.add((sigma, frozenset(np.flatnonzero(tasks >= sigma + 1).tolist())))
     assert len(calls) == len(set(calls)) == len(keys) < len(run.records)
     assert set(calls) == keys
-    # a fresh run solves its decodings again: nothing is kept between runs
+    # a fresh run solves its decodings again, but each component keeps its one SVD
     run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
     assert len(calls) == 2 * len(keys)
+    assert 0 < len(factorisations) <= ngc.s_max + 1
 
 
 @pytest.fixture(params=["chunk-rounds", "one-row-rounds"])
