@@ -18,8 +18,8 @@ first word names none (as for the top-level help). A setting that no flag
 gives comes from the ``--config`` JSON file, whose keys are the flag names
 other than ``path``, ``--out`` and ``--config`` (any other key is an error),
 else from its default; every config value takes its setting's type,
-whichever command reads the file. ``--out`` is required by every command
-that writes.
+whichever command reads the file. ``verify`` reads only its path and takes no
+``--config``. ``--out`` is required by every command that writes.
 """
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ import numpy as np
 from .codes import (
     CapExceeded,
     CodeError,
-    DECODE_TOL,
     NumericalFailure,
     VERIFY_CAP,
     build_ngc,
@@ -65,8 +64,6 @@ SETTINGS = {
     "t_max": ("--t-max", float, 18.0, "grid end on the t - gamma axis"),
     "steps": ("--steps", int, 100, "number of grid points"),
     "schemes": ("--schemes", str, "uncoded", "comma list: uncoded, gc:SIGMA, ngc:SMAX"),
-    "tol": ("--tol", float, DECODE_TOL, "decode residual tolerance"),
-    "cap": ("--cap", int, VERIFY_CAP, "exhaustive verification cap on n"),
     "m": ("--m", int, 64, "data rows"),
     "c": ("--c", int, 8, "feature columns"),
     "noise": ("--noise", float, 0.1, "label noise level"),
@@ -77,9 +74,7 @@ SETTINGS = {
     "config": ("--config", str, None, "JSON config file; flags override its values"),
 }
 _FILES = ("path", "out", "config")  # named on the command line only, never by a config file
-# config-file keys are the flag names of the other settings, plus one undocumented alias
-_CONFIG_KEYS = ({f.lstrip("-"): d for d, (f, *_) in SETTINGS.items() if d not in _FILES}
-                | {"gd-iterations": "iterations"})
+_CONFIG_KEYS = {f.lstrip("-"): d for d, (f, *_) in SETTINGS.items() if d not in _FILES}  # the flag names
 
 
 class _UsageError(Exception):
@@ -120,7 +115,7 @@ def _config_value(dest, value):
 
 def _fill_defaults(args):
     """Give every setting that no flag set its config-file value, else its default."""
-    config = _load_config(args.config) if args.config else {}
+    config = _load_config(args.config) if getattr(args, "config", None) else {}
     for dest in SETTINGS:
         if getattr(args, dest, None) is None:
             setattr(args, dest, _config_value(dest, config.get(dest)))
@@ -195,13 +190,10 @@ def cmd_construct(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = args.tol
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"--tol must be finite and positive, got {tol}")
     ngc = code_from_json(Path(args.path).read_text())
     all_ok = True
     for comp in ngc.components:
-        report = verify_gradient_code(comp, tol=tol, cap=args.cap)
+        report = verify_gradient_code(comp)
         all_ok &= report.passed
         print(
             f"sigma={comp.sigma}: support {'ok' if report.support_ok else 'FAIL'}, "
@@ -273,8 +265,7 @@ _GRID = ("t_min", "t_max", "steps")
 COMMANDS = {
     "construct": (cmd_construct, "build a nested code family and write it to JSON",
                   ("n", "smax", "seed", "out", "config")),
-    "verify": (cmd_verify, "check all defining properties of a code file",
-               ("path", "tol", "cap", "config")),
+    "verify": (cmd_verify, "check all defining properties of a code file", ("path",)),
     "analyze": (cmd_analyze, "write analytic latency CDF curves as CSV",
                 ("schemes", *_CLUSTER, *_GRID, "out", "config")),
     "simulate": (cmd_simulate, "write empirical latency CDF curves and load stats as CSV",

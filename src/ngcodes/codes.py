@@ -30,7 +30,6 @@ COND_LIMIT = 1e8
 NULLSPACE_TOL = 1e-10
 MAX_BUILD_ATTEMPTS = 8
 VERIFY_CAP = 12
-VERIFY_CHUNK = 4096  # straggler sets per decoding call: C(12, 6) = 924 fits, a raised cap stays in memory
 
 
 class CodeError(Exception):
@@ -178,21 +177,22 @@ def build_ngc(n: int, s_max: int, seed: int) -> NestedGradientCode:
 
 def _straggler_decodings(code: EncodingMatrix, stragglers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decoding vectors (k, n), exactly 0 on each row of the (k, sigma) ``stragglers``, and their
-    residuals |a B - 1|max. Each of two passes solves for 1 - a B through the pseudo-inverse and moves
-    the step along M to 0 on the stragglers; a singular M block's pattern shows as a residual."""
+    residuals |a B - 1|max. Each of two passes solves for the rest 1 - a B through the pseudo-inverse and
+    moves the step along M to 0 on the stragglers; a singular M block's pattern shows as a residual."""
     b, pinv, null = code.factors
     try:
         inverse = np.linalg.inv(null[stragglers])
     except np.linalg.LinAlgError:
         inverse = np.linalg.pinv(null[stragglers])
     sets = np.arange(len(stragglers))[:, None]
-    a = np.zeros((len(stragglers), code.n))
+    a, rest = np.zeros((len(stragglers), code.n)), np.ones((len(stragglers), code.n))  # rest = 1 - 0 B
     for _ in range(2):
-        step = (1.0 - a @ b) @ pinv
+        step = rest @ pinv
         step -= (inverse @ step[sets, stragglers][..., None])[..., 0] @ null.T
         step[sets, stragglers] = 0.0
         a += step
-    return a, np.abs(a @ b - 1.0).max(axis=1)
+        rest = 1.0 - a @ b
+    return a, np.abs(rest).max(axis=1)
 
 
 def decode_row(code: EncodingMatrix, responsive_set) -> np.ndarray:
@@ -228,21 +228,19 @@ class VerificationReport:
         return self.support_ok and self.decodable_ok
 
 
-def verify_gradient_code(code: EncodingMatrix, tol: float = DECODE_TOL, cap: int = VERIFY_CAP) -> VerificationReport:
+def verify_gradient_code(code: EncodingMatrix) -> VerificationReport:
     """Exhaustively check the defining properties at the code's tolerance sigma.
 
-    Decodes every sigma-subset of stragglers, so n is capped (CapExceeded above
-    ``cap``). The support is ok when no window holds a zero; a NaN residual
+    Decodes every sigma-subset of stragglers in one call, so n is capped
+    (CapExceeded above ``VERIFY_CAP``). The residual gate is ``DECODE_TOL``, as in
+    ``decode_row``. The support is ok when no window holds a zero; a NaN residual
     counts as undecodable.
     """
-    n = code.n
-    if n > cap:
-        raise CapExceeded(f"n={n} above exhaustive verification cap {cap}")
-    patterns, worst = itertools.combinations(range(n), code.sigma), []
-    while chunk := list(itertools.islice(patterns, VERIFY_CHUNK)):
-        worst.append(_straggler_decodings(code, np.array(chunk, dtype=int).reshape(len(chunk), code.sigma))[1].max())
-    max_residual = float(np.max(worst))  # np.max propagates a NaN residual, which then fails the tolerance check
-    return VerificationReport(bool(code.windows.all()), bool(max_residual <= tol), max_residual)
+    if code.n > VERIFY_CAP:
+        raise CapExceeded(f"n={code.n} above exhaustive verification cap {VERIFY_CAP}")
+    stragglers = np.array(list(itertools.combinations(range(code.n), code.sigma)), dtype=int, ndmin=2)
+    max_residual = float(_straggler_decodings(code, stragglers)[1].max())  # a NaN residual propagates and fails
+    return VerificationReport(bool(code.windows.all()), bool(max_residual <= DECODE_TOL), max_residual)
 
 
 def verify_nesting(ngc: NestedGradientCode):

@@ -35,6 +35,7 @@ from .simulator import _decided_chunks
 from .simulator import simulate_ngc_iteration  # noqa: F401 -- bench/workloads.py traces it under this module
 
 _TARGET_GAP = 1e-9  # loss excess left after a default-rate run, relative to its start
+MAX_RESAMPLES = 1000  # undecodable trials in a row that an iteration tolerates
 
 
 class UndecodableIteration(CodeError):
@@ -108,30 +109,24 @@ def dataset_loss(dataset: Dataset, theta: np.ndarray) -> float:
     return 0.5 * float(residual @ residual)
 
 
-@dataclass(frozen=True)
-class _Decoder:
-    """How one (sigma, responsive set) decodes: which workers answer, and how."""
-
-    workers: np.ndarray  # the responsive workers the decoding row uses, ascending
-    rows: np.ndarray     # their rows of the component's encoding matrix B
-    weights: np.ndarray  # their decoding coefficients
-
-
-def _resolve(ngc: NestedGradientCode, sigma: int, tasks_done: np.ndarray, decoders: dict) -> _Decoder:
-    """The decoding at ``sigma``, solved once per (sigma, responsive set) in ``decoders``."""
+def _resolve(ngc: NestedGradientCode, sigma: int, tasks_done: np.ndarray,
+             decoders: dict) -> tuple[np.ndarray, np.ndarray]:
+    """The decoding at ``sigma``: the rows of B of the responsive workers it uses and their
+    decoding coefficients, solved once per (sigma, responsive set) in ``decoders``."""
     responsive = np.flatnonzero(tasks_done >= sigma + 1)
     key = (sigma, tuple(responsive.tolist()))
     if key not in decoders:
         component = ngc.components[sigma]
         coefficients = decode_row(component, responsive)  # NumericalFailure unless within the residual gate
         workers = responsive[:ngc.n - sigma]  # the ones decode_row gives a coefficient
-        decoders[key] = _Decoder(workers, component.factors[0][workers], coefficients[workers])
+        decoders[key] = component.factors[0][workers], coefficients[workers]
     return decoders[key]
 
 
-def _decode(decoder: _Decoder, gradients: np.ndarray) -> tuple[np.ndarray, float]:
+def _decode(decoding: tuple[np.ndarray, np.ndarray], gradients: np.ndarray) -> tuple[np.ndarray, float]:
     """The decoded gradient sum and its relative error against the direct sum."""
-    decoded = decoder.weights @ (decoder.rows @ gradients)
+    rows, weights = decoding
+    decoded = weights @ (rows @ gradients)
     full = gradients.sum(axis=0)
     denom = float(np.abs(full).max()) or 1.0
     return decoded, float(np.abs(decoded - full).max()) / denom
@@ -162,8 +157,8 @@ def coded_iteration(
         raise UndecodableIteration(f"more failures than s_max={ngc.s_max} tolerates")
     if gradients.shape != (ngc.n, theta.size):
         raise ValueError(f"gradients must be ({ngc.n}, {theta.size}), got {gradients.shape}")
-    decoder = _resolve(ngc, sigma, tasks_done, {} if decoders is None else decoders)
-    decoded, relative_error = _decode(decoder, gradients)
+    decoding = _resolve(ngc, sigma, tasks_done, {} if decoders is None else decoders)
+    decoded, relative_error = _decode(decoding, gradients)
     return theta - step * decoded, relative_error
 
 
@@ -187,9 +182,9 @@ class DescentRun:
         return np.array([r.loss for r in self.records])
 
 
-def _iteration_trials(cluster: ClusterParams, s_max: int, seed: int, iterations: int, max_resamples: int):
+def _iteration_trials(cluster: ClusterParams, s_max: int, seed: int, iterations: int):
     """Latency, sigma, tasks done (iterations, n) and resamples of every
-    iteration under the stream rule; UndecodableIteration after max_resamples
+    iteration under the stream rule; UndecodableIteration after MAX_RESAMPLES
     + 1 undecodable trials in a row."""
     columns = (np.empty(iterations), np.empty(iterations, int), np.empty((iterations, cluster.n), int),
                np.empty(iterations, int))
@@ -199,9 +194,9 @@ def _iteration_trials(cluster: ClusterParams, s_max: int, seed: int, iterations:
         # the trials before each decodable one, then after the last if iterations are still pending
         gaps = np.diff(ok, prepend=-1, append=sigma.size)[:iterations - done] - 1
         gaps[0] += run
-        if (gaps > max_resamples).any():
-            raise UndecodableIteration(f"iteration {done + int(np.argmax(gaps > max_resamples))}: "
-                                       f"no decodable draw in {max_resamples} resamples")
+        if (gaps > MAX_RESAMPLES).any():
+            raise UndecodableIteration(f"iteration {done + int(np.argmax(gaps > MAX_RESAMPLES))}: "
+                                       f"no decodable draw in {MAX_RESAMPLES} resamples")
         for column, values in zip(columns, (latency[ok], sigma[ok], tasks[ok], gaps[:ok.size])):
             column[done:done + ok.size] = values
         done, run = done + ok.size, gaps[-1]
@@ -216,25 +211,22 @@ def run_descent(
     eta: float,
     cluster: ClusterParams,
     seed: int,
-    max_resamples: int = 1000,
 ) -> DescentRun:
     """Run coded gradient descent from theta = 0; deterministic given seed.
 
     UndecodableIteration names the first iteration with no decodable draw in
-    ``max_resamples`` resamples (see the module's stream rule). A decoding
+    ``MAX_RESAMPLES`` resamples (see the module's stream rule). A decoding
     that fails (NumericalFailure) raises as one ``coded_iteration`` per
     iteration's (sigma, tasks done) would at its first failing iteration, but
     before the first update.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
-    if max_resamples < 0:
-        raise ValueError(f"max_resamples must be non-negative, got {max_resamples}")
     if not (math.isfinite(eta) and eta > 0):
         raise ValueError(f"eta must be finite and positive, got {eta}")
     if cluster.n != ngc.n:
         raise ValueError(f"cluster has n={cluster.n} workers but code expects {ngc.n}")
-    latency, sigma, tasks, resamples = _iteration_trials(cluster, ngc.s_max, seed, iterations, max_resamples)
+    latency, sigma, tasks, resamples = _iteration_trials(cluster, ngc.s_max, seed, iterations)
     decoders = {}
     plan = [_resolve(ngc, s, row, decoders) for s, row in zip(sigma.tolist(), tasks)]
     data, labels = partition(dataset, ngc.n)
@@ -242,8 +234,8 @@ def run_descent(
     theta = np.zeros(dataset.c)
     residual = data @ theta - labels  # one per theta: its loss and the next gradients
     thetas, records = [], []
-    for t, decoder in enumerate(plan):
-        decoded, relative_error = _decode(decoder, _block_gradients(data, residual))
+    for t, decoding in enumerate(plan):
+        decoded, relative_error = _decode(decoding, _block_gradients(data, residual))
         theta = theta - step * decoded
         residual = data @ theta - labels
         thetas.append(theta)

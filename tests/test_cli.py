@@ -94,14 +94,14 @@ def test_verify_missing_file_is_validation_error(tmp_path):
 
 
 def test_verify_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys):
+    # verify gates at DECODE_TOL and caps at VERIFY_CAP, as construct does: it takes no --tol, --cap or --config
     out = tmp_path / "code.json"
     main(["construct", "--n", "6", "--smax", "2", "--seed", "3", "--out", str(out)])
     capsys.readouterr()
-    for tol in ("nan", "-1", "inf"):
-        assert main(["verify", str(out), f"--tol={tol}"]) == 1
+    for option in ("--tol=nan", "--tol=-1", "--tol=inf", "--tol=1", "--cap=20", "--config=v.json"):
+        assert main(["verify", str(out), option]) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error:") and "--tol" in captured.err
-        assert "all checks passed" not in captured.out
+        assert captured == ("", f"error: unrecognized arguments: {option}\n")
 
 
 def test_analyze_headline_configuration(tmp_path):
@@ -287,7 +287,7 @@ def test_config_keys_other_than_flag_names_are_validation_errors(tmp_path, capsy
     # a misspelt key must not fall back to the default; keys are flag names, not setting names
     config = tmp_path / "typo.json"
     out = tmp_path / "x.csv"
-    for key in ("lamda", "lam", "t_min", "t_max"):
+    for key in ("lamda", "lam", "t_min", "t_max", "gd-iterations"):
         config.write_text(json.dumps({key: 5.0, "steps": 3}))
         assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
@@ -497,7 +497,7 @@ def test_a_nan_recovery_error_after_the_first_fails_the_gate(tmp_path, monkeypat
 PARSER_OPTIONS = {
     "construct": {("--n",): "n", ("--smax",): "smax", ("--seed",): "seed", ("--out",): "out",
                   ("--config",): "config"},
-    "verify": {(): "path", ("--tol",): "tol", ("--cap",): "cap", ("--config",): "config"},
+    "verify": {(): "path"},
     "analyze": {("--schemes",): "schemes", ("--n",): "n", ("--lambda",): "lam", ("--rho",): "rho",
                 ("--gamma",): "gamma", ("--eps",): "eps", ("--pe",): "pe", ("--t-min",): "t_min",
                 ("--t-max",): "t_max", ("--steps",): "steps", ("--out",): "out", ("--config",): "config"},
@@ -523,14 +523,6 @@ def test_a_writing_command_without_out_is_a_usage_error(argv, tmp_path, monkeypa
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: the following arguments are required: --out\n"
     assert not any(tmp_path.iterdir())
-
-
-def test_config_key_gd_iterations_sets_the_iteration_count(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"gd-iterations": 3, "m": 8, "c": 2}))
-    out = tmp_path / "gd.csv"
-    assert main(["gd-demo", "--config", str(config), "--out", str(out)]) == 0
-    assert [r[0] for r in read_csv(out)[1]] == ["0", "1", "2"]
 
 
 def test_a_config_eta_that_is_not_a_number_is_a_validation_error(tmp_path, capsys):
@@ -560,7 +552,7 @@ def test_config_keys_of_the_file_settings_are_validation_errors(tmp_path, capsys
     cases = [
         ("out", {"out": str(tmp_path / "elsewhere.csv"), "steps": 3}, ["analyze", "--out", str(out)]),
         ("config", {"config": str(tmp_path / "other.json"), "steps": 3}, ["analyze", "--out", str(out)]),
-        ("path", {"path": str(tmp_path / "nofile.json")}, ["verify", str(code)]),
+        ("path", {"path": str(code), "steps": 3}, ["analyze", "--out", str(out)]),
     ]
     capsys.readouterr()
     for key, values, argv in cases:
@@ -583,7 +575,7 @@ def test_the_parser_of_one_subcommand_equals_that_subcommand_of_the_full_parser(
 
 REPRESENTATIVE_ARGV = {
     "construct": ["construct", "--n", "6", "--smax", "2", "--seed", "3", "--out", "c.json"],
-    "verify": ["verify", "c.json", "--tol", "1e-9", "--cap", "10", "--config", "v.json"],
+    "verify": ["verify", "c.json"],
     "analyze": ["analyze", "--schemes", "gc:2,ngc:2", "--lambda", "1.5", "--t-min", "1",
                 "--steps", "7", "--out", "a.csv"],
     "simulate": ["simulate", "--schemes", "uncoded", "--n", "5", "--pe", "0", "--trials", "9",

@@ -219,6 +219,16 @@ def test_decodings_at_n128_are_exact_on_the_stragglers_and_within_1e_10():
         assert np.abs(coefficients @ b - 1.0).max() <= 1e-10
 
 
+@pytest.mark.parametrize("n, sigma, seed", [(6, 2, 3), (12, 5, 42), (64, 8, 2)])
+def test_straggler_residuals_are_those_of_the_returned_decodings(n, sigma, seed):
+    # the residual of the last pass's rest 1 - a B is |a B - 1|max of the returned a, bit for bit
+    matrix = build_cyclic_encoding(n, sigma, seed)
+    rng = np.random.default_rng(seed)
+    stragglers = np.array([np.sort(rng.choice(n, sigma, replace=False)) for _ in range(20)])
+    a, residuals = ngcodes.codes._straggler_decodings(matrix, stragglers)
+    assert np.array_equal(residuals, np.abs(a @ matrix.dense() - 1).max(axis=1))
+
+
 def test_verify_cap():
     with pytest.raises(CapExceeded):
         verify_gradient_code(identity_encoding(13))

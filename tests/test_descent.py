@@ -439,7 +439,7 @@ def test_run_descent_raises_the_first_failed_decoding_before_any_update(k, monke
 
 
 @pytest.mark.parametrize("max_resamples", [0, 1, 2])
-def test_run_descent_gives_up_on_the_first_undecodable_iteration(max_resamples, round_rows):
+def test_run_descent_gives_up_on_the_first_undecodable_iteration(max_resamples, round_rows, monkeypatch):
     ds = make_dataset(16, 2, 0.1, seed=18)
     ngc = build_ngc(8, 3, seed=18)
     flaky = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.3, n=8)
@@ -447,8 +447,9 @@ def test_run_descent_gives_up_on_the_first_undecodable_iteration(max_resamples, 
     first = len(expected) - 1
     assert expected[first][0] is None
     assert first > 0  # earlier iterations decode, later ones are still pending
+    monkeypatch.setattr(descent, "MAX_RESAMPLES", max_resamples)
     with pytest.raises(UndecodableIteration, match=f"^iteration {first}: .* in {max_resamples} resamples"):
-        run_descent(ds, ngc, 500, 0.1, flaky, seed=18, max_resamples=max_resamples)
+        run_descent(ds, ngc, 500, 0.1, flaky, seed=18)
 
 
 def test_run_descent_that_never_decodes_draws_few_streams(monkeypatch):
@@ -468,13 +469,6 @@ def test_run_descent_that_never_decodes_draws_few_streams(monkeypatch):
     # the 1001 undecodable trials of iteration 0 fill a few chunks: not 200 x 1001 streams
     chunk = simulator.CHUNK_ELEMENTS // (12 * 6)
     assert len(streams) <= math.ceil(1001 / chunk)
-
-
-def test_run_descent_rejects_negative_max_resamples():
-    ds = make_dataset(16, 2, 0.1, seed=20)
-    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=4)
-    with pytest.raises(ValueError, match="max_resamples"):
-        run_descent(ds, build_ngc(4, 1, seed=20), 5, 0.1, cluster, seed=20, max_resamples=-1)
 
 
 def test_run_descent_rejects_non_finite_or_non_positive_eta():
