@@ -81,6 +81,9 @@ CASES = {
         ["gd-demo", "--n", "12", "--smax", "5", "--seed", "3", "--out", "coded.csv"],
         ["gd-demo", "--n", "12", "--smax", "0", "--seed", "3", "--out", "uncoded.csv"],
     ]),
+    "construct-n256": ({}, [  # a 3.96 MB code file; its gd-demo run fails the decode gate
+        ["construct", "--n", "256", "--smax", "32", "--seed", "2", "--out", "code.json"],
+    ]),
     "gd-demo-n64": ({}, [  # the decoding path at n=64, where almost every responsive set is new
         ["gd-demo", "--n", "64", "--smax", "8", "--m", "4096", "--c", "16", "--iterations", "200", "--seed", "3",
          "--out", "coded.csv"],

@@ -84,7 +84,29 @@ def test_a_null_space_residual_above_the_tolerance_fails_construction(monkeypatc
     monkeypatch.setattr(ngcodes.codes, "NULLSPACE_TOL", -1.0)  # no residual is below it
     with pytest.raises(ConstructionFailed) as info:
         build_cyclic_encoding(10, 4, 3)
-    assert "null-space residual" in str(info.value.__cause__)
+    smallest = min(ngcodes.codes._attempt_cyclic(10, 4, np.random.default_rng(np.random.SeedSequence([3, attempt])))[1]
+                   for attempt in range(ngcodes.codes.MAX_BUILD_ATTEMPTS))
+    assert f"smallest null-space residual {smallest:.3e} above -1" in str(info.value)
+
+
+class FixedDraws:
+    """A generator stub whose standard normals are a fixed row, repeated."""
+
+    def __init__(self, row):
+        self.row = np.array(row, dtype=float)
+
+    def standard_normal(self, shape):
+        return np.resize(self.row, shape)
+
+
+@pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [1e300, 1e-300, 0.0]], ids=["singular", "overflowing"])
+def test_a_draw_without_finite_coefficients_is_a_failed_attempt(monkeypatch, row):
+    # zeros make every row system exactly singular; at n=3, sigma=1 row 0 solves
+    # 1e-300 x = -1e300, whose x overflows to -inf
+    assert ngcodes.codes._attempt_cyclic(3, 1, FixedDraws(row)) == (None, math.inf)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: FixedDraws(row))
+    with pytest.raises(ConstructionFailed, match="smallest null-space residual inf"):
+        build_cyclic_encoding(3, 1, 0)
 
 
 def test_identity_base_component():
@@ -259,35 +281,27 @@ def test_encode_then_decode_recovers_sum():
 
 
 def test_construction_failure_is_reachable(monkeypatch):
-    import ngcodes.codes as codes_mod
-
-    def always_singular(n, sigma, rng):
-        raise codes_mod.SingularSystem("forced")
-
-    monkeypatch.setattr(codes_mod, "_attempt_cyclic", always_singular)
+    monkeypatch.setattr(ngcodes.codes, "_attempt_cyclic", lambda n, sigma, rng: (None, math.inf))
     with pytest.raises(ConstructionFailed):
         build_cyclic_encoding(8, 3, seed=0)
 
 
 def per_row_attempt(n, sigma, rng):
-    """Oracle: one construction attempt a row at a time, each row's condition
-    check before its solve. Returns the dense matrix, or the first ill-conditioned row."""
+    """Oracle: one construction attempt a row at a time. Returns the dense
+    matrix, or None when its null-space residual is above the tolerance."""
     h = rng.standard_normal((sigma, n))
     h[:, -1] = -h[:, :-1].sum(axis=1)
     b = np.zeros((n, n))
     for i in range(n):
         head, *tail = cyclic_support(i, sigma, n)
-        system = h[:, tail]
-        if np.linalg.cond(system) > ngcodes.codes.COND_LIMIT:
-            return None, i
         b[i, head] = 1.0
-        b[i, tail] = np.linalg.solve(system, -h[:, head])
-    return b, None
+        b[i, tail] = np.linalg.solve(h[:, tail], -h[:, head])
+    return b if np.abs(h @ b.T).max() <= ngcodes.codes.NULLSPACE_TOL else None
 
 
 def per_row_encoding(n, sigma, seed):
     for attempt in range(ngcodes.codes.MAX_BUILD_ATTEMPTS):
-        b, _ = per_row_attempt(n, sigma, np.random.default_rng(np.random.SeedSequence([seed, attempt])))
+        b = per_row_attempt(n, sigma, np.random.default_rng(np.random.SeedSequence([seed, attempt])))
         if b is not None:
             return b
 
@@ -298,20 +312,6 @@ def test_batched_construction_matches_per_row_solves():
             for seed in range(3):
                 built = build_cyclic_encoding(n, sigma, seed).dense()
                 assert built.tobytes() == per_row_encoding(n, sigma, seed).tobytes(), (n, sigma, seed)
-
-
-def test_batched_construction_names_the_first_ill_conditioned_row(monkeypatch):
-    rows_named = set()
-    for n, sigma, seed in [(8, 3, 0), (12, 5, 1), (16, 7, 2), (16, 12, 0)]:
-        h = np.random.default_rng(seed).standard_normal((sigma, n))
-        h[:, -1] = -h[:, :-1].sum(axis=1)
-        conds = [np.linalg.cond(h[:, cyclic_support(i, sigma, n)[1:]]) for i in range(n)]
-        monkeypatch.setattr(ngcodes.codes, "COND_LIMIT", float(np.median(conds)))
-        _, first = per_row_attempt(n, sigma, np.random.default_rng(seed))
-        with pytest.raises(ngcodes.codes.SingularSystem, match=f"^row {first}: "):
-            ngcodes.codes._attempt_cyclic(n, sigma, np.random.default_rng(seed))
-        rows_named.add(first)
-    assert rows_named != {0}
 
 
 def test_serialization_roundtrip_bit_identical(tmp_path):
@@ -353,14 +353,21 @@ def test_encoding_matrix_rejects_windows_that_are_not_n_by_sigma_plus_one(shape)
         EncodingMatrix(np.ones(shape))
 
 
-# sha256 of np.stack of the dense components of build_ngc(n, s_max, seed),
-# recorded while components stored their n x n matrices: the windows must
-# rebuild those coefficients bit for bit
+# sha256 of np.stack of the dense components of build_ngc(n, s_max, seed).
+# The first four were recorded while components stored their n x n matrices:
+# the windows must rebuild those coefficients bit for bit. The last two were
+# recorded while construction also screened each row system's condition number:
+# (64, 31, 45) holds the one draw of a wide scan that the screen rejected (its
+# null-space residual rejects it too), and (256, 32, 2) is the n=256 code whose
+# gd-demo run fails its decode gate, so keeping a draw by its residual alone
+# must leave both codes as they were
 PINNED = {
     (6, 2, 3): "a9b5714bd7091dbed15a8dbfd9a8b111b756c839ace13a8dda3b30af28b1af0c",
     (8, 3, 1): "76ef8c51054f3e2cd3d52cea4cff7b339653afaa5597280c668ce36efa0553dc",
     (12, 5, 42): "aac04b9c6a6195c0ffa85df9f5087a30e3d042cadb7ed95bb266699abd6fb747",
     (64, 8, 2): "1f294ddc759ceb804bc3694fda95a94ce653b894b5d6a32df25990397a1e6ad9",
+    (64, 31, 45): "1177a5b18d702e0009e7fdac58ad81f503f7cb747ae94e2c137b6775b9aee6e2",
+    (256, 32, 2): "d7908c419a55883fc11a98985b06524e5cf953996b6caf43c4a9686418afd079",
 }
 
 
