@@ -83,6 +83,8 @@ CASES = {
     ]),
     "construct-n256": ({}, [  # a 3.96 MB code file; its gd-demo run fails the decode gate
         ["construct", "--n", "256", "--smax", "32", "--seed", "2", "--out", "code.json"],
+        ["gd-demo", "--n", "256", "--smax", "32", "--m", "4096", "--c", "16", "--iterations", "100", "--seed", "2",
+         "--out", "gd.csv"],
     ]),
     "gd-demo-n64": ({}, [  # the decoding path at n=64, where almost every responsive set is new
         ["gd-demo", "--n", "64", "--smax", "8", "--m", "4096", "--c", "16", "--iterations", "200", "--seed", "3",

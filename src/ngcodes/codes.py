@@ -172,21 +172,26 @@ def build_ngc(n: int, s_max: int, seed: int) -> NestedGradientCode:
 def _straggler_decodings(code: EncodingMatrix, stragglers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decoding vectors (k, n), exactly 0 on each row of the (k, sigma) ``stragglers``, and their
     residuals |a B - 1|max. Each of two passes solves for the rest 1 - a B through the pseudo-inverse and
-    moves the step along M to 0 on the stragglers; a singular M block's pattern shows as a residual."""
+    moves the step along M to 0 on the stragglers; a singular M block's pattern shows as a residual.
+
+    Every product is taken one pattern at a time, as a (k, 1, n) stack: a pattern's decoding and
+    residual are the same bits alone, in ``decode_row``, in ``verify_gradient_code`` or in any batch
+    that holds no exactly singular M block (one sends the whole batch to ``pinv``).
+    """
     b, pinv, null = code.factors
     try:
         inverse = np.linalg.inv(null[stragglers])
     except np.linalg.LinAlgError:
         inverse = np.linalg.pinv(null[stragglers])
     sets = np.arange(len(stragglers))[:, None]
-    a, rest = np.zeros((len(stragglers), code.n)), np.ones((len(stragglers), code.n))  # rest = 1 - 0 B
+    a, rest = np.zeros((len(stragglers), 1, code.n)), np.ones((len(stragglers), 1, code.n))  # rest = 1 - 0 B
     for _ in range(2):
         step = rest @ pinv
-        step -= (inverse @ step[sets, stragglers][..., None])[..., 0] @ null.T
-        step[sets, stragglers] = 0.0
+        step -= (inverse @ step[sets, 0, stragglers][..., None]).transpose(0, 2, 1) @ null.T
+        step[sets, 0, stragglers] = 0.0
         a += step
         rest = 1.0 - a @ b
-    return a, np.abs(rest).max(axis=1)
+    return a[:, 0], np.abs(rest[:, 0]).max(axis=1)
 
 
 def decode_row(code: EncodingMatrix, responsive_set) -> np.ndarray:

@@ -12,14 +12,17 @@ are the undecodable trials since the one before. No trial depends on theta,
 so a run reads them all before the first update.
 
 The decodings are resolved for the whole run before the first update too:
-each (sigma, responsive set) is solved once, so a run that cannot decode
-fails before it starts. A responsive worker at sigma has finished at least
-sigma + 1 tasks, which cover its whole window, so every row a decoding uses
-can be formed. The update loop then runs only the data products, the decode
-and the update. It computes one residual X theta - y per theta, which gives
-both the recorded loss and all n block gradients of the next iteration (one
-batched product); the responses of the workers a decoding uses are one
-product of their encoding rows with those gradients.
+one stacked solve per sigma covers that sigma's distinct used-worker sets (the
+n - sigma smallest responsive workers), so a run that cannot decode fails
+before it starts. A responsive worker at sigma has finished at least sigma + 1
+tasks, which cover its whole window, so every row a decoding uses can be
+formed. The update loop then runs only the data products, the decode and the
+update. It computes one residual X theta - y per theta, which gives both the
+recorded loss and all n block gradients of the next iteration (one batched
+product); the responses of the workers a decoding uses are one product of
+their encoding rows with those gradients. It keeps each iteration's decoded and
+direct gradient sums, and the recovery errors are computed from them after the
+loop.
 """
 from __future__ import annotations
 
@@ -28,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import CodeError, NestedGradientCode, decode_row
+from .codes import DECODE_TOL, CodeError, NestedGradientCode, NotDecodable, NumericalFailure, _straggler_decodings
+from .codes import decode_row  # noqa: F401 -- bench/workloads.py traces it under this module
 from .codes import encode_response  # noqa: F401 -- bench/workloads.py traces it under this module
 from .latency import ClusterParams, Scheme
 from .simulator import _decided_chunks
@@ -109,27 +113,44 @@ def dataset_loss(dataset: Dataset, theta: np.ndarray) -> float:
     return 0.5 * float(residual @ residual)
 
 
-def _resolve(ngc: NestedGradientCode, sigma: int, tasks_done: np.ndarray,
-             decoders: dict) -> tuple[np.ndarray, np.ndarray]:
-    """The decoding at ``sigma``: the rows of B of the responsive workers it uses and their
-    decoding coefficients, solved once per (sigma, responsive set) in ``decoders``."""
-    responsive = np.flatnonzero(tasks_done >= sigma + 1)
-    key = (sigma, tuple(responsive.tolist()))
-    if key not in decoders:
-        component = ngc.components[sigma]
-        coefficients = decode_row(component, responsive)  # NumericalFailure unless within the residual gate
-        workers = responsive[:ngc.n - sigma]  # the ones decode_row gives a coefficient
-        decoders[key] = component.factors[0][workers], coefficients[workers]
-    return decoders[key]
+def _plan(ngc: NestedGradientCode, sigma: np.ndarray, tasks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per iteration of ``sigma`` (iterations,) and ``tasks`` (iterations, n), the rows of B of the
+    workers its decoding uses (the n - sigma smallest responsive ones) and their decoding coefficients.
+
+    Each sigma's distinct used-worker sets are solved in one ``_straggler_decodings`` call, which gives
+    each the bits ``decode_row`` gives it. NotDecodable when an iteration has fewer than n - sigma
+    responsive workers; NumericalFailure (a residual above ``DECODE_TOL``) as ``decode_row`` raises
+    it, for the first iteration that fails.
+    """
+    n, plan, failures = ngc.n, [None] * len(sigma), []
+    for s in sorted(set(sigma.tolist())):
+        ts = np.flatnonzero(sigma == s)  # the iterations decoded at s
+        component = ngc.components[s]
+        responsive = tasks[ts] >= s + 1
+        if (short := responsive.sum(axis=1) < n - s).any():
+            raise NotDecodable(f"{responsive[short.argmax()].sum()} responsive workers, need {n - s} for sigma={s}")
+        used = responsive & (np.cumsum(responsive, axis=1) <= n - s)
+        slot = {}  # used-worker set -> the first of these iterations with it
+        firsts = [slot.setdefault(row.tobytes(), j) for j, row in enumerate(used)]
+        heads = list(slot.values())
+        a, residual = _straggler_decodings(component, np.nonzero(~used[heads])[1].reshape(len(heads), s))
+        if (bad := np.flatnonzero(~(residual <= DECODE_TOL))).size:  # a NaN residual fails too
+            failures.append((ts[heads[bad[0]]], residual[bad[0]]))  # its first failing iteration
+            continue
+        b = component.factors[0]
+        decodings = {j: (b[used[j]], a[m, used[j]]) for m, j in enumerate(heads)}
+        for t, j in zip(ts.tolist(), firsts):
+            plan[t] = decodings[j]
+    if failures:
+        raise NumericalFailure(f"decode residual {min(failures)[1]:.3e} above {DECODE_TOL:g}")
+    return plan
 
 
-def _decode(decoding: tuple[np.ndarray, np.ndarray], gradients: np.ndarray) -> tuple[np.ndarray, float]:
-    """The decoded gradient sum and its relative error against the direct sum."""
-    rows, weights = decoding
-    decoded = weights @ (rows @ gradients)
-    full = gradients.sum(axis=0)
-    denom = float(np.abs(full).max()) or 1.0
-    return decoded, float(np.abs(decoded - full).max()) / denom
+def _recovery_errors(decoded: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Per row, the decoded gradient sum's relative error max|decoded - full| / max|full| against
+    the direct sum (over 1 where the direct sum is 0)."""
+    denom = np.abs(full).max(axis=1)
+    return np.abs(decoded - full).max(axis=1) / np.where(denom == 0, 1.0, denom)
 
 
 def coded_iteration(
@@ -139,7 +160,6 @@ def coded_iteration(
     sigma: int,
     tasks_done: np.ndarray,
     gradients: np.ndarray,
-    decoders: dict | None = None,
 ) -> tuple[np.ndarray, float]:
     """``theta - step * decoded`` for the gradient decoded from one simulated
     iteration, and its relative error against the directly summed gradient.
@@ -150,16 +170,16 @@ def coded_iteration(
     gradients at ``theta``, one row per block. A worker that finished sigma + 1
     tasks holds the gradients of its whole window, so the responses are formed
     with the decoded component's rows and combined with its decoding
-    coefficients. ``decoders`` keeps the decoding of each (sigma, responsive
-    set) for later calls.
+    coefficients: the decoding, update and recovery error of one iteration of
+    ``run_descent``, through the same ``_plan`` and ``_recovery_errors``.
     """
     if sigma < 0:
         raise UndecodableIteration(f"more failures than s_max={ngc.s_max} tolerates")
     if gradients.shape != (ngc.n, theta.size):
         raise ValueError(f"gradients must be ({ngc.n}, {theta.size}), got {gradients.shape}")
-    decoding = _resolve(ngc, sigma, tasks_done, {} if decoders is None else decoders)
-    decoded, relative_error = _decode(decoding, gradients)
-    return theta - step * decoded, relative_error
+    (rows, weights), = _plan(ngc, np.array([sigma]), np.asarray(tasks_done)[None])
+    decoded = weights @ (rows @ gradients)
+    return theta - step * decoded, float(_recovery_errors(decoded[None], gradients.sum(axis=0)[None])[0])
 
 
 @dataclass(frozen=True)
@@ -215,10 +235,11 @@ def run_descent(
     """Run coded gradient descent from theta = 0; deterministic given seed.
 
     UndecodableIteration names the first iteration with no decodable draw in
-    ``MAX_RESAMPLES`` resamples (see the module's stream rule). A decoding
-    that fails (NumericalFailure) raises as one ``coded_iteration`` per
-    iteration's (sigma, tasks done) would at its first failing iteration, but
-    before the first update.
+    ``MAX_RESAMPLES`` resamples (see the module's stream rule). The decodings
+    are one stacked solve per sigma (``_plan``); one that fails
+    (NumericalFailure) raises as one ``coded_iteration`` per iteration's
+    (sigma, tasks done) would at its first failing iteration, but before the
+    first update. The recovery errors are computed after the update loop.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
@@ -227,28 +248,24 @@ def run_descent(
     if cluster.n != ngc.n:
         raise ValueError(f"cluster has n={cluster.n} workers but code expects {ngc.n}")
     latency, sigma, tasks, resamples = _iteration_trials(cluster, ngc.s_max, seed, iterations)
-    decoders = {}
-    plan = [_resolve(ngc, s, row, decoders) for s, row in zip(sigma.tolist(), tasks)]
+    plan = _plan(ngc, sigma, tasks)
     data, labels = partition(dataset, ngc.n)
     step = eta / dataset.m
     theta = np.zeros(dataset.c)
     residual = data @ theta - labels  # one per theta: its loss and the next gradients
-    thetas, records = [], []
-    for t, decoding in enumerate(plan):
-        decoded, relative_error = _decode(decoding, _block_gradients(data, residual))
-        theta = theta - step * decoded
+    decoded, full = np.empty((iterations, dataset.c)), np.empty((iterations, dataset.c))
+    thetas, losses = [], []
+    for t, (rows, weights) in enumerate(plan):
+        gradients = _block_gradients(data, residual)
+        decoded[t] = weights @ (rows @ gradients)
+        full[t] = gradients.sum(axis=0)
+        theta = theta - step * decoded[t]
         residual = data @ theta - labels
         thetas.append(theta)
-        records.append(
-            IterationRecord(
-                iteration=t,
-                loss=0.5 * float(np.vdot(residual, residual)),
-                recovery_error=relative_error,
-                decoded_sigma=int(sigma[t]),
-                latency=float(latency[t]),
-                resamples=int(resamples[t]),
-            )
-        )
+        losses.append(0.5 * float(np.vdot(residual, residual)))
+    errors = _recovery_errors(decoded, full).tolist()
+    records = [IterationRecord(t, losses[t], errors[t], int(sigma[t]), float(latency[t]), int(resamples[t]))
+               for t in range(iterations)]
     return DescentRun(thetas=tuple(thetas), records=tuple(records))
 
 

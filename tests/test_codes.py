@@ -16,6 +16,7 @@ from ngcodes.codes import (
     EncodingMatrix,
     MissingGradient,
     NotDecodable,
+    VERIFY_CAP,
     build_cyclic_encoding,
     build_ngc,
     code_from_json,
@@ -248,7 +249,27 @@ def test_straggler_residuals_are_those_of_the_returned_decodings(n, sigma, seed)
     rng = np.random.default_rng(seed)
     stragglers = np.array([np.sort(rng.choice(n, sigma, replace=False)) for _ in range(20)])
     a, residuals = ngcodes.codes._straggler_decodings(matrix, stragglers)
-    assert np.array_equal(residuals, np.abs(a @ matrix.dense() - 1).max(axis=1))
+    b = matrix.dense()
+    assert np.array_equal(residuals, [np.abs(a[i] @ b - 1).max() for i in range(len(a))])
+
+
+@pytest.mark.parametrize("n, s_max, seed", [(12, 5, 42), (64, 8, 2), (128, 16, 7)])
+def test_a_stack_of_straggler_patterns_decodes_each_as_alone(n, s_max, seed):
+    # every product is taken one pattern at a time, so a pattern's bits do not depend on its batch
+    rng = np.random.default_rng(seed)
+    for code in build_ngc(n, s_max, seed).components[1:]:
+        sigma = code.sigma
+        stragglers = np.array([np.sort(rng.choice(n, sigma, replace=False)) for _ in range(10)]
+                              + [np.sort((start + np.arange(sigma)) % n) for start in rng.integers(0, n, 10)])
+        a, residuals = ngcodes.codes._straggler_decodings(code, stragglers)
+        for row, coefficients, residual in zip(stragglers, a, residuals):
+            alone, alone_residual = ngcodes.codes._straggler_decodings(code, row[None])
+            assert np.array_equal(coefficients, alone[0]) and residual == alone_residual[0]
+            assert np.array_equal(coefficients, decode_row(code, set(range(n)) - set(row.tolist())))
+        if n <= VERIFY_CAP:
+            worst = max(ngcodes.codes._straggler_decodings(code, np.array([pattern]))[1][0]
+                        for pattern in itertools.combinations(range(n), sigma))
+            assert verify_gradient_code(code).max_residual == worst
 
 
 def test_verify_cap():

@@ -283,14 +283,19 @@ def test_run_descent_matches_per_block_reference():
         assert np.abs(a - b).max() <= 1e-12
 
 
+def used_workers(n, sigma, tasks):
+    """The workers a decoding at sigma uses: the n - sigma smallest responsive ones."""
+    return np.flatnonzero(tasks >= sigma + 1)[:n - sigma]
+
+
 def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
-    calls = []
+    calls, real = [], descent._straggler_decodings
 
-    def counted(code, responsive_set, *args, **kwargs):
-        calls.append((code.sigma, frozenset(int(i) for i in responsive_set)))
-        return decode_row(code, responsive_set, *args, **kwargs)
+    def counted(code, stragglers):
+        calls.append((code.sigma, [frozenset(range(code.n)) - frozenset(row.tolist()) for row in stragglers]))
+        return real(code, stragglers)
 
-    monkeypatch.setattr(descent, "decode_row", counted)
+    monkeypatch.setattr(descent, "_straggler_decodings", counted)
     ds = make_dataset(96, 4, 0.1, seed=16)
     ngc = build_ngc(12, 5, seed=16)
     factorisations, real_svd = [], codes.np.linalg.svd
@@ -304,12 +309,14 @@ def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
     run = run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
     keys = set()
     for (_, sigma, tasks), _ in oracle_outcomes(cluster, ngc.s_max, 16, len(run.records)):
-        keys.add((sigma, frozenset(np.flatnonzero(tasks >= sigma + 1).tolist())))
-    assert len(calls) == len(set(calls)) == len(keys) < len(run.records)
-    assert set(calls) == keys
+        keys.add((sigma, frozenset(used_workers(12, sigma, tasks).tolist())))
+    rows = [(sigma, used) for sigma, sets in calls for used in sets]
+    assert len(calls) == len({sigma for sigma, _ in calls})  # at most one call per sigma
+    assert len(rows) == len(set(rows)) == len(keys) < len(run.records)
+    assert set(rows) == keys
     # a fresh run solves its decodings again, but each component keeps its one SVD
     run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
-    assert len(calls) == 2 * len(keys)
+    assert sum(len(sets) for _, sets in calls) == 2 * len(keys)
     assert 0 < len(factorisations) <= ngc.s_max + 1
 
 
@@ -360,17 +367,15 @@ def test_a_longer_run_starts_with_the_iterations_of_a_shorter_one():
 
 
 def coded_iteration_loop(ds, ngc, iterations, eta, cluster, seed):
-    """Reference: one coded_iteration per oracle outcome, sharing one decoders
-    dict, with the loss of the residual at each new theta and the sigma and
-    latency of the outcome."""
+    """Reference: one coded_iteration per oracle outcome, with the loss of the
+    residual at each new theta and the sigma and latency of the outcome."""
     expected = oracle_outcomes(cluster, ngc.s_max, seed, iterations)
     data, labels = partition(ds, ngc.n)
     theta, step = np.zeros(ds.c), eta / ds.m
-    decoders = {}
     thetas, records = [], []
     for t, ((latency, sigma, tasks), resamples) in enumerate(expected):
         gradients = partial_gradient(data, labels, theta)
-        theta, relative_error = coded_iteration(theta, step, ngc, sigma, tasks, gradients, decoders)
+        theta, relative_error = coded_iteration(theta, step, ngc, sigma, tasks, gradients)
         residual = data @ theta - labels
         thetas.append(theta)
         records.append(IterationRecord(t, 0.5 * float(np.vdot(residual, residual)), relative_error,
@@ -415,25 +420,30 @@ def updates(monkeypatch):
 
 @pytest.mark.parametrize("k", [1, 4, 15])
 def test_run_descent_raises_the_first_failed_decoding_before_any_update(k, monkeypatch, updates):
-    def failing_on_key_k():
-        keys = []
-
-        def decode(code, responsive_set, *args, **kwargs):
-            keys.append((code.sigma, sorted(int(i) for i in responsive_set)))
-            if len(keys) == k:
-                raise NumericalFailure(f"decoding {k}: sigma {keys[-1][0]}, set {keys[-1][1]}")
-            return decode_row(code, responsive_set, *args, **kwargs)
-
-        monkeypatch.setattr(descent, "decode_row", decode)
-
     ds = make_dataset(48, 3, 0.1, seed=23)
     ngc = build_ngc(12, 5, seed=23)
     cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=12)
-    failing_on_key_k()
+    patterns = {}  # (sigma, stragglers) of each decoding, in the order the iterations first use them
+    for (_, sigma, tasks), _ in oracle_outcomes(cluster, ngc.s_max, 23, 100):
+        patterns.setdefault((sigma, tuple(sorted(set(range(12)) - set(used_workers(12, sigma, tasks).tolist())))),
+                            len(patterns))
+    assert len(patterns) > k
+    real = descent._straggler_decodings
+
+    def failing_from_pattern_k(code, stragglers):
+        # a NaN residual for the k-th new pattern, and one of its own for each later one, so that any
+        # failure but the first in iteration order shows in the message
+        a, residuals = real(code, stragglers)
+        for i, row in enumerate(stragglers):
+            index = patterns[code.sigma, tuple(row.tolist())]
+            if index >= k - 1:
+                residuals[i] = math.nan if index == k - 1 else 1.0 + index
+        return a, residuals
+
+    monkeypatch.setattr(descent, "_straggler_decodings", failing_from_pattern_k)
     expected = raised_by(lambda: coded_iteration_loop(ds, ngc, 100, 0.1, cluster, seed=23))
-    assert expected[0] is NumericalFailure
+    assert expected == (NumericalFailure, "decode residual nan above 1e-08")
     updates.clear()
-    failing_on_key_k()
     assert raised_by(lambda: run_descent(ds, ngc, 100, 0.1, cluster, seed=23)) == expected
     assert updates == []
 
