@@ -90,6 +90,10 @@ CASES = {
         ["gd-demo", "--n", "64", "--smax", "8", "--m", "4096", "--c", "16", "--iterations", "200", "--seed", "3",
          "--out", "coded.csv"],
     ]),
+    "gd-demo-gram": ({}, [  # c exceeds the 4 rows of a block, and the loss pass ends in a partial block
+        ["gd-demo", "--n", "64", "--smax", "8", "--m", "256", "--c", "16", "--iterations", "37", "--seed", "3",
+         "--out", "coded.csv"],
+    ]),
     "usage-errors": ({}, [
         [], ["frobnicate"], ["--n", "3", "simulate"], ["simulate", "--out", "x.csv", "--bogus", "1"],
         ["construct"], ["analyze"], ["simulate"], ["gd-demo"],

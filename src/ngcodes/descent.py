@@ -14,15 +14,20 @@ so a run reads them all before the first update.
 The decodings are resolved for the whole run before the first update too:
 one stacked solve per sigma covers that sigma's distinct used-worker sets (the
 n - sigma smallest responsive workers), so a run that cannot decode fails
-before it starts. A responsive worker at sigma has finished at least sigma + 1
-tasks, which cover its whole window, so every row a decoding uses can be
-formed. The update loop then runs only the data products, the decode and the
-update. It computes one residual X theta - y per theta, which gives both the
-recorded loss and all n block gradients of the next iteration (one batched
-product); the responses of the workers a decoding uses are one product of
-their encoding rows with those gradients. It keeps each iteration's decoded and
-direct gradient sums, and the recovery errors are computed from them after the
-loop.
+before it starts. The plan keeps, per iteration, only sigma, the used workers'
+indices and their coefficients. A responsive worker at sigma has finished at
+least sigma + 1 tasks, which cover its whole window, so every row a decoding
+uses can be formed.
+
+For least squares a block's gradient X_i^T (X_i theta - y_i) is
+G_i theta - b_i, with G_i = X_i^T X_i and b_i = X_i^T y_i fixed for the run.
+A run forms them once, so an iteration costs O(n c^2) plus the decode, not
+O(m c): one batched product gives all n block gradients, and the responses of
+the workers a decoding uses are one product of their encoding rows with those
+gradients. The loop keeps each theta and each iteration's decoded and direct
+gradient sums. After it, the recovery errors come from the sums, and the
+losses 0.5 ||X theta - y||^2 from the residuals of blocks of thetas, each block
+at most LOSS_BLOCK residual entries (0.5 MB) or one theta.
 """
 from __future__ import annotations
 
@@ -40,6 +45,7 @@ from .simulator import simulate_ngc_iteration  # noqa: F401 -- bench/workloads.p
 
 _TARGET_GAP = 1e-9  # loss excess left after a default-rate run, relative to its start
 MAX_RESAMPLES = 1000  # undecodable trials in a row that an iteration tolerates
+LOSS_BLOCK = 2**16  # residual entries (0.5 MB) per block of a run's after-loop loss pass
 
 
 class UndecodableIteration(CodeError):
@@ -113,9 +119,37 @@ def dataset_loss(dataset: Dataset, theta: np.ndarray) -> float:
     return 0.5 * float(residual @ residual)
 
 
-def _plan(ngc: NestedGradientCode, sigma: np.ndarray, tasks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per iteration of ``sigma`` (iterations,) and ``tasks`` (iterations, n), the rows of B of the
-    workers its decoding uses (the n - sigma smallest responsive ones) and their decoding coefficients.
+def _block_moments(data: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X_i^T X_i (n, c, c) and X_i^T y_i (n, c) of each block of ``partition``'s data and labels."""
+    return data.transpose(0, 2, 1) @ data, _block_gradients(data, labels)
+
+
+def _gram_gradients(gram: np.ndarray, moments: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    # X_i^T (X_i theta - y_i) = G_i theta - b_i of every block: O(n c^2), whatever the block size
+    return gram @ theta - moments
+
+
+def _losses(dataset: Dataset, thetas: np.ndarray) -> np.ndarray:
+    """0.5 ||X theta - y||^2 of each row of ``thetas`` (k, c), from the residuals of blocks of
+    max(1, LOSS_BLOCK // m) thetas. The last block is zero-padded to full size, so every block is the
+    same product and a row's loss does not depend on the rows after it."""
+    block = max(1, LOSS_BLOCK // dataset.m)
+    padded = np.zeros((-(-len(thetas) // block) * block, dataset.c))
+    padded[:len(thetas)] = thetas
+    losses = np.empty(len(padded))
+    for start in range(0, len(padded), block):
+        residual = padded[start:start + block] @ dataset.data.T
+        residual -= dataset.labels
+        losses[start:start + block] = 0.5 * np.einsum("ij,ij->i", residual, residual)
+    return losses[:len(thetas)]
+
+
+_Decoding = tuple[int, np.ndarray, np.ndarray]  # sigma, the used workers' indices, their coefficients
+
+
+def _plan(ngc: NestedGradientCode, sigma: np.ndarray, tasks: np.ndarray) -> list[_Decoding]:
+    """Per iteration of ``sigma`` (iterations,) and ``tasks`` (iterations, n), its sigma, the workers its
+    decoding uses (the n - sigma smallest responsive ones) and their decoding coefficients.
 
     Each sigma's distinct used-worker sets are solved in one ``_straggler_decodings`` call, which gives
     each the bits ``decode_row`` gives it. NotDecodable when an iteration has fewer than n - sigma
@@ -125,7 +159,6 @@ def _plan(ngc: NestedGradientCode, sigma: np.ndarray, tasks: np.ndarray) -> list
     n, plan, failures = ngc.n, [None] * len(sigma), []
     for s in sorted(set(sigma.tolist())):
         ts = np.flatnonzero(sigma == s)  # the iterations decoded at s
-        component = ngc.components[s]
         responsive = tasks[ts] >= s + 1
         if (short := responsive.sum(axis=1) < n - s).any():
             raise NotDecodable(f"{responsive[short.argmax()].sum()} responsive workers, need {n - s} for sigma={s}")
@@ -133,17 +166,23 @@ def _plan(ngc: NestedGradientCode, sigma: np.ndarray, tasks: np.ndarray) -> list
         slot = {}  # used-worker set -> the first of these iterations with it
         firsts = [slot.setdefault(row.tobytes(), j) for j, row in enumerate(used)]
         heads = list(slot.values())
-        a, residual = _straggler_decodings(component, np.nonzero(~used[heads])[1].reshape(len(heads), s))
+        a, residual = _straggler_decodings(ngc.components[s], np.nonzero(~used[heads])[1].reshape(len(heads), s))
         if (bad := np.flatnonzero(~(residual <= DECODE_TOL))).size:  # a NaN residual fails too
             failures.append((ts[heads[bad[0]]], residual[bad[0]]))  # its first failing iteration
             continue
-        b = component.factors[0]
-        decodings = {j: (b[used[j]], a[m, used[j]]) for m, j in enumerate(heads)}
+        decodings = {j: (s, np.flatnonzero(used[j]), a[m, used[j]]) for m, j in enumerate(heads)}
         for t, j in zip(ts.tolist(), firsts):
             plan[t] = decodings[j]
     if failures:
         raise NumericalFailure(f"decode residual {min(failures)[1]:.3e} above {DECODE_TOL:g}")
     return plan
+
+
+def _decode(ngc: NestedGradientCode, decoding: _Decoding, gradients: np.ndarray) -> np.ndarray:
+    """The gradient sum decoded from block ``gradients`` (n, c) by one ``_plan`` entry: the responses of the
+    workers it uses (their rows of B times the gradients), combined with their coefficients."""
+    sigma, workers, weights = decoding
+    return weights @ (ngc.components[sigma].factors[0][workers] @ gradients)
 
 
 def _recovery_errors(decoded: np.ndarray, full: np.ndarray) -> np.ndarray:
@@ -171,14 +210,15 @@ def coded_iteration(
     tasks holds the gradients of its whole window, so the responses are formed
     with the decoded component's rows and combined with its decoding
     coefficients: the decoding, update and recovery error of one iteration of
-    ``run_descent``, through the same ``_plan`` and ``_recovery_errors``.
+    ``run_descent``, through the same ``_plan``, ``_decode`` and
+    ``_recovery_errors``.
     """
     if sigma < 0:
         raise UndecodableIteration(f"more failures than s_max={ngc.s_max} tolerates")
     if gradients.shape != (ngc.n, theta.size):
         raise ValueError(f"gradients must be ({ngc.n}, {theta.size}), got {gradients.shape}")
-    (rows, weights), = _plan(ngc, np.array([sigma]), np.asarray(tasks_done)[None])
-    decoded = weights @ (rows @ gradients)
+    decoding, = _plan(ngc, np.array([sigma]), np.asarray(tasks_done)[None])
+    decoded = _decode(ngc, decoding, gradients)
     return theta - step * decoded, float(_recovery_errors(decoded[None], gradients.sum(axis=0)[None])[0])
 
 
@@ -239,7 +279,9 @@ def run_descent(
     are one stacked solve per sigma (``_plan``); one that fails
     (NumericalFailure) raises as one ``coded_iteration`` per iteration's
     (sigma, tasks done) would at its first failing iteration, but before the
-    first update. The recovery errors are computed after the update loop.
+    first update. Each iteration's block gradients come from the blocks'
+    Gram matrices; the losses and recovery errors are computed after the
+    update loop.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
@@ -249,21 +291,16 @@ def run_descent(
         raise ValueError(f"cluster has n={cluster.n} workers but code expects {ngc.n}")
     latency, sigma, tasks, resamples = _iteration_trials(cluster, ngc.s_max, seed, iterations)
     plan = _plan(ngc, sigma, tasks)
-    data, labels = partition(dataset, ngc.n)
+    gram, moments = _block_moments(*partition(dataset, ngc.n))
     step = eta / dataset.m
     theta = np.zeros(dataset.c)
-    residual = data @ theta - labels  # one per theta: its loss and the next gradients
-    decoded, full = np.empty((iterations, dataset.c)), np.empty((iterations, dataset.c))
-    thetas, losses = [], []
-    for t, (rows, weights) in enumerate(plan):
-        gradients = _block_gradients(data, residual)
-        decoded[t] = weights @ (rows @ gradients)
+    thetas, decoded, full = (np.empty((iterations, dataset.c)) for _ in range(3))
+    for t, decoding in enumerate(plan):
+        gradients = _gram_gradients(gram, moments, theta)
+        decoded[t] = _decode(ngc, decoding, gradients)
         full[t] = gradients.sum(axis=0)
-        theta = theta - step * decoded[t]
-        residual = data @ theta - labels
-        thetas.append(theta)
-        losses.append(0.5 * float(np.vdot(residual, residual)))
-    errors = _recovery_errors(decoded, full).tolist()
+        theta = thetas[t] = theta - step * decoded[t]
+    losses, errors = _losses(dataset, thetas).tolist(), _recovery_errors(decoded, full).tolist()
     records = [IterationRecord(t, losses[t], errors[t], int(sigma[t]), float(latency[t]), int(resamples[t]))
                for t in range(iterations)]
     return DescentRun(thetas=tuple(thetas), records=tuple(records))

@@ -367,20 +367,21 @@ def test_a_longer_run_starts_with_the_iterations_of_a_shorter_one():
 
 
 def coded_iteration_loop(ds, ngc, iterations, eta, cluster, seed):
-    """Reference: one coded_iteration per oracle outcome, with the loss of the
-    residual at each new theta and the sigma and latency of the outcome."""
+    """Reference: one coded_iteration per oracle outcome, on the block gradients
+    of run_descent's Gram form, with the loss of each new theta from
+    run_descent's loss pass and the sigma and latency of the outcome."""
     expected = oracle_outcomes(cluster, ngc.s_max, seed, iterations)
-    data, labels = partition(ds, ngc.n)
+    gram, moments = descent._block_moments(*partition(ds, ngc.n))
     theta, step = np.zeros(ds.c), eta / ds.m
-    thetas, records = [], []
-    for t, ((latency, sigma, tasks), resamples) in enumerate(expected):
-        gradients = partial_gradient(data, labels, theta)
+    thetas, errors = [], []
+    for (_, sigma, tasks), _ in expected:
+        gradients = descent._gram_gradients(gram, moments, theta)
         theta, relative_error = coded_iteration(theta, step, ngc, sigma, tasks, gradients)
-        residual = data @ theta - labels
         thetas.append(theta)
-        records.append(IterationRecord(t, 0.5 * float(np.vdot(residual, residual)), relative_error,
-                                       sigma, latency, resamples))
-    return thetas, records
+        errors.append(relative_error)
+    losses = descent._losses(ds, np.array(thetas)).tolist()
+    return thetas, [IterationRecord(t, losses[t], errors[t], sigma, latency, resamples)
+                    for t, ((latency, sigma, _), resamples) in enumerate(expected)]
 
 
 @pytest.mark.parametrize("s_max", [0, 3, 5])
@@ -408,13 +409,13 @@ def raised_by(call):
 def updates(monkeypatch):
     """Counts block-gradient products, one per update."""
     calls = []
-    real = descent._block_gradients
+    real = descent._gram_gradients
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(descent, "_block_gradients", counted)
+    monkeypatch.setattr(descent, "_gram_gradients", counted)
     return calls
 
 
@@ -495,3 +496,39 @@ def test_make_dataset_rejects_empty_shapes_and_bad_noise():
         with pytest.raises(ValueError):
             make_dataset(m, c, noise, seed=0)
     assert make_dataset(1, 1, 0.0, seed=0).data.shape == (1, 1)
+
+
+def test_gram_form_block_gradients_match_partial_gradient():
+    # c = 8 exceeds the 3 rows of a block, and the last 8 of the 48 partitioned rows are zero padding
+    ds = make_dataset(40, 8, 0.2, seed=26)
+    data, labels = partition(ds, 16)
+    assert data.shape == (16, 3, 8)
+    theta = np.random.default_rng(26).standard_normal(8)
+    gradients = descent._gram_gradients(*descent._block_moments(data, labels), theta)
+    direct = partial_gradient(data, labels, theta)
+    # either form rounds within a few c * size ulps of |X_i|^T (|X_i| |theta| + |y_i|)
+    bound = (np.abs(data).transpose(0, 2, 1) @ (np.abs(data) @ np.abs(theta) + np.abs(labels))[..., None])[..., 0]
+    assert np.all(np.abs(gradients - direct) <= 1e-12 * bound)
+    assert np.all(gradients[14:] == 0.0) and np.all(direct[14:] == 0.0)  # blocks of padding alone
+
+
+def bench_shape_run(iterations, seed=27):
+    ds = make_dataset(4096, 32, 0.1, seed=seed)
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=12)
+    return ds, run_descent(ds, build_ngc(12, 5, seed=seed), iterations, default_learning_rate(ds, 200), cluster,
+                           seed=seed)
+
+
+def test_recorded_losses_are_the_dataset_losses_of_the_thetas():
+    assert 37 % (descent.LOSS_BLOCK // 4096) != 0  # the loss pass ends in a partial block
+    ds, run = bench_shape_run(37)
+    for record, theta in zip(run.records, run.thetas):
+        exact = dataset_loss(ds, theta)
+        assert abs(record.loss - exact) <= 1e-12 * exact
+
+
+def test_loss_blocks_do_not_change_the_bits_of_a_shorter_run():
+    _, short = bench_shape_run(37)
+    _, long = bench_shape_run(75)
+    assert long.records[:37] == short.records
+    assert all(np.array_equal(a, b) for a, b in zip(long.thetas, short.thetas))
