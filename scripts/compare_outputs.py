@@ -118,15 +118,13 @@ CASES = {
         ["analyze", "--n", HUGE, "--out", "x.csv"],
         ["analyze", "--steps", SIZE, "--out", "x.csv"],
     ]),
-    "simulate-errors": ({"shared.json": '{"trials": 0, "seed": -3}'}, [
+    "simulate-errors": ({}, [
         ["simulate", "--schemes", "ngc:3", "--lambda", "nan", "--trials", "10", "--out", "x.csv"],
         ["simulate", "--schemes", "ngc:1", "--n", "4", "--lambda", "5e-324", "--out", "x.csv"],
         ["simulate", "--schemes", "ngc:1", *OVERFLOW, "--out", "x.csv"],
         ["simulate", "--schemes", "gc:7", "--n", "8", "--lambda", "3e-308", "--pe", "0", "--trials", "100",
          "--out", "x.csv"],
         ["simulate", "--trials", SIZE, "--out", "x.csv"],
-        ["analyze", "--config", "shared.json", "--steps", "3", "--out", "shared.csv"],
-        ["simulate", "--config", "shared.json", "--out", "x.csv"],
     ]),
     "gd-demo-errors": ({}, [
         *[["gd-demo", *argv, "--out", "gd.csv"] for argv in (
@@ -140,33 +138,6 @@ CASES = {
         ["gd-demo", "--eta", "1e300", "--iterations", "30", "--out", "diverged.csv"],
         ["gd-demo", "--n", "8", "--smax", "3", "--iterations", "1", "--m", "8", "--c", "2", "--noise", "1e300",
          "--seed", "3", "--out", "inf-loss.csv"],
-    ]),
-    "config-files": ({
-        "defaults.json": '{"schemes": "gc:2", "lambda": 1.0, "t-min": 1.0, "t-max": 9.0, "steps": 5}',
-        "list.json": "[1, 2, 3]",
-        **{f"key-{key}.json": json.dumps({key: 5.0, "steps": 3}) for key in ("lamda", "lam", "t_min", "t_max")},
-        "null-n.json": '{"n": null}',
-        "n-list.json": '{"n": [8]}',
-        "lambda-object.json": '{"lambda": {}}',
-        "steps-bool.json": '{"steps": true}',
-        "eta-string.json": '{"eta": "x"}',
-        "huge-n.json": json.dumps({"n": 10**400}),
-        "key-out.json": '{"out": "elsewhere.csv", "steps": 3}',
-        "key-config.json": '{"config": "other.json", "steps": 3}',
-        "key-path.json": '{"path": "nofile.json"}',
-        "gd-iterations.json": '{"gd-iterations": 3, "m": 8, "c": 2}',
-    }, [
-        ["analyze", "--config", "defaults.json", "--out", "from-config.csv"],
-        ["analyze", "--config", "defaults.json", "--steps", "7", "--out", "overridden.csv"],
-        ["analyze", "--config", "null-n.json", "--out", "null-n.csv"],
-        ["construct", "--n", "4", "--smax", "1", "--out", "code.json"],
-        ["verify", "code.json", "--config", "key-path.json"],
-        ["gd-demo", "--config", "gd-iterations.json", "--out", "gd.csv"],
-        ["gd-demo", "--config", "eta-string.json", "--out", "x.csv"],
-        *[["analyze", "--config", name, "--out", "x.csv"] for name in (
-            "list.json", "key-lamda.json", "key-lam.json", "key-t_min.json", "key-t_max.json", "n-list.json",
-            "lambda-object.json", "steps-bool.json", "eta-string.json", "huge-n.json", "key-out.json",
-            "key-config.json")],
     ]),
 }
 

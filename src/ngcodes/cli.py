@@ -11,20 +11,16 @@ commands share that convention, so their outputs are directly comparable.
 Exit codes: 0 success, 1 invalid parameters, 2 numerical or construction
 failure.
 
-Each setting is declared once, in ``SETTINGS``; ``COMMANDS`` names the
-settings of each subcommand, and the parser is built from the two. A call
-builds the parser of only the subcommand it runs, and of all five when its
-first word names none (as for the top-level help). A setting that no flag
-gives comes from the ``--config`` JSON file, whose keys are the flag names
-other than ``path``, ``--out`` and ``--config`` (any other key is an error),
-else from its default; every config value takes its setting's type,
-whichever command reads the file. ``verify`` reads only its path and takes no
-``--config``. ``--out`` is required by every command that writes.
+Each setting is declared once, in ``SETTINGS``, with its flag, type and
+default; ``COMMANDS`` names the settings of each subcommand, and the parser is
+built from the two, so every setting is a flag and a flag not given takes its
+default. A call builds the parser of only the subcommand it runs, and of all
+five when its first word names none (as for the top-level help). ``verify``
+reads only its path. ``--out`` is required by every command that writes.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from itertools import repeat
@@ -71,10 +67,7 @@ SETTINGS = {
     "eta": ("--eta", float, None, "learning rate (default: half the stability limit)"),
     "path": ("path", str, None, "code JSON written by construct"),
     "out": ("--out", str, None, "output path (simulate writes load stats beside it as *_loads.csv)"),
-    "config": ("--config", str, None, "JSON config file; flags override its values"),
 }
-_FILES = ("path", "out", "config")  # named on the command line only, never by a config file
-_CONFIG_KEYS = {f.lstrip("-"): d for d, (f, *_) in SETTINGS.items() if d not in _FILES}  # the flag names
 
 
 class _UsageError(Exception):
@@ -84,41 +77,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default would sys.exit(2)
         raise _UsageError(message)
-
-
-def _load_config(path) -> dict:
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError("config file must hold a JSON object")
-    if unknown := [key for key in raw if key not in _CONFIG_KEYS]:
-        raise ValueError(f"unknown config key {unknown[0]!r}")
-    return {_CONFIG_KEYS[key]: value for key, value in raw.items()}
-
-
-def _config_value(dest, value):
-    """A config-file value as a setting: null means the default, and anything
-    else must be a number or a string (or, for ``schemes``, a list of strings)
-    and takes the setting's type."""
-    _, kind, default, _ = SETTINGS[dest]
-    if value is None:
-        return default
-    if dest == "schemes" and isinstance(value, list) and all(isinstance(v, str) for v in value):
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ValueError(f"config value for {dest!r} must be a number or a string, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError as exc:  # int() of an infinite float
-        raise ValueError(f"config value for {dest!r}: {exc}") from exc
-
-
-def _fill_defaults(args):
-    """Give every setting that no flag set its config-file value, else its default."""
-    config = _load_config(args.config) if getattr(args, "config", None) else {}
-    for dest in SETTINGS:
-        if getattr(args, dest, None) is None:
-            setattr(args, dest, _config_value(dest, config.get(dest)))
 
 
 def _cluster_params(args) -> ClusterParams:
@@ -133,11 +91,7 @@ def _cluster_params(args) -> ClusterParams:
 
 
 def _schemes(args) -> tuple[Scheme, ...]:
-    raw = args.schemes
-    if isinstance(raw, list):
-        names = raw
-    else:
-        names = [part for part in raw.split(",") if part.strip()]
+    names = [part for part in args.schemes.split(",") if part.strip()]
     if not names:
         raise ValueError("at least one scheme is required")
     return tuple(parse_scheme(name) for name in names)
@@ -264,14 +218,14 @@ _GRID = ("t_min", "t_max", "steps")
 # name -> (handler, help, settings in help order)
 COMMANDS = {
     "construct": (cmd_construct, "build a nested code family and write it to JSON",
-                  ("n", "smax", "seed", "out", "config")),
+                  ("n", "smax", "seed", "out")),
     "verify": (cmd_verify, "check all defining properties of a code file", ("path",)),
     "analyze": (cmd_analyze, "write analytic latency CDF curves as CSV",
-                ("schemes", *_CLUSTER, *_GRID, "out", "config")),
+                ("schemes", *_CLUSTER, *_GRID, "out")),
     "simulate": (cmd_simulate, "write empirical latency CDF curves and load stats as CSV",
-                 ("schemes", *_CLUSTER, *_GRID, "trials", "seed", "out", "config")),
+                 ("schemes", *_CLUSTER, *_GRID, "trials", "seed", "out")),
     "gd-demo": (cmd_gd_demo, "coded gradient descent on a synthetic regression problem",
-                ("m", "c", "noise", "iterations", "eta", "smax", *_CLUSTER, "seed", "out", "config")),
+                ("m", "c", "noise", "iterations", "eta", "smax", *_CLUSTER, "seed", "out")),
 }
 
 
@@ -286,8 +240,8 @@ def build_parser(command=None) -> _Parser:
         handler, text, dests = COMMANDS[name]
         sub = subs.add_parser(name, help=text)
         for dest in dests:
-            flag, kind, _, text = SETTINGS[dest]
-            option = {"dest": dest, "required": dest == "out"} if flag.startswith("--") else {}
+            flag, kind, default, text = SETTINGS[dest]
+            option = {"dest": dest, "required": dest == "out", "default": default} if flag.startswith("--") else {}
             sub.add_argument(flag, type=kind, help=text, **option)
         sub.set_defaults(func=handler)
     return parser
@@ -298,7 +252,6 @@ def main(argv=None) -> int:
     parser = build_parser(argv[0] if argv else None)  # a call runs one subcommand: build that one
     try:
         args = parser.parse_args(argv)
-        _fill_defaults(args)
         return args.func(args)
     except (_UsageError, CapExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

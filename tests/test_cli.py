@@ -261,63 +261,6 @@ def test_gd_demo_deterministic(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
-def test_config_file_supplies_defaults_and_flags_override(tmp_path):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({
-        "schemes": "gc:2", "lambda": 1.0, "t-min": 1.0, "t-max": 9.0, "steps": 5,
-    }))
-    out = tmp_path / "from_config.csv"
-    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 0
-    assert len(read_csv(out)[1]) == 5
-
-    out2 = tmp_path / "overridden.csv"
-    assert main(["analyze", "--config", str(config), "--steps", "7", "--out", str(out2)]) == 0
-    rows = read_csv(out2)[1]
-    assert len(rows) == 7
-    assert float(rows[0][1]) == 1.0  # t-min still from the config file
-
-
-def test_config_file_must_be_json_object(tmp_path):
-    config = tmp_path / "bad.json"
-    config.write_text("[1, 2, 3]")
-    assert main(["analyze", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
-
-
-def test_config_keys_other_than_flag_names_are_validation_errors(tmp_path, capsys):
-    # a misspelt key must not fall back to the default; keys are flag names, not setting names
-    config = tmp_path / "typo.json"
-    out = tmp_path / "x.csv"
-    for key in ("lamda", "lam", "t_min", "t_max", "gd-iterations"):
-        config.write_text(json.dumps({key: 5.0, "steps": 3}))
-        assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err == f"error: unknown config key '{key}'\n"
-    assert not out.exists()
-
-
-def test_null_config_values_mean_unset_and_wrong_types_are_validation_errors(tmp_path, capsys):
-    config = tmp_path / "config.json"
-    out = tmp_path / "x.csv"
-    config.write_text(json.dumps({"n": None}))
-    assert main(["analyze", "--config", str(config), "--out", str(out)]) == 0
-    default = tmp_path / "default.csv"
-    assert main(["analyze", "--out", str(default)]) == 0
-    assert out.read_bytes() == default.read_bytes()
-    capsys.readouterr()
-    for values in ({"n": [8]}, {"lambda": {}}, {"steps": True}):
-        config.write_text(json.dumps(values))
-        assert main(["analyze", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error:")
-
-
-def test_settings_a_command_never_uses_are_not_checked_by_it(tmp_path, capsys):
-    config = tmp_path / "shared.json"
-    config.write_text(json.dumps({"trials": 0, "seed": -3}))
-    out = str(tmp_path / "x.csv")
-    assert main(["analyze", "--config", str(config), "--out", out]) == 0
-    assert main(["simulate", "--config", str(config), "--out", out]) == 1
-    assert capsys.readouterr().err == "error: trials must be at least 1, got 0\n"
-
-
 def test_unknown_subcommand_is_usage_error():
     assert main(["frobnicate"]) == 1
 
@@ -359,13 +302,9 @@ def test_finish_times_that_overflow_their_waits_are_validation_errors(tmp_path, 
 
 def test_an_n_too_large_for_a_float_is_a_validation_error(tmp_path, capsys):
     # before, the finish-time overflow check raised OverflowError out of main
-    huge = 10**400
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"n": huge}))
     out = str(tmp_path / "x.csv")
-    for argv in (["analyze", "--n", str(huge)], ["analyze", "--config", str(config)]):
-        assert main([*argv, "--out", out]) == 1
-        assert capsys.readouterr().err.startswith("error: finish times overflow")
+    assert main(["analyze", "--n", str(10**400), "--out", out]) == 1
+    assert capsys.readouterr().err.startswith("error: finish times overflow")
 
 
 def test_sizes_too_large_to_allocate_are_validation_errors(tmp_path, capsys):
@@ -381,24 +320,15 @@ def test_sizes_too_large_to_allocate_are_validation_errors(tmp_path, capsys):
 
 # any float, or None to leave the flag at its default so that valid runs stay common
 ANY_FLOAT = st.none() | st.floats(allow_nan=True, allow_infinity=True)
-# config-file values that are not numbers or strings; the numbers in CONFIG stay small enough to run
-OTHER_JSON = (st.none() | st.booleans() | st.lists(st.integers(0, 3), max_size=2)
-              | st.dictionaries(st.just("a"), st.integers(0, 3), max_size=1))
-SCHEME_NAME = st.sampled_from(["uncoded", "gc:2", "ngc:1", "ngc:x", ""])
-CONFIG = st.fixed_dictionaries({}, optional={
-    **{key: OTHER_JSON | st.integers(-1, 12) | st.sampled_from(["", "x", "2", "0.5"])
-       for key in ("n", "smax", "seed", "steps", "trials", "m", "c", "iterations")},
-    **{key: OTHER_JSON | ANY_FLOAT | st.sampled_from(["", "x", "0.5", "inf"])
-       for key in ("lambda", "rho", "gamma", "eps", "pe", "t-min", "t-max", "noise", "eta")},
-    "schemes": OTHER_JSON | SCHEME_NAME | st.lists(SCHEME_NAME | st.integers(0, 3), max_size=3),
-})
 
 
 @st.composite
 def cli_invocations(draw):
-    """Small invocations; FLAG=VALUE keeps negative values from reading as flags."""
+    """Small invocations; FLAG=VALUE keeps negative values and empty strings from reading as flags."""
     command = draw(st.sampled_from(["analyze", "simulate", "gd-demo"]))
-    flags = {"n": draw(st.none() | st.integers(-1, 10)), "seed": draw(st.integers(-1, 2**31))}
+    flags = {"n": draw(st.none() | st.integers(-1, 10))}
+    if command != "analyze":
+        flags["seed"] = draw(st.integers(-1, 2**31))
     for name in ("lambda", "rho", "gamma", "eps", "pe"):
         flags[name] = draw(ANY_FLOAT)
     tolerance = st.integers(-1, 12)
@@ -411,20 +341,16 @@ def cli_invocations(draw):
         flags.update({"steps": draw(st.integers(1, 50)), "t-min": draw(ANY_FLOAT), "t-max": draw(ANY_FLOAT)})
         if command == "simulate":
             flags["trials"] = draw(st.integers(0, 200))
-    return [command, *(f"--{name}={value!r}" for name, value in flags.items() if value is not None)]
+    if spoiled := draw(st.none() | st.sampled_from(sorted(flags.keys() - {"schemes"}))):  # not a number
+        flags[spoiled] = draw(st.sampled_from(["x", ""]))
+    return [command, *(f"--{name}={value}" for name, value in flags.items() if value is not None)]
 
 
 @settings(max_examples=150, deadline=None)
-@given(argv=cli_invocations(), config=CONFIG)
-@example(argv=["simulate", "--schemes=ngc:3", "--lambda=nan", "--trials=10"], config={})
-@example(argv=["analyze"], config={"n": None})
-@example(argv=["analyze"], config={"n": [8]})
-@example(argv=["analyze"], config={"lambda": {}})
-def test_exit_code_is_always_0_1_or_2(argv, config, tmp_path_factory):
-    directory = tmp_path_factory.mktemp("prop")
-    (directory / "config.json").write_text(json.dumps(config))
-    argv = [*argv, "--config", str(directory / "config.json"), "--out", str(directory / "out.csv")]
-    assert main(argv) in (0, 1, 2)
+@given(argv=cli_invocations())
+@example(argv=["simulate", "--schemes=ngc:3", "--lambda=nan", "--trials=10"])
+def test_exit_code_is_always_0_1_or_2(argv, tmp_path_factory):
+    assert main([*argv, "--out", str(tmp_path_factory.mktemp("prop") / "out.csv")]) in (0, 1, 2)
 
 
 def test_gd_demo_without_a_decodable_draw_is_exit_2(tmp_path, capsys):
@@ -493,18 +419,17 @@ def test_a_nan_recovery_error_after_the_first_fails_the_gate(tmp_path, monkeypat
     assert "max recovery error nan" in capsys.readouterr().out
 
 
-# each subcommand's (option strings, dest) pairs, which scripts and config files rely on
+# each subcommand's (option strings, dest) pairs, which scripts rely on
 PARSER_OPTIONS = {
-    "construct": {("--n",): "n", ("--smax",): "smax", ("--seed",): "seed", ("--out",): "out",
-                  ("--config",): "config"},
+    "construct": {("--n",): "n", ("--smax",): "smax", ("--seed",): "seed", ("--out",): "out"},
     "verify": {(): "path"},
     "analyze": {("--schemes",): "schemes", ("--n",): "n", ("--lambda",): "lam", ("--rho",): "rho",
                 ("--gamma",): "gamma", ("--eps",): "eps", ("--pe",): "pe", ("--t-min",): "t_min",
-                ("--t-max",): "t_max", ("--steps",): "steps", ("--out",): "out", ("--config",): "config"},
+                ("--t-max",): "t_max", ("--steps",): "steps", ("--out",): "out"},
     "gd-demo": {("--m",): "m", ("--c",): "c", ("--noise",): "noise", ("--iterations",): "iterations",
                 ("--eta",): "eta", ("--smax",): "smax", ("--n",): "n", ("--lambda",): "lam",
                 ("--rho",): "rho", ("--gamma",): "gamma", ("--eps",): "eps", ("--pe",): "pe",
-                ("--seed",): "seed", ("--out",): "out", ("--config",): "config"},
+                ("--seed",): "seed", ("--out",): "out"},
 }
 PARSER_OPTIONS["simulate"] = {**PARSER_OPTIONS["analyze"], ("--trials",): "trials", ("--seed",): "seed"}
 
@@ -525,15 +450,6 @@ def test_a_writing_command_without_out_is_a_usage_error(argv, tmp_path, monkeypa
     assert not any(tmp_path.iterdir())
 
 
-def test_a_config_eta_that_is_not_a_number_is_a_validation_error(tmp_path, capsys):
-    # analyze never reads eta, but every config value takes its setting's type
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"eta": "x"}))
-    for command in ("analyze", "gd-demo"):
-        assert main([command, "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 1
-        assert capsys.readouterr().err == "error: could not convert string to float: 'x'\n"
-
-
 def test_analyze_deep_in_the_left_tail_of_a_high_layer(tmp_path):
     # F_256 taken as 1 - survival was rounding noise here, and not monotone in t
     out = tmp_path / "tail.csv"
@@ -541,25 +457,6 @@ def test_analyze_deep_in_the_left_tail_of_a_high_layer(tmp_path):
                  "--t-max", "200", "--steps", "5", "--out", str(out)]) == 0
     probs = [p for _, p in curve_columns(read_csv(out)[1])["gc:255"]]
     assert 0.0 < probs[0] < 1e-90 and all(a < b for a, b in zip(probs, probs[1:]))
-
-
-def test_config_keys_of_the_file_settings_are_validation_errors(tmp_path, capsys):
-    # path, out and config are named on the command line only; a config file naming them is an error
-    code = tmp_path / "code.json"
-    assert main(["construct", "--n", "4", "--smax", "1", "--out", str(code)]) == 0
-    config = tmp_path / "config.json"
-    out = tmp_path / "here.csv"
-    cases = [
-        ("out", {"out": str(tmp_path / "elsewhere.csv"), "steps": 3}, ["analyze", "--out", str(out)]),
-        ("config", {"config": str(tmp_path / "other.json"), "steps": 3}, ["analyze", "--out", str(out)]),
-        ("path", {"path": str(code), "steps": 3}, ["analyze", "--out", str(out)]),
-    ]
-    capsys.readouterr()
-    for key, values, argv in cases:
-        config.write_text(json.dumps(values))
-        assert main([*argv, "--config", str(config)]) == 1, key
-        assert capsys.readouterr() == ("", f"error: unknown config key '{key}'\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["code.json", "config.json"]
 
 
 def subcommands(parser):
@@ -583,6 +480,16 @@ REPRESENTATIVE_ARGV = {
     "gd-demo": ["gd-demo", "--m", "16", "--c", "2", "--eta", "0.1", "--smax", "1", "--rho", "0",
                 "--out", "g.csv"],
 }
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_the_removed_config_flag_is_an_unknown_argument(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code = code_to_json(build_ngc(4, 1, 0))
+    (tmp_path / "c.json").write_text(code)
+    assert main([*REPRESENTATIVE_ARGV[name], "--config=c.json"]) == 1
+    assert capsys.readouterr() == ("", "error: unrecognized arguments: --config=c.json\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["c.json"] and (tmp_path / "c.json").read_text() == code
 
 
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
