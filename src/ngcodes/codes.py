@@ -13,16 +13,15 @@ n - sigma worker responses. A draw of H is kept when its null-space residual
 A nested family stacks one such code per tolerance sigma = 0..s_max; the
 cyclic windows grow by one block per level, so each worker can serve every
 level of the family from a single layered task schedule. A component and its
-code file hold only the n (sigma + 1) window coefficients. Decoding uses one cached SVD
-of B per component: every a with a B = 1 is a0 + M z, M spanning B's left null space, so
-each straggler pattern is one sigma x sigma solve (``decode_row``, ``verify_gradient_code``).
+code file hold only the n (sigma + 1) window coefficients. Each decoding call makes one SVD of B
+and keeps nothing on the code, so ``decode_row`` pays it on every call: every a with a B = 1 is
+a0 + M z, M spanning B's left null space, so each straggler pattern is one sigma x sigma solve.
 """
 from __future__ import annotations
 
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -87,16 +86,6 @@ class EncodingMatrix:
         b = np.zeros((self.n, self.n))
         np.put_along_axis(b, cyclic_support(np.arange(self.n)[:, None], self.sigma, self.n), self.windows, axis=1)
         return b
-
-    @cached_property
-    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """B, its pseudo-inverse on the top n - sigma singular values, and M, the
-        n x sigma left singular vectors of the sigma smallest: one SVD of B."""
-        b = self.dense()
-        u, s, vt = np.linalg.svd(b)
-        keep = self.n - self.sigma
-        scale = np.divide(1.0, s[:keep], out=np.zeros(keep), where=s[:keep] > 0)  # 0, not 1/0, for a zero value
-        return b, (vt[:keep].T * scale) @ u[:, :keep].T, u[:, keep:].copy()  # a copy: a view would keep all of u
 
 
 @dataclass(frozen=True)
@@ -170,15 +159,20 @@ def build_ngc(n: int, s_max: int, seed: int) -> NestedGradientCode:
 
 
 def _straggler_decodings(code: EncodingMatrix, stragglers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decoding vectors (k, n), exactly 0 on each row of the (k, sigma) ``stragglers``, and their
-    residuals |a B - 1|max. Each of two passes solves for the rest 1 - a B through the pseudo-inverse and
-    moves the step along M to 0 on the stragglers; a singular M block's pattern shows as a residual.
+    """Decoding vectors (k, n), exactly 0 on each row of the (k, sigma) ``stragglers``, and their residuals
+    |a B - 1|max, from one SVD of B. Each of two passes solves for the rest 1 - a B through the pseudo-inverse
+    on the top n - sigma singular values and moves the step along M, the left singular vectors of the sigma
+    smallest, to 0 on the stragglers; a singular M block's pattern shows as a residual.
 
     Every product is taken one pattern at a time, as a (k, 1, n) stack: a pattern's decoding and
     residual are the same bits alone, in ``decode_row``, in ``verify_gradient_code`` or in any batch
     that holds no exactly singular M block (one sends the whole batch to ``pinv``).
     """
-    b, pinv, null = code.factors
+    b = code.dense()
+    u, s, vt = np.linalg.svd(b)
+    keep = code.n - code.sigma
+    scale = np.divide(1.0, s[:keep], out=np.zeros(keep), where=s[:keep] > 0)  # 0, not 1/0, for a zero value
+    pinv, null = (vt[:keep].T * scale) @ u[:, :keep].T, u[:, keep:]
     try:
         inverse = np.linalg.inv(null[stragglers])
     except np.linalg.LinAlgError:

@@ -14,10 +14,10 @@ so a run reads them all before the first update.
 The decodings are resolved for the whole run before the first update too:
 one stacked solve per sigma covers that sigma's distinct used-worker sets (the
 n - sigma smallest responsive workers), so a run that cannot decode fails
-before it starts. The plan keeps, per iteration, only sigma, the used workers'
-indices and their coefficients. A responsive worker at sigma has finished at
-least sigma + 1 tasks, which cover its whole window, so every row a decoding
-uses can be formed.
+before it starts. The plan keeps, per decoded sigma, that component's B and,
+per iteration, the used workers' indices and their coefficients. A responsive
+worker at sigma has finished at least sigma + 1 tasks, which cover its whole
+window, so every row a decoding uses can be formed.
 
 For least squares a block's gradient X_i^T (X_i theta - y_i) is
 G_i theta - b_i, with G_i = X_i^T X_i and b_i = X_i^T y_i fixed for the run.
@@ -81,7 +81,10 @@ def make_dataset(m: int, c: int, noise: float, seed: int) -> Dataset:
     rng = np.random.default_rng(seed)
     data = rng.standard_normal((m, c))
     truth = rng.standard_normal(c)
-    labels = data @ truth + noise * rng.standard_normal(m)
+    with np.errstate(over="ignore"):
+        labels = data @ truth + noise * rng.standard_normal(m)
+    if not np.isfinite(labels).all():
+        raise ValueError(f"noise {noise} overflows the labels")
     return Dataset(data=data, labels=labels)
 
 
@@ -144,12 +147,12 @@ def _losses(dataset: Dataset, thetas: np.ndarray) -> np.ndarray:
     return losses[:len(thetas)]
 
 
-_Decoding = tuple[int, np.ndarray, np.ndarray]  # sigma, the used workers' indices, their coefficients
+_Decoding = tuple[np.ndarray, np.ndarray, np.ndarray]  # the decoded component's B, the used workers, their weights
 
 
 def _plan(ngc: NestedGradientCode, sigma: np.ndarray, tasks: np.ndarray) -> list[_Decoding]:
-    """Per iteration of ``sigma`` (iterations,) and ``tasks`` (iterations, n), its sigma, the workers its
-    decoding uses (the n - sigma smallest responsive ones) and their decoding coefficients.
+    """Per iteration of ``sigma`` and ``tasks`` (iterations, n), its component's B (one ``dense()`` per sigma),
+    the workers its decoding uses (the n - sigma smallest responsive ones) and their decoding coefficients.
 
     Each sigma's distinct used-worker sets are solved in one ``_straggler_decodings`` call, which gives
     each the bits ``decode_row`` gives it. NotDecodable when an iteration has fewer than n - sigma
@@ -170,7 +173,8 @@ def _plan(ngc: NestedGradientCode, sigma: np.ndarray, tasks: np.ndarray) -> list
         if (bad := np.flatnonzero(~(residual <= DECODE_TOL))).size:  # a NaN residual fails too
             failures.append((ts[heads[bad[0]]], residual[bad[0]]))  # its first failing iteration
             continue
-        decodings = {j: (s, np.flatnonzero(used[j]), a[m, used[j]]) for m, j in enumerate(heads)}
+        b = ngc.components[s].dense()
+        decodings = {j: (b, np.flatnonzero(used[j]), a[m, used[j]]) for m, j in enumerate(heads)}
         for t, j in zip(ts.tolist(), firsts):
             plan[t] = decodings[j]
     if failures:
@@ -178,11 +182,11 @@ def _plan(ngc: NestedGradientCode, sigma: np.ndarray, tasks: np.ndarray) -> list
     return plan
 
 
-def _decode(ngc: NestedGradientCode, decoding: _Decoding, gradients: np.ndarray) -> np.ndarray:
+def _decode(decoding: _Decoding, gradients: np.ndarray) -> np.ndarray:
     """The gradient sum decoded from block ``gradients`` (n, c) by one ``_plan`` entry: the responses of the
     workers it uses (their rows of B times the gradients), combined with their coefficients."""
-    sigma, workers, weights = decoding
-    return weights @ (ngc.components[sigma].factors[0][workers] @ gradients)
+    b, workers, weights = decoding
+    return weights @ (b[workers] @ gradients)
 
 
 def _recovery_errors(decoded: np.ndarray, full: np.ndarray) -> np.ndarray:
@@ -218,7 +222,7 @@ def coded_iteration(
     if gradients.shape != (ngc.n, theta.size):
         raise ValueError(f"gradients must be ({ngc.n}, {theta.size}), got {gradients.shape}")
     decoding, = _plan(ngc, np.array([sigma]), np.asarray(tasks_done)[None])
-    decoded = _decode(ngc, decoding, gradients)
+    decoded = _decode(decoding, gradients)
     return theta - step * decoded, float(_recovery_errors(decoded[None], gradients.sum(axis=0)[None])[0])
 
 
@@ -297,7 +301,7 @@ def run_descent(
     thetas, decoded, full = (np.empty((iterations, dataset.c)) for _ in range(3))
     for t, decoding in enumerate(plan):
         gradients = _gram_gradients(gram, moments, theta)
-        decoded[t] = _decode(ngc, decoding, gradients)
+        decoded[t] = _decode(decoding, gradients)
         full[t] = gradients.sum(axis=0)
         theta = thetas[t] = theta - step * decoded[t]
     losses, errors = _losses(dataset, thetas).tolist(), _recovery_errors(decoded, full).tolist()

@@ -156,7 +156,8 @@ def _layer_cdf(u: int, ts: np.ndarray, p: ClusterParams) -> np.ndarray:
     side: below x = u the terms k >= u directly, so the left tail keeps its
     digits; from x = u on, 1 minus the u terms k < u, in log space.
     """
-    x = p.lam * (ts - (p.gamma + p.eps + u * p.rho))
+    with np.errstate(over="ignore"):  # an infinite x is right: +inf clamps to 1e300 below (F_u = 1), -inf gives 0
+        x = p.lam * (ts - (p.gamma + p.eps + u * p.rho))
     out = np.zeros(ts.shape)
     high = x >= u
     low = (x > 0) ^ high  # 0 < x < u

@@ -289,6 +289,25 @@ def test_overflowing_cluster_parameters_are_validation_errors(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("iterations", ["0", "5"])
+def test_noise_that_overflows_the_labels_is_a_validation_error(iterations, tmp_path, capsys):
+    # before, numpy's overflow warning came first, and with iterations the run wrote a NaN CSV and exited 2
+    out = tmp_path / "g.csv"
+    assert main_without_warnings(["gd-demo", "--m", "12", "--c", "4", "--iterations", iterations,
+                                  "--noise", "1.7976931348623157e+308", "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", "error: noise 1.7976931348623157e+308 overflows the labels\n")
+    assert not out.exists()
+
+
+def test_a_rate_whose_task_times_overflow_gives_a_curve_in_0_1(tmp_path, capsys):
+    # lam (t - shift) overflows to +-inf here, which the CDF takes as 1 and 0, with no overflow warning
+    out = tmp_path / "w.csv"
+    assert main_without_warnings(["analyze", "--n", "9", "--lambda", "1.7976931348623157e+308", "--rho", "5.08e16",
+                                  "--schemes", "ngc:5", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert all(0.0 <= float(prob) <= 1.0 for _, _, prob in read_csv(out)[1])
+
+
 def test_finish_times_that_overflow_their_waits_are_validation_errors(tmp_path, capsys):
     # 1/lam is finite, but the sum of eight exponential waits overflows: before
     # this was rejected, simulate reported 14% undecodable with no worker failing

@@ -13,6 +13,7 @@ from ngcodes.cli import main
 from ngcodes.codes import (
     CapExceeded,
     ConstructionFailed,
+    DECODE_TOL,
     EncodingMatrix,
     MissingGradient,
     NotDecodable,
@@ -207,6 +208,20 @@ def test_decode_uses_smallest_indices_when_overprovisioned():
     matrix = build_cyclic_encoding(8, 3, seed=2)
     coefficients = decode_row(matrix, range(8))
     assert np.flatnonzero(coefficients).tolist() == [0, 1, 2, 3, 4]
+
+
+def test_a_decoding_is_of_the_matrix_the_code_holds_now():
+    # scaling each row keeps the rows in null(H), so the edited code decodes too, with other coefficients;
+    # a decoding kept from before the edit is far from the all-ones row of the edited matrix
+    code = build_cyclic_encoding(8, 3, seed=2)
+    decode_row(code, range(3, 8))
+    code.windows[:] *= np.arange(1.0, 9.0)[:, None]
+    b = code.dense()
+    assert np.abs(decode_row(code, range(3, 8)) @ b - 1.0).max() <= DECODE_TOL
+    a, residuals = ngcodes.codes._straggler_decodings(code, np.array([[0, 1, 2], [1, 4, 6]]))
+    assert np.abs(a @ b - 1.0).max() <= DECODE_TOL and residuals.max() <= DECODE_TOL
+    report = verify_gradient_code(code)
+    assert report.passed and report.max_residual <= DECODE_TOL
 
 
 def test_verify_identity_passes_at_sigma_zero():

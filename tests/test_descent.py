@@ -314,10 +314,12 @@ def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
     assert len(calls) == len({sigma for sigma, _ in calls})  # at most one call per sigma
     assert len(rows) == len(set(rows)) == len(keys) < len(run.records)
     assert set(rows) == keys
-    # a fresh run solves its decodings again, but each component keeps its one SVD
+    sigmas = {sigma for sigma, _ in keys}
+    assert len(calls) == len(factorisations) == len(sigmas)  # one call and one SVD per decoded sigma
+    # a fresh run solves and factors its decodings again: the code keeps no factors between runs
     run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
     assert sum(len(sets) for _, sets in calls) == 2 * len(keys)
-    assert 0 < len(factorisations) <= ngc.s_max + 1
+    assert len(calls) == len(factorisations) == 2 * len(sigmas)
 
 
 @pytest.fixture(params=["chunk-rounds", "one-row-rounds"])
