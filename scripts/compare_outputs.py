@@ -81,8 +81,9 @@ CASES = {
         ["gd-demo", "--n", "12", "--smax", "5", "--seed", "3", "--out", "coded.csv"],
         ["gd-demo", "--n", "12", "--smax", "0", "--seed", "3", "--out", "uncoded.csv"],
     ]),
-    "construct-n256": ({}, [  # a 3.96 MB code file; its gd-demo run fails the decode gate
+    "construct-n256": ({}, [  # a 2.8 MB code file, above verify's cap; its gd-demo run fails the decode gate
         ["construct", "--n", "256", "--smax", "32", "--seed", "2", "--out", "code.json"],
+        ["verify", "code.json"],
         ["gd-demo", "--n", "256", "--smax", "32", "--m", "4096", "--c", "16", "--iterations", "100", "--seed", "2",
          "--out", "gd.csv"],
     ]),

@@ -16,7 +16,8 @@ default; ``COMMANDS`` names the settings of each subcommand, and the parser is
 built from the two, so every setting is a flag and a flag not given takes its
 default. A call builds the parser of only the subcommand it runs, and of all
 five when its first word names none (as for the top-level help). ``verify``
-reads only its path. ``--out`` is required by every command that writes.
+reads only its path; ``construct`` prints ``verify``'s report of the code it
+wrote, up to ``VERIFY_CAP``. ``--out`` is required by every command that writes.
 """
 from __future__ import annotations
 
@@ -123,28 +124,8 @@ def _loads_path(out: str) -> str:
     return str(p.with_name(p.stem + "_loads" + suffix))
 
 
-def cmd_construct(args) -> int:
-    n, s_max, seed = args.n, args.smax, args.seed
-    ngc = build_ngc(n, s_max, seed)
-    Path(args.out).write_text(code_to_json(ngc) + "\n")
-    print(f"wrote {args.out}: n={n}, s_max={s_max}, seed={seed}, {len(ngc.components)} components")
-    for comp in ngc.components:
-        sizes = set(np.count_nonzero(comp.windows, axis=1).tolist())
-        print(f"  sigma={comp.sigma}: row support size {sorted(sizes)}")
-    if n <= VERIFY_CAP:
-        ok = all(verify_gradient_code(comp).passed for comp in ngc.components)
-        nested, violation = verify_nesting(ngc)
-        print(f"  verification: components {'ok' if ok else 'FAILED'}, "
-              f"nesting {'ok' if nested else f'FAILED at {violation}'}")
-        if not (ok and nested):
-            raise NumericalFailure("constructed code failed verification")
-    else:
-        print(f"  verification skipped (n={n} above cap {VERIFY_CAP})")
-    return 0
-
-
-def cmd_verify(args) -> int:
-    ngc = code_from_json(Path(args.path).read_text())
+def _verify(ngc) -> int:
+    """Print ``verify``'s report of ``ngc``: NumericalFailure if a check fails."""
     all_ok = True
     for comp in ngc.components:
         report = verify_gradient_code(comp)
@@ -161,6 +142,21 @@ def cmd_verify(args) -> int:
         raise NumericalFailure("code file failed verification")
     print("all checks passed")
     return 0
+
+
+def cmd_construct(args) -> int:
+    n, s_max, seed = args.n, args.smax, args.seed
+    ngc = build_ngc(n, s_max, seed)
+    Path(args.out).write_text(code_to_json(ngc) + "\n")
+    print(f"wrote {args.out}: n={n}, s_max={s_max}, seed={seed}, {len(ngc.components)} components")
+    if n > VERIFY_CAP:
+        print(f"  verification skipped (n={n} above cap {VERIFY_CAP})")
+        return 0
+    return _verify(ngc)
+
+
+def cmd_verify(args) -> int:
+    return _verify(code_from_json(Path(args.path).read_text()))
 
 
 def cmd_analyze(args) -> int:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,10 +196,13 @@ def decode_row(code: EncodingMatrix, responsive_set) -> np.ndarray:
     ``responsive_set`` may hold more than n - sigma workers; only the n - sigma
     smallest indices get a coefficient, and every other entry is 0. Raises
     NotDecodable when fewer than n - sigma workers responded, NumericalFailure
-    when the residual exceeds ``DECODE_TOL``.
+    when the residual exceeds ``DECODE_TOL``, ValueError for a bad worker index.
     """
     n = code.n
-    responders = sorted({int(i) for i in responsive_set})
+    try:
+        responders = sorted(set(map(operator.index, responsive_set)))
+    except TypeError:
+        raise ValueError("worker indices must be integers") from None
     if responders and (responders[0] < 0 or responders[-1] >= n):
         raise ValueError(f"worker indices must lie in [0, {n - 1}]")
     need = n - code.sigma
@@ -274,7 +278,7 @@ def encode_response(coeff_row: np.ndarray, partial_gradients) -> np.ndarray:
 
 def code_to_json(ngc: NestedGradientCode) -> str:
     """Serialize to JSON with row-major windows (exact double round-trip)."""
-    doc = {
+    return json.dumps({
         "n": ngc.n,
         "s_max": ngc.s_max,
         "seed": ngc.seed,
@@ -282,8 +286,7 @@ def code_to_json(ngc: NestedGradientCode) -> str:
             {"sigma": comp.sigma, "windows": comp.windows.reshape(-1).tolist()}
             for comp in ngc.components
         ],
-    }
-    return json.dumps(doc, indent=2)
+    })
 
 
 def _json_int(value, name: str) -> int:

@@ -50,9 +50,34 @@ def test_construct_writes_verified_code(tmp_path, capsys):
     out = tmp_path / "code.json"
     assert main(["construct", "--n", "8", "--smax", "3", "--seed", "42", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
-    assert "4 components" in printed and "nesting ok" in printed
+    assert "4 components" in printed and printed.endswith("nesting: ok\nall checks passed\n")
     ngc = code_from_json(out.read_text())
     assert ngc.n == 8 and ngc.s_max == 3 and ngc.seed == 42
+
+
+@pytest.mark.parametrize("n, s_max", [(1, 0), (8, 3), (12, 5)])
+def test_construct_prints_the_report_verify_prints_for_the_file_it_wrote(tmp_path, capsys, n, s_max):
+    out = tmp_path / "code.json"
+    assert main(["construct", "--n", str(n), "--smax", str(s_max), "--seed", "4", "--out", str(out)]) == 0
+    wrote, constructed = capsys.readouterr().out.split("\n", 1)
+    assert wrote == f"wrote {out}: n={n}, s_max={s_max}, seed=4, {s_max + 1} components"
+    assert main(["verify", str(out)]) == 0
+    assert constructed == capsys.readouterr().out
+
+
+def test_construct_writes_a_code_that_fails_verification_then_exits_2(tmp_path, capsys, monkeypatch):
+    def build_with_a_zero_component(n, s_max, seed):
+        ngc = build_ngc(n, s_max, seed)
+        ngc.components[2].windows[:] = 0.0
+        return ngc
+
+    monkeypatch.setattr(cli, "build_ngc", build_with_a_zero_component)
+    out = tmp_path / "code.json"
+    assert main_without_warnings(["construct", "--n", "6", "--smax", "2", "--seed", "3", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: code file failed verification\n"
+    assert "sigma=2: support FAIL, decodable FAIL, max residual 1.000e+00\n" in captured.out
+    assert not code_from_json(out.read_text()).components[2].windows.any()
 
 
 def test_construct_roundtrip_bit_identical(tmp_path):
@@ -599,8 +624,9 @@ def test_verify_names_the_old_dense_format_and_how_to_rewrite_it(tmp_path, capsy
 def test_construct_at_n256_writes_n_sigma_plus_one_numbers_per_component(tmp_path, capsys):
     path = tmp_path / "code.json"
     assert main(["construct", "--n", "256", "--smax", "32", "--seed", "2", "--out", str(path)]) == 0
-    assert "row support size [33]" in capsys.readouterr().out
+    assert "\n  verification skipped (n=256 above cap 12)\n" in capsys.readouterr().out
     assert path.stat().st_size < 5_000_000
+    assert path.read_text().count("\n") == 1  # one compact JSON line
     doc = json.loads(path.read_text())
     assert [len(c["windows"]) for c in doc["components"]] == [256 * (sigma + 1) for sigma in range(33)]
     assert all(set(c) == {"sigma", "windows"} for c in doc["components"])

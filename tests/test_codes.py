@@ -210,6 +210,20 @@ def test_decode_uses_smallest_indices_when_overprovisioned():
     assert np.flatnonzero(coefficients).tolist() == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("responsive", [[0.5, 1.9, 2, 3, 4], ["1", "2", "3", "4", "5"], [0, 1, 2, 3, 4.0]])
+def test_decode_rejects_worker_indices_that_are_not_integers(responsive):
+    # a float or a string names no worker; it is not truncated to one
+    with pytest.raises(ValueError, match="worker indices must be integers"):
+        decode_row(build_ngc(8, 3, 1).components[3], responsive)
+
+
+def test_decode_takes_python_and_numpy_integers_alike():
+    code = build_ngc(8, 3, 1).components[3]
+    expected = decode_row(code, [0, 1, 2, 3, 4])
+    for responsive in (np.arange(5), [np.int32(i) for i in range(5)], {np.int64(4), 3, 2, 1, 0}, range(5)):
+        assert np.array_equal(decode_row(code, responsive), expected)
+
+
 def test_a_decoding_is_of_the_matrix_the_code_holds_now():
     # scaling each row keeps the rows in null(H), so the edited code decodes too, with other coefficients;
     # a decoding kept from before the edit is far from the all-ones row of the edited matrix
