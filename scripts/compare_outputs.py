@@ -102,6 +102,8 @@ CASES = {
     "code-files": ({**MALFORMED, "tampered.json": json.dumps(CODE), "dense.json": json.dumps(DENSE)}, [
         ["construct", "--n", "4", "--smax", "4", "--seed", "1", "--out", "bad-tolerance.json"],
         ["construct", "--n", "6", "--smax", "2", "--seed", "3", "--out", "code.json"],
+        *[step for n in ("1", "12") for step in (  # families that hold only the sigma = 0 component
+            ["construct", "--n", n, "--smax", "0", "--out", f"c{n}.json"], ["verify", f"c{n}.json"])],
         *[["verify", "code.json", f"--tol={tol}"] for tol in ("nan", "-1", "inf")],
         ["verify", "nope.json"],
         ["verify", "tampered.json"],

@@ -10,9 +10,9 @@ all-ones row and the sum of all partial gradients is recoverable from any
 n - sigma worker responses. A draw of H is kept when its null-space residual
 |H B^T|max is at most ``NULLSPACE_TOL``, and redrawn otherwise.
 
-A nested family stacks one such code per tolerance sigma = 0..s_max; the
-cyclic windows grow by one block per level, so each worker can serve every
-level of the family from a single layered task schedule. A component and its
+A nested family stacks one such code per tolerance sigma = 0..s_max, all from one builder (at sigma = 0,
+H has no rows and each window is the single 1 on block i). The cyclic windows grow by one block per level,
+so each worker can serve every level of the family from a single layered task schedule. A component and its
 code file hold only the n (sigma + 1) window coefficients. Each decoding call makes one SVD of B
 and keeps nothing on the code, so ``decode_row`` pays it on every call: every a with a B = 1 is
 a0 + M z, M spanning B's left null space, so each straggler pattern is one sigma x sigma solve.
@@ -91,17 +91,18 @@ class EncodingMatrix:
 
 @dataclass(frozen=True)
 class NestedGradientCode:
-    """Component codes for sigma = 0..s_max with nested row supports."""
+    """Component codes for sigma = 0..s_max with nested row supports; n and s_max are read off them."""
 
-    n: int
-    s_max: int
     seed: int
     components: tuple[EncodingMatrix, ...]
 
+    @property
+    def n(self) -> int:
+        return self.components[0].n
 
-def identity_encoding(n: int) -> EncodingMatrix:
-    """The tolerance-0 component: each worker computes exactly its own block."""
-    return EncodingMatrix(np.ones((n, 1)))
+    @property
+    def s_max(self) -> int:
+        return len(self.components) - 1
 
 
 def _attempt_cyclic(n: int, sigma: int, rng: np.random.Generator) -> tuple[EncodingMatrix | None, float]:
@@ -118,19 +119,19 @@ def _attempt_cyclic(n: int, sigma: int, rng: np.random.Generator) -> tuple[Encod
         code = EncodingMatrix(np.hstack([np.ones((n, 1)), np.linalg.solve(systems, -h[:, heads].T[:, :, None])[:, :, 0]]))
     except ValueError:  # a singular system (LinAlgError is a ValueError), or a coefficient that is not finite
         return None, np.inf
-    return code, float(np.abs(h @ code.dense().T).max())
+    return code, float(np.abs(h @ code.dense().T).max(initial=0.0))  # at sigma = 0 the product is empty
 
 
 def build_cyclic_encoding(n: int, sigma: int, seed: int) -> EncodingMatrix:
-    """Construct one cyclic-support component for tolerance sigma >= 1.
+    """Construct one cyclic-support component for tolerance sigma in [0, n-1];
+    sigma = 0 gives each worker exactly its own block.
 
     Deterministic in (n, sigma, seed). A draw is kept when every row lies in
     null(H) within ``NULLSPACE_TOL``; other draws are retried with sub-seeds
     derived from ``seed``; ConstructionFailed after the retry budget.
     """
-    if not 1 <= sigma <= n - 1:
-        raise ValueError(f"sigma must be in [1, n-1], got sigma={sigma}, n={n}; "
-                         "the tolerance-0 component is identity_encoding(n)")
+    if not 0 <= sigma <= n - 1:
+        raise ValueError(f"sigma must be in [0, n-1], got sigma={sigma}, n={n}")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
     smallest = np.inf
@@ -153,10 +154,8 @@ def build_ngc(n: int, s_max: int, seed: int) -> NestedGradientCode:
         raise ValueError(f"s_max must be in [0, n-1], got s_max={s_max}, n={n}")
     if seed < 0:
         raise ValueError("seed must be a non-negative integer")
-    components = [identity_encoding(n)]
-    for sigma in range(1, s_max + 1):
-        components.append(build_cyclic_encoding(n, sigma, _component_seed(seed, sigma)))
-    return NestedGradientCode(n=n, s_max=s_max, seed=seed, components=tuple(components))
+    return NestedGradientCode(seed, tuple(build_cyclic_encoding(n, sigma, _component_seed(seed, sigma))
+                                          for sigma in range(s_max + 1)))
 
 
 def _straggler_decodings(code: EncodingMatrix, stragglers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,8 +316,6 @@ def code_from_json(text: str) -> NestedGradientCode:
             raise ValueError(f"expected {s_max + 1} components, found {len(raw)}")
         components = []
         for sigma, comp in enumerate(raw):
-            if isinstance(comp, dict) and "entries" in comp and "windows" not in comp:
-                raise ValueError(f"component {sigma} uses the old dense format; rerun construct to rewrite the file")
             if not (isinstance(comp, dict) and "sigma" in comp and "windows" in comp):
                 raise ValueError(f"component {sigma} is not an object holding sigma and windows")
             if _json_int(comp["sigma"], f"component {sigma} sigma") != sigma:
@@ -331,4 +328,4 @@ def code_from_json(text: str) -> NestedGradientCode:
             components.append(EncodingMatrix(np.array(values, dtype=float).reshape(n, sigma + 1)))
     except (TypeError, OverflowError) as exc:  # a value of the wrong JSON type, or an infinite one
         raise ValueError(f"malformed code file: {exc}") from exc
-    return NestedGradientCode(n=n, s_max=s_max, seed=seed, components=tuple(components))
+    return NestedGradientCode(seed, tuple(components))

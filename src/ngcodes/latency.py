@@ -129,20 +129,18 @@ def parse_scheme(text: str) -> Scheme:
 
 @dataclass(frozen=True)
 class LatencyCurve:
-    """A sampled CDF: P(T <= t) over a strictly increasing time grid."""
+    """A sampled CDF: P(T <= t) over a non-empty, strictly increasing time grid."""
 
     grid: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
+        grid = _check_grid(self.grid)
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "values", values)
-        if grid.ndim != 1 or values.shape != grid.shape:
+        if values.shape != grid.shape:
             raise InvalidParams("grid and values must be matching 1-d arrays")
-        if grid.size >= 2 and not (np.diff(grid) > 0).all():
-            raise InvalidParams("grid must be strictly increasing")
         if (values < -1e-12).any() or (values > 1 + 1e-12).any():
             raise InvalidParams("curve values must lie in [0, 1]")
         if values.size >= 2 and (np.diff(values) < -1e-12).any():

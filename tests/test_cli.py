@@ -609,7 +609,7 @@ def test_verify_rejects_a_malformed_code_file(document, tmp_path, capsys):
     assert captured.out == "" and captured.err.startswith("error: ")
 
 
-def test_verify_names_the_old_dense_format_and_how_to_rewrite_it(tmp_path, capsys):
+def test_verify_rejects_the_old_dense_format_as_a_malformed_component(tmp_path, capsys):
     ngc = build_ngc(4, 1, 0)
     dense = {"n": 4, "s_max": 1, "seed": 0,
              "components": [{"sigma": c.sigma, "entries": c.dense().reshape(-1).tolist()} for c in ngc.components]}
@@ -618,7 +618,7 @@ def test_verify_names_the_old_dense_format_and_how_to_rewrite_it(tmp_path, capsy
     assert main(["verify", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == (
-        "error: component 0 uses the old dense format; rerun construct to rewrite the file\n")
+        "error: component 0 is not an object holding sigma and windows\n")
 
 
 def test_construct_at_n256_writes_n_sigma_plus_one_numbers_per_component(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -16,6 +17,7 @@ from ngcodes.codes import (
     DECODE_TOL,
     EncodingMatrix,
     MissingGradient,
+    NestedGradientCode,
     NotDecodable,
     VERIFY_CAP,
     build_cyclic_encoding,
@@ -25,7 +27,6 @@ from ngcodes.codes import (
     cyclic_support,
     decode_row,
     encode_response,
-    identity_encoding,
     verify_gradient_code,
     verify_nesting,
 )
@@ -54,8 +55,8 @@ def sum_recovery_error(matrix, stragglers, rng):
 
 
 def test_cyclic_encoding_rejects_sigma_out_of_range():
-    # sigma = 0 is identity_encoding's; sigma = n would leave no responder
-    for sigma in (0, 8):
+    # sigma = n would leave no responder
+    for sigma in (-1, 8):
         with pytest.raises(ValueError):
             build_cyclic_encoding(8, sigma, 0)
 
@@ -119,6 +120,22 @@ def test_identity_base_component():
     assert np.allclose(decode_row(ngc.components[0], range(8)), 1.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 8, 13, 256])
+def test_cyclic_encoding_at_sigma_zero_puts_each_worker_on_its_own_block(n):
+    for seed in (0, 7, ngcodes.codes._component_seed(42, 0)):
+        assert np.array_equal(build_cyclic_encoding(n, 0, seed).windows, np.ones((n, 1)))
+
+
+def test_a_family_reads_n_and_s_max_off_its_components():
+    built = build_ngc(8, 3, 0)
+    assert [field.name for field in dataclasses.fields(NestedGradientCode)] == ["seed", "components"]
+    ngc = NestedGradientCode(seed=0, components=built.components)
+    assert (ngc.n, ngc.s_max) == (8, 3)
+    loaded = code_from_json(code_to_json(ngc))
+    assert (loaded.n, loaded.s_max, loaded.seed) == (8, 3, 0)
+    assert all(np.array_equal(a.windows, b.windows) for a, b in zip(loaded.components, built.components, strict=True))
+
+
 def test_full_density_at_max_tolerance():
     ngc = build_ngc(6, 5, seed=1)
     b = ngc.components[5].dense()
@@ -141,7 +158,7 @@ def test_nesting_vacuous_for_single_component():
 def test_nesting_violation_reported():
     ngc = build_ngc(8, 2, seed=11)
     shuffled = ngc.__class__(
-        n=8, s_max=2, seed=11,
+        seed=11,
         components=(ngc.components[2], ngc.components[1], ngc.components[0]),
     )
     ok, violation = verify_nesting(shuffled)
@@ -151,13 +168,13 @@ def test_nesting_violation_reported():
     # component 2 drop their own block (window offset 0), which component 1 holds
     windows = ngc.components[2].windows.copy()
     windows[[6, 5], 0] = 0.0
-    cut = ngc.__class__(n=8, s_max=2, seed=11,
+    cut = ngc.__class__(seed=11,
                         components=(*ngc.components[:2], EncodingMatrix(windows)))
     assert verify_nesting(cut) == (False, (1, 5))
     # a zero at the last offset of component 2 drops a block component 1 never held: still nested
     windows = ngc.components[2].windows.copy()
     windows[3, 2] = 0.0
-    assert verify_nesting(ngc.__class__(n=8, s_max=2, seed=11,
+    assert verify_nesting(ngc.__class__(seed=11,
                                         components=(*ngc.components[:2], EncodingMatrix(windows)))) == (True, None)
 
 
@@ -177,7 +194,7 @@ def test_window_nesting_matches_the_dense_masks():
     for _ in range(200):
         components = [EncodingMatrix(np.where(rng.random(c.windows.shape) < 0.1, 0.0, c.windows))
                       for c in ngc.components]
-        tampered = ngc.__class__(n=10, s_max=5, seed=4, components=tuple(components))
+        tampered = ngc.__class__(seed=4, components=tuple(components))
         expected = dense_nesting_violation(tampered)
         assert verify_nesting(tampered) == ((True, None) if expected is None else (False, expected))
 
@@ -239,7 +256,7 @@ def test_a_decoding_is_of_the_matrix_the_code_holds_now():
 
 
 def test_verify_identity_passes_at_sigma_zero():
-    report = verify_gradient_code(identity_encoding(6))
+    report = verify_gradient_code(build_cyclic_encoding(6, 0, 0))
     assert report.passed and report.max_residual <= 1e-12
 
 
@@ -303,7 +320,7 @@ def test_a_stack_of_straggler_patterns_decodes_each_as_alone(n, s_max, seed):
 
 def test_verify_cap():
     with pytest.raises(CapExceeded):
-        verify_gradient_code(identity_encoding(13))
+        verify_gradient_code(build_cyclic_encoding(13, 0, 0))
 
 
 def test_encode_response_identity_row():

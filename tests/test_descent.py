@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from collections import Counter
@@ -138,6 +139,12 @@ def test_two_coded_steps_follow_plain_gradient_descent():
     plain = plain_descent(ds, 2, eta)
     for a, b in zip(coded.thetas, plain.thetas):
         assert np.abs(a - b).max() <= 1e-10
+
+
+def test_run_descent_rejects_a_cluster_the_code_does_not_fit():
+    ngc = codes.NestedGradientCode(seed=0, components=build_ngc(8, 3, 0).components)
+    with pytest.raises(ValueError, match="^cluster has n=5 workers but code expects 8$"):
+        run_descent(make_dataset(32, 4, 0.1, seed=0), ngc, 2, 1.0, dataclasses.replace(FIG_PARAMS, n=5), seed=0)
 
 
 def test_run_descent_reaches_least_squares_optimum():

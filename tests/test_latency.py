@@ -456,6 +456,8 @@ def test_analytic_and_simulated_curves_reject_the_same_bad_grids(grid):
         latency_curve(Scheme("ngc", 3), grid, FIG_PARAMS)
     with pytest.raises(InvalidParams):
         run_experiment(Scheme("ngc", 3), 10, 0, FIG_PARAMS, grid)
+    with pytest.raises(InvalidParams):
+        LatencyCurve(grid, np.zeros(np.shape(grid)))
 
 
 def test_latency_curve_validates_values():
