@@ -199,7 +199,10 @@ def decode_row(code: EncodingMatrix, responsive_set) -> np.ndarray:
     """
     n = code.n
     try:
-        responders = sorted(set(map(operator.index, responsive_set)))
+        workers = list(responsive_set)
+        if any(isinstance(w, bool) for w in workers):  # True is not worker 1, as a numpy bool is not
+            raise TypeError
+        responders = sorted(set(map(operator.index, workers)))
     except TypeError:
         raise ValueError("worker indices must be integers") from None
     if responders and (responders[0] < 0 or responders[-1] >= n):

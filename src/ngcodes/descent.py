@@ -14,20 +14,19 @@ so a run reads them all before the first update.
 The decodings are resolved for the whole run before the first update too:
 one stacked solve per sigma covers that sigma's distinct used-worker sets (the
 n - sigma smallest responsive workers), so a run that cannot decode fails
-before it starts. The plan keeps, per decoded sigma, that component's B and,
-per iteration, the used workers' indices and their coefficients. A responsive
-worker at sigma has finished at least sigma + 1 tasks, which cover its whole
-window, so every row a decoding uses can be formed.
+before it starts. A responsive worker at sigma has finished at least sigma + 1
+tasks, which cover its whole window, so its response B_w g can be formed, and
+the decoded gradient a (B g) is (a B) g. The plan holds that one row a B per
+iteration, (iterations, n), and no B: each sigma's B is a temporary.
 
 For least squares a block's gradient X_i^T (X_i theta - y_i) is
 G_i theta - b_i, with G_i = X_i^T X_i and b_i = X_i^T y_i fixed for the run.
-A run forms them once, so an iteration costs O(n c^2) plus the decode, not
-O(m c): one batched product gives all n block gradients, and the responses of
-the workers a decoding uses are one product of their encoding rows with those
-gradients. The loop keeps each theta and each iteration's decoded and direct
-gradient sums. After it, the recovery errors come from the sums, and the
-losses 0.5 ||X theta - y||^2 from the residuals of blocks of thetas, each block
-at most LOSS_BLOCK residual entries (0.5 MB) or one theta.
+A run forms them once, so an iteration costs O(n c^2), not O(m c): one batched
+product gives all n block gradients, and the iteration's row a B times them
+gives the decoded sum. The loop keeps each theta and each iteration's decoded
+and direct gradient sums. After it, the recovery errors come from the sums,
+and the losses 0.5 ||X theta - y||^2 from the residuals of blocks of thetas,
+each block at most LOSS_BLOCK residual entries (0.5 MB) or one theta.
 """
 from __future__ import annotations
 
@@ -147,19 +146,17 @@ def _losses(dataset: Dataset, thetas: np.ndarray) -> np.ndarray:
     return losses[:len(thetas)]
 
 
-_Decoding = tuple[np.ndarray, np.ndarray, np.ndarray]  # the decoded component's B, the used workers, their weights
-
-
-def _plan(ngc: NestedGradientCode, sigma: np.ndarray, tasks: np.ndarray) -> list[_Decoding]:
-    """Per iteration of ``sigma`` and ``tasks`` (iterations, n), its component's B (one ``dense()`` per sigma),
-    the workers its decoding uses (the n - sigma smallest responsive ones) and their decoding coefficients.
+def _plan(ngc: NestedGradientCode, sigma: np.ndarray, tasks: np.ndarray) -> np.ndarray:
+    """Per iteration of ``sigma`` and ``tasks`` (iterations, n), the row a B of its decoding a (nonzero only on
+    the n - sigma smallest responsive workers) and its component's B: one (iterations, n) array.
 
     Each sigma's distinct used-worker sets are solved in one ``_straggler_decodings`` call, which gives
-    each the bits ``decode_row`` gives it. NotDecodable when an iteration has fewer than n - sigma
+    each the bits ``decode_row`` gives it, and a B is taken one pattern at a time, so a row's bits do not
+    depend on the other sets of its sigma. NotDecodable when an iteration has fewer than n - sigma
     responsive workers; NumericalFailure (a residual above ``DECODE_TOL``) as ``decode_row`` raises
     it, for the first iteration that fails.
     """
-    n, plan, failures = ngc.n, [None] * len(sigma), []
+    n, rows, failures = ngc.n, np.empty(tasks.shape), []
     for s in sorted(set(sigma.tolist())):
         ts = np.flatnonzero(sigma == s)  # the iterations decoded at s
         responsive = tasks[ts] >= s + 1
@@ -168,25 +165,15 @@ def _plan(ngc: NestedGradientCode, sigma: np.ndarray, tasks: np.ndarray) -> list
         used = responsive & (np.cumsum(responsive, axis=1) <= n - s)
         slot = {}  # used-worker set -> the first of these iterations with it
         firsts = [slot.setdefault(row.tobytes(), j) for j, row in enumerate(used)]
-        heads = list(slot.values())
+        heads = list(slot.values())  # ascending
         a, residual = _straggler_decodings(ngc.components[s], np.nonzero(~used[heads])[1].reshape(len(heads), s))
         if (bad := np.flatnonzero(~(residual <= DECODE_TOL))).size:  # a NaN residual fails too
             failures.append((ts[heads[bad[0]]], residual[bad[0]]))  # its first failing iteration
             continue
-        b = ngc.components[s].dense()
-        decodings = {j: (b, np.flatnonzero(used[j]), a[m, used[j]]) for m, j in enumerate(heads)}
-        for t, j in zip(ts.tolist(), firsts):
-            plan[t] = decodings[j]
+        rows[ts] = (a[:, None] @ ngc.components[s].dense())[:, 0][np.searchsorted(heads, firsts)]
     if failures:
         raise NumericalFailure(f"decode residual {min(failures)[1]:.3e} above {DECODE_TOL:g}")
-    return plan
-
-
-def _decode(decoding: _Decoding, gradients: np.ndarray) -> np.ndarray:
-    """The gradient sum decoded from block ``gradients`` (n, c) by one ``_plan`` entry: the responses of the
-    workers it uses (their rows of B times the gradients), combined with their coefficients."""
-    b, workers, weights = decoding
-    return weights @ (b[workers] @ gradients)
+    return rows
 
 
 def _recovery_errors(decoded: np.ndarray, full: np.ndarray) -> np.ndarray:
@@ -207,22 +194,20 @@ def coded_iteration(
     """``theta - step * decoded`` for the gradient decoded from one simulated
     iteration, and its relative error against the directly summed gradient.
 
-    ``sigma`` and ``tasks_done`` are the iteration's decoded tolerance and
+    ``sigma`` and ``tasks_done`` (n,) are the iteration's decoded tolerance and
     tasks finished per worker, as ``simulate_ngc_iteration`` gives them;
     UndecodableIteration when sigma is -1. ``gradients`` holds the n block
-    gradients at ``theta``, one row per block. A worker that finished sigma + 1
-    tasks holds the gradients of its whole window, so the responses are formed
-    with the decoded component's rows and combined with its decoding
-    coefficients: the decoding, update and recovery error of one iteration of
-    ``run_descent``, through the same ``_plan``, ``_decode`` and
-    ``_recovery_errors``.
+    gradients at ``theta``, one row per block. The decoded gradient is the
+    iteration's ``_plan`` row a B times ``gradients``: the decoding, update and
+    recovery error of one iteration of ``run_descent``, bit for bit.
     """
     if sigma < 0:
         raise UndecodableIteration(f"more failures than s_max={ngc.s_max} tolerates")
+    if (tasks_done := np.asarray(tasks_done)).shape != (ngc.n,):
+        raise ValueError(f"tasks_done must be ({ngc.n},), got {tasks_done.shape}")
     if gradients.shape != (ngc.n, theta.size):
         raise ValueError(f"gradients must be ({ngc.n}, {theta.size}), got {gradients.shape}")
-    decoding, = _plan(ngc, np.array([sigma]), np.asarray(tasks_done)[None])
-    decoded = _decode(decoding, gradients)
+    decoded = _plan(ngc, np.array([sigma]), tasks_done[None])[0] @ gradients
     return theta - step * decoded, float(_recovery_errors(decoded[None], gradients.sum(axis=0)[None])[0])
 
 
@@ -279,13 +264,12 @@ def run_descent(
     """Run coded gradient descent from theta = 0; deterministic given seed.
 
     UndecodableIteration names the first iteration with no decodable draw in
-    ``MAX_RESAMPLES`` resamples (see the module's stream rule). The decodings
-    are one stacked solve per sigma (``_plan``); one that fails
-    (NumericalFailure) raises as one ``coded_iteration`` per iteration's
-    (sigma, tasks done) would at its first failing iteration, but before the
-    first update. Each iteration's block gradients come from the blocks'
-    Gram matrices; the losses and recovery errors are computed after the
-    update loop.
+    ``MAX_RESAMPLES`` resamples (see the module's stream rule). The plan of
+    rows a B (``_plan``) is formed before the first update, so a decoding that
+    fails (NumericalFailure) raises as one ``coded_iteration`` per iteration's
+    (sigma, tasks done) would at its first failing iteration, but before any
+    update. Each iteration's block gradients come from the blocks' Gram
+    matrices; the losses and recovery errors are computed after the loop.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be at least 1, got {iterations}")
@@ -294,14 +278,14 @@ def run_descent(
     if cluster.n != ngc.n:
         raise ValueError(f"cluster has n={cluster.n} workers but code expects {ngc.n}")
     latency, sigma, tasks, resamples = _iteration_trials(cluster, ngc.s_max, seed, iterations)
-    plan = _plan(ngc, sigma, tasks)
+    rows = _plan(ngc, sigma, tasks)
     gram, moments = _block_moments(*partition(dataset, ngc.n))
     step = eta / dataset.m
     theta = np.zeros(dataset.c)
     thetas, decoded, full = (np.empty((iterations, dataset.c)) for _ in range(3))
-    for t, decoding in enumerate(plan):
+    for t, row in enumerate(rows):
         gradients = _gram_gradients(gram, moments, theta)
-        decoded[t] = _decode(decoding, gradients)
+        decoded[t] = row @ gradients
         full[t] = gradients.sum(axis=0)
         theta = thetas[t] = theta - step * decoded[t]
     losses, errors = _losses(dataset, thetas).tolist(), _recovery_errors(decoded, full).tolist()

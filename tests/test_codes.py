@@ -227,9 +227,13 @@ def test_decode_uses_smallest_indices_when_overprovisioned():
     assert np.flatnonzero(coefficients).tolist() == [0, 1, 2, 3, 4]
 
 
-@pytest.mark.parametrize("responsive", [[0.5, 1.9, 2, 3, 4], ["1", "2", "3", "4", "5"], [0, 1, 2, 3, 4.0]])
+MASK = [True] * 5 + [False] * 3  # a mask of workers 0..4, not the index list {0, 1}
+
+
+@pytest.mark.parametrize("responsive", [[0.5, 1.9, 2, 3, 4], ["1", "2", "3", "4", "5"], [0, 1, 2, 3, 4.0],
+                                        MASK, np.array(MASK), [0, 1, 2, 3, True]])
 def test_decode_rejects_worker_indices_that_are_not_integers(responsive):
-    # a float or a string names no worker; it is not truncated to one
+    # a float, a string or a bool names no worker; it is not truncated or converted to one
     with pytest.raises(ValueError, match="worker indices must be integers"):
         decode_row(build_ngc(8, 3, 1).components[3], responsive)
 

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import math
+import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -128,6 +130,16 @@ def test_coded_iteration_rejects_undecodable():
     theta = np.zeros(2)
     with pytest.raises(UndecodableIteration):
         coded_iteration(theta, 0.5 / ds.m, ngc, -1, np.zeros(8, int), partial_gradient(data, labels, theta))
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (7,)])
+def test_coded_iteration_rejects_tasks_done_of_another_shape(shape):
+    ds = make_dataset(16, 2, 0.1, seed=7)
+    ngc = build_ngc(8, 1, seed=7)
+    theta = np.zeros(2)
+    gradients = partial_gradient(*partition(ds, 8), theta)
+    with pytest.raises(ValueError, match=re.escape(f"tasks_done must be (8,), got {shape}")):
+        coded_iteration(theta, 0.5 / ds.m, ngc, 1, np.full(shape, 2), gradients)
 
 
 def test_two_coded_steps_follow_plain_gradient_descent():
@@ -327,6 +339,23 @@ def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
     run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
     assert sum(len(sets) for _, sets in calls) == 2 * len(keys)
     assert len(calls) == len(factorisations) == 2 * len(sigmas)
+
+
+def test_run_descent_memory_does_not_grow_with_the_decoded_sigmas():
+    # a dense n x n B held per decoded sigma would add n^2 doubles per sigma: 19 n^2 here
+    n = 256
+    ds = make_dataset(1024, 4, 0.1, seed=3)
+    ngc = build_ngc(n, 24, seed=3)
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=n)
+    eta = default_learning_rate(ds, 200)
+    tracemalloc.start()
+    try:
+        run = run_descent(ds, ngc, 200, eta, cluster, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len({r.decoded_sigma for r in run.records}) > 10  # 19 with these streams
+    assert peak < 10 * 8 * n * n
 
 
 @pytest.fixture(params=["chunk-rounds", "one-row-rounds"])
