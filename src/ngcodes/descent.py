@@ -25,8 +25,8 @@ A run forms them once, so an iteration costs O(n c^2), not O(m c): one batched
 product gives all n block gradients, and the iteration's row a B times them
 gives the decoded sum. The loop keeps each theta and each iteration's decoded
 and direct gradient sums. After it, the recovery errors come from the sums,
-and the losses 0.5 ||X theta - y||^2 from the residuals of blocks of thetas,
-each block at most LOSS_BLOCK residual entries (0.5 MB) or one theta.
+and the losses 0.5 ||X theta - y||^2 from an exact expansion about the
+least-squares point: one O(m c) residual per run, then O(c^2) per theta.
 """
 from __future__ import annotations
 
@@ -44,7 +44,6 @@ from .simulator import simulate_ngc_iteration  # noqa: F401 -- bench/workloads.p
 
 _TARGET_GAP = 1e-9  # loss excess left after a default-rate run, relative to its start
 MAX_RESAMPLES = 1000  # undecodable trials in a row that an iteration tolerates
-LOSS_BLOCK = 2**16  # residual entries (0.5 MB) per block of a run's after-loop loss pass
 
 
 class UndecodableIteration(CodeError):
@@ -131,19 +130,18 @@ def _gram_gradients(gram: np.ndarray, moments: np.ndarray, theta: np.ndarray) ->
     return gram @ theta - moments
 
 
-def _losses(dataset: Dataset, thetas: np.ndarray) -> np.ndarray:
-    """0.5 ||X theta - y||^2 of each row of ``thetas`` (k, c), from the residuals of blocks of
-    max(1, LOSS_BLOCK // m) thetas. The last block is zero-padded to full size, so every block is the
-    same product and a row's loss does not depend on the rows after it."""
-    block = max(1, LOSS_BLOCK // dataset.m)
-    padded = np.zeros((-(-len(thetas) // block) * block, dataset.c))
-    padded[:len(thetas)] = thetas
-    losses = np.empty(len(padded))
-    for start in range(0, len(padded), block):
-        residual = padded[start:start + block] @ dataset.data.T
-        residual -= dataset.labels
-        losses[start:start + block] = 0.5 * np.einsum("ij,ij->i", residual, residual)
-    return losses[:len(thetas)]
+def _losses(dataset: Dataset, gram: np.ndarray, moments: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """0.5 ||X theta - y||^2 of each row of ``thetas`` (k, c), by the exact 0.5 ||r0||^2 + d^T (X^T r0 + 0.5 G d):
+    d = theta - theta0, theta0 the least-squares solution of G theta0 = b (the sums of ``gram`` and ``moments``)
+    and r0 = X theta0 - y. X^T r0 is about 0 and G is positive semidefinite, so nothing cancels. A row's loss
+    does not depend on the other rows; one whose expansion is not finite takes ``dataset_loss``'s direct form."""
+    G = gram.sum(axis=0)
+    theta0 = np.linalg.lstsq(G, moments.sum(axis=0))[0]
+    r0, delta = dataset.data @ theta0 - dataset.labels, thetas - theta0
+    losses = 0.5 * float(r0 @ r0) + np.einsum("ij,ij->i", delta, r0 @ dataset.data + 0.5 * (delta[:, None] @ G)[:, 0])
+    for t in np.flatnonzero(~np.isfinite(losses)):
+        losses[t] = dataset_loss(dataset, thetas[t])
+    return losses
 
 
 def _plan(ngc: NestedGradientCode, sigma: np.ndarray, tasks: np.ndarray) -> np.ndarray:
@@ -203,6 +201,8 @@ def coded_iteration(
     """
     if sigma < 0:
         raise UndecodableIteration(f"more failures than s_max={ngc.s_max} tolerates")
+    if sigma > ngc.s_max:
+        raise ValueError(f"sigma must be in [-1, {ngc.s_max}], got {sigma}")
     if (tasks_done := np.asarray(tasks_done)).shape != (ngc.n,):
         raise ValueError(f"tasks_done must be ({ngc.n},), got {tasks_done.shape}")
     if gradients.shape != (ngc.n, theta.size):
@@ -288,7 +288,7 @@ def run_descent(
         decoded[t] = row @ gradients
         full[t] = gradients.sum(axis=0)
         theta = thetas[t] = theta - step * decoded[t]
-    losses, errors = _losses(dataset, thetas).tolist(), _recovery_errors(decoded, full).tolist()
+    losses, errors = _losses(dataset, gram, moments, thetas).tolist(), _recovery_errors(decoded, full).tolist()
     records = [IterationRecord(t, losses[t], errors[t], int(sigma[t]), float(latency[t]), int(resamples[t]))
                for t in range(iterations)]
     return DescentRun(thetas=tuple(thetas), records=tuple(records))

@@ -142,6 +142,16 @@ def test_coded_iteration_rejects_tasks_done_of_another_shape(shape):
         coded_iteration(theta, 0.5 / ds.m, ngc, 1, np.full(shape, 2), gradients)
 
 
+@pytest.mark.parametrize("sigma", [2, 8])
+def test_coded_iteration_rejects_a_sigma_above_s_max(sigma):
+    ds = make_dataset(16, 2, 0.1, seed=7)
+    ngc = build_ngc(8, 1, seed=7)
+    theta = np.zeros(2)
+    gradients = partial_gradient(*partition(ds, 8), theta)
+    with pytest.raises(ValueError, match=re.escape(f"sigma must be in [-1, 1], got {sigma}")):
+        coded_iteration(theta, 0.5 / ds.m, ngc, sigma, np.full(8, 3), gradients)
+
+
 def test_two_coded_steps_follow_plain_gradient_descent():
     ds = make_dataset(32, 4, 0.1, seed=8)
     ngc = build_ngc(8, 3, seed=8)
@@ -417,7 +427,7 @@ def coded_iteration_loop(ds, ngc, iterations, eta, cluster, seed):
         theta, relative_error = coded_iteration(theta, step, ngc, sigma, tasks, gradients)
         thetas.append(theta)
         errors.append(relative_error)
-    losses = descent._losses(ds, np.array(thetas)).tolist()
+    losses = descent._losses(ds, gram, moments, np.array(thetas)).tolist()
     return thetas, [IterationRecord(t, losses[t], errors[t], sigma, latency, resamples)
                     for t, ((latency, sigma, _), resamples) in enumerate(expected)]
 
@@ -558,15 +568,61 @@ def bench_shape_run(iterations, seed=27):
 
 
 def test_recorded_losses_are_the_dataset_losses_of_the_thetas():
-    assert 37 % (descent.LOSS_BLOCK // 4096) != 0  # the loss pass ends in a partial block
     ds, run = bench_shape_run(37)
     for record, theta in zip(run.records, run.thetas):
         exact = dataset_loss(ds, theta)
         assert abs(record.loss - exact) <= 1e-12 * exact
 
 
-def test_loss_blocks_do_not_change_the_bits_of_a_shorter_run():
+def test_a_rows_loss_does_not_depend_on_the_run_length():
     _, short = bench_shape_run(37)
     _, long = bench_shape_run(75)
     assert long.records[:37] == short.records
     assert all(np.array_equal(a, b) for a, b in zip(long.thetas, short.thetas))
+    _, one = bench_shape_run(1)  # numpy takes a (1, c) product to another BLAS routine than a (k, c) one
+    assert long.records[:1] == one.records
+
+
+LOSS_SHAPES = {  # name -> (n, s_max, m, c, iterations, p_e, noise)
+    "bench": (12, 5, 4096, 32, 200, 0.05, 0.1),
+    "5-iterations": (12, 5, 4096, 32, 5, 0.05, 0.1),
+    "m64-c8": (8, 3, 64, 8, 200, 0.05, 0.1),
+    "m256-c16-n64": (64, 8, 256, 16, 200, 0.05, 0.1),
+    "m4096-c16-n64": (64, 8, 4096, 16, 200, 0.05, 0.1),
+    "m8-c32-singular": (8, 3, 8, 32, 200, 0.05, 0.1),
+    "pe0.3": (12, 5, 4096, 32, 200, 0.3, 0.1),
+    "noise0": (12, 5, 4096, 32, 200, 0.05, 0.0),
+}
+
+
+@pytest.mark.parametrize("shape", LOSS_SHAPES.values(), ids=LOSS_SHAPES.keys())
+def test_expanded_losses_match_the_direct_dataset_loss(shape):
+    n, s_max, m, c, iterations, p_e, noise = shape
+    ds = make_dataset(m, c, noise, seed=32)
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=p_e, n=n)
+    run = run_descent(ds, build_ngc(n, s_max, seed=32), iterations, default_learning_rate(ds, iterations), cluster,
+                      seed=32)
+    direct = np.array([dataset_loss(ds, theta) for theta in run.thetas])
+    start = dataset_loss(ds, np.zeros(c))
+    error = np.abs(run.losses - direct)
+    assert error.max() <= 1e-13 * start
+    above = direct > 1e-6 * start  # the relative error of a loss near the rounding floor says nothing
+    assert above.any()
+    assert np.all(error[above] <= 1e-12 * direct[above])
+
+
+@pytest.mark.parametrize("m, c, iterations, eta, noise, seed", [
+    (64, 8, 30, 1e300, 0.1, 42), (8, 2, 1, None, 1e300, 3), (64, 8, 30, None, 1e300, 42)],
+    ids=["eta1e300", "noise1e300", "noise1e300-m64"])
+def test_a_non_finite_loss_is_the_direct_dataset_loss(m, c, iterations, eta, noise, seed):
+    # gd-demo runs whose losses overflow. The expansion's inf or nan gives way to the direct form's: at m=64 the
+    # expansion reads nan where the direct form reads inf
+    ds = make_dataset(m, c, noise, seed=seed)
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        run = run_descent(ds, build_ngc(8, 3, seed=seed), iterations, eta or default_learning_rate(ds, iterations),
+                          cluster, seed=seed)
+        direct = np.array([dataset_loss(ds, theta) for theta in run.thetas])
+    assert not np.isfinite(direct).all()
+    assert np.array_equal(np.isfinite(run.losses), np.isfinite(direct))
+    assert np.array_equal(run.losses[~np.isfinite(direct)], direct[~np.isfinite(direct)], equal_nan=True)
