@@ -29,6 +29,8 @@ CODE = {"n": 2, "s_max": 1, "seed": 1, "components": [  # a code whose sigma=1 c
     {"sigma": 0, "windows": [1.0, 1.0]}, {"sigma": 1, "windows": [0.0] * 4}]}
 DENSE = {"n": 2, "s_max": 1, "seed": 1, "components": [  # the same code in the old dense n x n format
     {"sigma": 0, "entries": [1.0, 0.0, 0.0, 1.0]}, {"sigma": 1, "entries": [0.0] * 4}]}
+SUBNORMAL = {"n": 3, "s_max": 1, "seed": 1, "components": [  # a sigma=1 component whose decoding solve overflows
+    {"sigma": 0, "windows": [1.0, 1.0, 1.0]}, {"sigma": 1, "windows": [1e-320, -1e-320] * 3}]}
 MALFORMED = {
     "keys-missing.json": '{"n": 4}',
     "not-an-object.json": "[1, 2]",
@@ -99,7 +101,8 @@ CASES = {
         [], ["frobnicate"], ["--n", "3", "simulate"], ["simulate", "--out", "x.csv", "--bogus", "1"],
         ["construct"], ["analyze"], ["simulate"], ["gd-demo"],
     ]),
-    "code-files": ({**MALFORMED, "tampered.json": json.dumps(CODE), "dense.json": json.dumps(DENSE)}, [
+    "code-files": ({**MALFORMED, "tampered.json": json.dumps(CODE), "dense.json": json.dumps(DENSE),
+                    "subnormal.json": json.dumps(SUBNORMAL)}, [
         ["construct", "--n", "4", "--smax", "4", "--seed", "1", "--out", "bad-tolerance.json"],
         ["construct", "--n", "6", "--smax", "2", "--seed", "3", "--out", "code.json"],
         *[step for n in ("1", "12") for step in (  # families that hold only the sigma = 0 component
@@ -108,6 +111,7 @@ CASES = {
         ["verify", "nope.json"],
         ["verify", "tampered.json"],
         ["verify", "dense.json"],
+        ["verify", "subnormal.json"],
         *[["verify", name] for name in MALFORMED],
     ]),
     "analyze-errors": ({}, [

@@ -13,9 +13,10 @@ n - sigma worker responses. A draw of H is kept when its null-space residual
 A nested family stacks one such code per tolerance sigma = 0..s_max, all from one builder (at sigma = 0,
 H has no rows and each window is the single 1 on block i). The cyclic windows grow by one block per level,
 so each worker can serve every level of the family from a single layered task schedule. A component and its
-code file hold only the n (sigma + 1) window coefficients. Each decoding call makes one SVD of B
-and keeps nothing on the code, so ``decode_row`` pays it on every call: every a with a B = 1 is
-a0 + M z, M spanning B's left null space, so each straggler pattern is one sigma x sigma solve.
+code file hold only the n (sigma + 1) window coefficients. ``decodings`` holds the decoding rule for
+``decode_row``, ``verify_gradient_code`` and the descent plan: a row decodes from its n - sigma smallest
+responsive workers, and each call solves each distinct set once from one SVD of B, keeping nothing on the
+code: every a with a B = 1 is a0 + M z, M spanning B's left null space, so a set is one sigma x sigma solve.
 """
 from __future__ import annotations
 
@@ -158,34 +159,45 @@ def build_ngc(n: int, s_max: int, seed: int) -> NestedGradientCode:
                                           for sigma in range(s_max + 1)))
 
 
-def _straggler_decodings(code: EncodingMatrix, stragglers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decoding vectors (k, n), exactly 0 on each row of the (k, sigma) ``stragglers``, and their residuals
-    |a B - 1|max, from one SVD of B. Each of two passes solves for the rest 1 - a B through the pseudo-inverse
-    on the top n - sigma singular values and moves the step along M, the left singular vectors of the sigma
-    smallest, to 0 on the stragglers; a singular M block's pattern shows as a residual.
+def decodings(code: EncodingMatrix, responsive) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of the (k, n) boolean ``responsive``, the decoding a of its n - sigma smallest responsive workers
+    (0 on every other worker), its row a B and its residual |a B - 1|max: arrays (k, n), (k, n) and (k,).
+    NotDecodable for the first row with fewer than n - sigma responsive workers; ValueError for another shape or dtype.
 
-    Every product is taken one pattern at a time, as a (k, 1, n) stack: a pattern's decoding and
-    residual are the same bits alone, in ``decode_row``, in ``verify_gradient_code`` or in any batch
-    that holds no exactly singular M block (one sends the whole batch to ``pinv``).
+    Each distinct used-worker set is solved once, from one SVD of B: each of two passes solves for the rest 1 - a B
+    through the pseudo-inverse on the top n - sigma singular values and moves the step along M, the left singular
+    vectors of the sigma smallest, to 0 on the stragglers. A singular M block's set, or one whose solve overflows
+    (a subnormal B), shows as its residual. Every product is taken one set at a time, as a (k, 1, n) stack, so a
+    set's bits are the same alone, in ``decode_row``, in ``verify_gradient_code`` and in any batch that holds no
+    exactly singular M block (one sends the whole batch to ``pinv``).
     """
-    b = code.dense()
-    u, s, vt = np.linalg.svd(b)
-    keep = code.n - code.sigma
-    scale = np.divide(1.0, s[:keep], out=np.zeros(keep), where=s[:keep] > 0)  # 0, not 1/0, for a zero value
-    pinv, null = (vt[:keep].T * scale) @ u[:, :keep].T, u[:, keep:]
-    try:
-        inverse = np.linalg.inv(null[stragglers])
-    except np.linalg.LinAlgError:
-        inverse = np.linalg.pinv(null[stragglers])
-    sets = np.arange(len(stragglers))[:, None]
-    a, rest = np.zeros((len(stragglers), 1, code.n)), np.ones((len(stragglers), 1, code.n))  # rest = 1 - 0 B
-    for _ in range(2):
-        step = rest @ pinv
-        step -= (inverse @ step[sets, 0, stragglers][..., None]).transpose(0, 2, 1) @ null.T
-        step[sets, 0, stragglers] = 0.0
-        a += step
-        rest = 1.0 - a @ b
-    return a[:, 0], np.abs(rest[:, 0]).max(axis=1)
+    responsive = np.asarray(responsive)
+    n, need = code.n, code.n - code.sigma
+    if responsive.dtype != bool or responsive.ndim != 2 or responsive.shape[1] != n:
+        raise ValueError(f"responsive must be a (k, {n}) boolean array, got {responsive.dtype} {responsive.shape}")
+    if (short := responsive.sum(axis=1) < need).any():
+        raise NotDecodable(f"{responsive[short.argmax()].sum()} responsive workers, need {need} for sigma={code.sigma}")
+    used = responsive & (np.cumsum(responsive, axis=1) <= need)
+    slot = {}  # used-worker set -> its place among the distinct sets, in order of first appearance
+    which = np.array([slot.setdefault(row.tobytes(), len(slot)) for row in used], dtype=int)
+    stragglers = np.nonzero(~used[np.unique(which, return_index=True)[1]])[1].reshape(len(slot), code.sigma)
+    u, s, vt = np.linalg.svd(b := code.dense())
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in a residual no gate passes
+        scale = np.divide(1.0, s[:need], out=np.zeros(need), where=s[:need] > 0)  # 0, not 1/0, for a zero value
+        pinv, null = (vt[:need].T * scale) @ u[:, :need].T, u[:, need:]
+        try:
+            inverse = np.linalg.inv(null[stragglers])
+        except np.linalg.LinAlgError:
+            inverse = np.linalg.pinv(null[stragglers])
+        sets = np.arange(len(stragglers))[:, None]
+        a, rest = np.zeros((len(stragglers), 1, n)), np.ones((len(stragglers), 1, n))  # rest = 1 - 0 B
+        for _ in range(2):
+            step = rest @ pinv
+            step -= (inverse @ step[sets, 0, stragglers][..., None]).transpose(0, 2, 1) @ null.T
+            step[sets, 0, stragglers] = 0.0
+            a += step
+            rest = 1.0 - (ab := a @ b)
+        return a[which, 0], ab[which, 0], np.abs(rest[:, 0]).max(axis=1)[which]
 
 
 def decode_row(code: EncodingMatrix, responsive_set) -> np.ndarray:
@@ -207,10 +219,7 @@ def decode_row(code: EncodingMatrix, responsive_set) -> np.ndarray:
         raise ValueError("worker indices must be integers") from None
     if responders and (responders[0] < 0 or responders[-1] >= n):
         raise ValueError(f"worker indices must lie in [0, {n - 1}]")
-    need = n - code.sigma
-    if len(responders) < need:
-        raise NotDecodable(f"{len(responders)} responsive workers, need {need} for sigma={code.sigma}")
-    a, residual = _straggler_decodings(code, np.array([sorted(set(range(n)).difference(responders[:need]))], dtype=int))
+    a, _, residual = decodings(code, np.isin(np.arange(n), responders)[None])
     if not residual[0] <= DECODE_TOL:  # a NaN residual fails too
         raise NumericalFailure(f"decode residual {residual[0]:.3e} above {DECODE_TOL:g}")
     return a[0]
@@ -238,7 +247,8 @@ def verify_gradient_code(code: EncodingMatrix) -> VerificationReport:
     if code.n > VERIFY_CAP:
         raise CapExceeded(f"n={code.n} above exhaustive verification cap {VERIFY_CAP}")
     stragglers = np.array(list(itertools.combinations(range(code.n), code.sigma)), dtype=int, ndmin=2)
-    max_residual = float(_straggler_decodings(code, stragglers)[1].max())  # a NaN residual propagates and fails
+    responsive = ~np.eye(code.n, dtype=bool)[stragglers].any(axis=1)  # the complement of each subset
+    max_residual = float(decodings(code, responsive)[2].max())  # a NaN residual propagates and fails
     return VerificationReport(bool(code.windows.all()), bool(max_residual <= DECODE_TOL), max_residual)
 
 

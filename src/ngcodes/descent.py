@@ -12,12 +12,12 @@ are the undecodable trials since the one before. No trial depends on theta,
 so a run reads them all before the first update.
 
 The decodings are resolved for the whole run before the first update too:
-one stacked solve per sigma covers that sigma's distinct used-worker sets (the
-n - sigma smallest responsive workers), so a run that cannot decode fails
-before it starts. A responsive worker at sigma has finished at least sigma + 1
-tasks, which cover its whole window, so its response B_w g can be formed, and
-the decoded gradient a (B g) is (a B) g. The plan holds that one row a B per
-iteration, (iterations, n), and no B: each sigma's B is a temporary.
+one ``codes.decodings`` call per decoded sigma takes its iterations' responsive
+workers, so a run that cannot decode fails before it starts. A responsive
+worker at sigma has finished at least sigma + 1 tasks, which cover its whole
+window, so its response B_w g can be formed, and the decoded gradient a (B g)
+is (a B) g. The plan holds the row a B that ``decodings`` returns, one per
+iteration: (iterations, n).
 
 For least squares a block's gradient X_i^T (X_i theta - y_i) is
 G_i theta - b_i, with G_i = X_i^T X_i and b_i = X_i^T y_i fixed for the run.
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import DECODE_TOL, CodeError, NestedGradientCode, NotDecodable, NumericalFailure, _straggler_decodings
+from .codes import DECODE_TOL, CodeError, NestedGradientCode, NumericalFailure, decodings
 from .codes import decode_row  # noqa: F401 -- bench/workloads.py traces it under this module
 from .codes import encode_response  # noqa: F401 -- bench/workloads.py traces it under this module
 from .latency import ClusterParams, Scheme
@@ -145,30 +145,19 @@ def _losses(dataset: Dataset, gram: np.ndarray, moments: np.ndarray, thetas: np.
 
 
 def _plan(ngc: NestedGradientCode, sigma: np.ndarray, tasks: np.ndarray) -> np.ndarray:
-    """Per iteration of ``sigma`` and ``tasks`` (iterations, n), the row a B of its decoding a (nonzero only on
-    the n - sigma smallest responsive workers) and its component's B: one (iterations, n) array.
-
-    Each sigma's distinct used-worker sets are solved in one ``_straggler_decodings`` call, which gives
-    each the bits ``decode_row`` gives it, and a B is taken one pattern at a time, so a row's bits do not
-    depend on the other sets of its sigma. NotDecodable when an iteration has fewer than n - sigma
-    responsive workers; NumericalFailure (a residual above ``DECODE_TOL``) as ``decode_row`` raises
-    it, for the first iteration that fails.
+    """Per iteration of ``sigma`` and ``tasks`` (iterations, n), the row a B that ``decodings`` returns for its
+    workers with at least sigma + 1 tasks done, from one call per decoded sigma: one (iterations, n) array, each
+    row a B of the very a ``decode_row`` gives. NotDecodable as ``decodings`` raises it; NumericalFailure (a
+    residual above ``DECODE_TOL``) as ``decode_row`` raises it, for the first iteration that fails.
     """
-    n, rows, failures = ngc.n, np.empty(tasks.shape), []
+    rows, failures = np.empty(tasks.shape), []
     for s in sorted(set(sigma.tolist())):
         ts = np.flatnonzero(sigma == s)  # the iterations decoded at s
-        responsive = tasks[ts] >= s + 1
-        if (short := responsive.sum(axis=1) < n - s).any():
-            raise NotDecodable(f"{responsive[short.argmax()].sum()} responsive workers, need {n - s} for sigma={s}")
-        used = responsive & (np.cumsum(responsive, axis=1) <= n - s)
-        slot = {}  # used-worker set -> the first of these iterations with it
-        firsts = [slot.setdefault(row.tobytes(), j) for j, row in enumerate(used)]
-        heads = list(slot.values())  # ascending
-        a, residual = _straggler_decodings(ngc.components[s], np.nonzero(~used[heads])[1].reshape(len(heads), s))
+        _, ab, residual = decodings(ngc.components[s], tasks[ts] >= s + 1)
         if (bad := np.flatnonzero(~(residual <= DECODE_TOL))).size:  # a NaN residual fails too
-            failures.append((ts[heads[bad[0]]], residual[bad[0]]))  # its first failing iteration
+            failures.append((ts[bad[0]], residual[bad[0]]))  # its first failing iteration
             continue
-        rows[ts] = (a[:, None] @ ngc.components[s].dense())[:, 0][np.searchsorted(heads, firsts)]
+        rows[ts] = ab
     if failures:
         raise NumericalFailure(f"decode residual {min(failures)[1]:.3e} above {DECODE_TOL:g}")
     return rows

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from ngcodes import cli
 from ngcodes.cli import main
-from ngcodes.codes import build_ngc, code_from_json, code_to_json
+from ngcodes.codes import NumericalFailure, build_ngc, code_from_json, code_to_json, decode_row
 from ngcodes.descent import default_learning_rate, make_dataset, run_descent
 from ngcodes.latency import ClusterParams, latency_curve, parse_scheme
 from ngcodes.simulator import run_experiment
@@ -112,6 +112,21 @@ def test_verify_accepts_good_and_rejects_tampered_files(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "sigma=2: support FAIL, decodable FAIL, max residual 1.000e+00\n" in captured.out
     assert captured.err == "error: code file failed verification\n"
+
+
+@pytest.mark.parametrize("windows", [[1e-320, -1e-320] * 3, [1.0, 1e-320] * 3], ids=["subnormal", "one-and-subnormal"])
+def test_verify_fails_a_code_with_subnormal_coefficients_without_a_warning(windows, tmp_path, capsys):
+    # the decoding solve of such a B overflows: its residual is nan, which fails, and no warning shows
+    path = tmp_path / "code.json"
+    path.write_text(json.dumps({"n": 3, "s_max": 1, "seed": 1, "components": [
+        {"sigma": 0, "windows": [1, 1, 1]}, {"sigma": 1, "windows": windows}]}))
+    assert main_without_warnings(["verify", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "sigma=1: support ok, decodable FAIL, max residual nan\n" in captured.out
+    assert captured.err == "error: code file failed verification\n"
+    with warnings.catch_warnings(), pytest.raises(NumericalFailure, match="^decode residual .* above 1e-08$"):
+        warnings.simplefilter("error")
+        decode_row(code_from_json(path.read_text()).components[1], [0, 2])
 
 
 def test_verify_missing_file_is_validation_error(tmp_path):

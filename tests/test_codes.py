@@ -26,10 +26,19 @@ from ngcodes.codes import (
     code_to_json,
     cyclic_support,
     decode_row,
+    decodings,
     encode_response,
     verify_gradient_code,
     verify_nesting,
 )
+
+
+def responsive_to(n, stragglers):
+    """The (k, n) responsive mask whose row i holds every worker but those of ``stragglers[i]``."""
+    mask = np.ones((len(stragglers), n), dtype=bool)
+    for row, missing in zip(mask, stragglers):
+        row[list(missing)] = False
+    return mask
 
 
 def ones_residual(b, subset):
@@ -253,8 +262,9 @@ def test_a_decoding_is_of_the_matrix_the_code_holds_now():
     code.windows[:] *= np.arange(1.0, 9.0)[:, None]
     b = code.dense()
     assert np.abs(decode_row(code, range(3, 8)) @ b - 1.0).max() <= DECODE_TOL
-    a, residuals = ngcodes.codes._straggler_decodings(code, np.array([[0, 1, 2], [1, 4, 6]]))
+    a, ab, residuals = decodings(code, responsive_to(8, [[0, 1, 2], [1, 4, 6]]))
     assert np.abs(a @ b - 1.0).max() <= DECODE_TOL and residuals.max() <= DECODE_TOL
+    assert np.abs(ab - 1.0).max() <= DECODE_TOL
     report = verify_gradient_code(code)
     assert report.passed and report.max_residual <= DECODE_TOL
 
@@ -269,11 +279,11 @@ def test_verify_built_code_passes(monkeypatch):
     report = verify_gradient_code(matrix)
     assert report.support_ok and report.decodable_ok
 
-    def nan_residuals(code, stragglers):
-        return np.zeros((len(stragglers), code.n)), np.full(len(stragglers), math.nan)
+    def nan_residuals(code, responsive):
+        return np.zeros(responsive.shape), np.zeros(responsive.shape), np.full(len(responsive), math.nan)
 
     # a NaN residual compares false against any tolerance: it must not pass
-    monkeypatch.setattr(ngcodes.codes, "_straggler_decodings", nan_residuals)
+    monkeypatch.setattr(ngcodes.codes, "decodings", nan_residuals)
     report = verify_gradient_code(matrix)
     assert report.support_ok and not report.decodable_ok and not report.passed
     assert math.isnan(report.max_residual)
@@ -294,13 +304,15 @@ def test_decodings_at_n128_are_exact_on_the_stragglers_and_within_1e_10():
 
 @pytest.mark.parametrize("n, sigma, seed", [(6, 2, 3), (12, 5, 42), (64, 8, 2)])
 def test_straggler_residuals_are_those_of_the_returned_decodings(n, sigma, seed):
-    # the residual of the last pass's rest 1 - a B is |a B - 1|max of the returned a, bit for bit
+    # the residual of the last pass's rest 1 - a B is |a B - 1|max of the returned a, bit for bit,
+    # and the returned a B is that product
     matrix = build_cyclic_encoding(n, sigma, seed)
     rng = np.random.default_rng(seed)
     stragglers = np.array([np.sort(rng.choice(n, sigma, replace=False)) for _ in range(20)])
-    a, residuals = ngcodes.codes._straggler_decodings(matrix, stragglers)
+    a, ab, residuals = decodings(matrix, responsive_to(n, stragglers))
     b = matrix.dense()
     assert np.array_equal(residuals, [np.abs(a[i] @ b - 1).max() for i in range(len(a))])
+    assert np.array_equal(ab, (a[:, None] @ b)[:, 0]) and np.array_equal(residuals, np.abs(ab - 1).max(axis=1))
 
 
 @pytest.mark.parametrize("n, s_max, seed", [(12, 5, 42), (64, 8, 2), (128, 16, 7)])
@@ -311,15 +323,57 @@ def test_a_stack_of_straggler_patterns_decodes_each_as_alone(n, s_max, seed):
         sigma = code.sigma
         stragglers = np.array([np.sort(rng.choice(n, sigma, replace=False)) for _ in range(10)]
                               + [np.sort((start + np.arange(sigma)) % n) for start in rng.integers(0, n, 10)])
-        a, residuals = ngcodes.codes._straggler_decodings(code, stragglers)
+        a, _, residuals = decodings(code, responsive_to(n, stragglers))
         for row, coefficients, residual in zip(stragglers, a, residuals):
-            alone, alone_residual = ngcodes.codes._straggler_decodings(code, row[None])
+            alone, _, alone_residual = decodings(code, responsive_to(n, [row]))
             assert np.array_equal(coefficients, alone[0]) and residual == alone_residual[0]
             assert np.array_equal(coefficients, decode_row(code, set(range(n)) - set(row.tolist())))
         if n <= VERIFY_CAP:
-            worst = max(ngcodes.codes._straggler_decodings(code, np.array([pattern]))[1][0]
+            worst = max(decodings(code, responsive_to(n, [pattern]))[2][0]
                         for pattern in itertools.combinations(range(n), sigma))
             assert verify_gradient_code(code).max_residual == worst
+
+
+@pytest.mark.parametrize("n, sigma, seed", [(12, 5, 42), (64, 8, 2)])
+def test_decodings_solves_each_used_set_once_and_gives_each_row_its_bits_alone(n, sigma, seed, monkeypatch):
+    code = build_cyclic_encoding(n, sigma, seed)
+    rng = np.random.default_rng(seed)
+    base = responsive_to(n, [rng.choice(n, sigma, replace=False) for _ in range(4)])
+    wider = base.copy()  # one straggler back: n - sigma + 1 responsive, of which the n - sigma smallest are used
+    wider[np.arange(4), [rng.choice(np.flatnonzero(~row)) for row in base]] = True
+    last = responsive_to(n, [range(n - sigma, n)])  # the same used set as a row where every worker responded
+    batch = np.vstack([base, base[::-1], wider, last, np.ones((1, n), dtype=bool), wider[:2], last])
+    used = [frozenset(np.flatnonzero(row)[:n - sigma].tolist()) for row in batch]
+    solved, real_inv = [], ngcodes.codes.np.linalg.inv
+
+    def counted_inv(blocks):
+        solved.append(len(blocks))
+        return real_inv(blocks)
+
+    monkeypatch.setattr(ngcodes.codes.np.linalg, "inv", counted_inv)
+    a, ab, residuals = decodings(code, batch)
+    assert solved == [len(set(used))] and len(set(used)) < len(batch)
+    b = code.dense()
+    for row, workers, coefficients, product, residual in zip(batch, used, a, ab, residuals):
+        alone = decodings(code, row[None])
+        assert np.array_equal(coefficients, alone[0][0]) and np.array_equal(product, alone[1][0])
+        assert residual == alone[2][0] <= DECODE_TOL
+        assert np.array_equal(coefficients, decode_row(code, np.flatnonzero(row)))
+        assert not coefficients[sorted(set(range(n)) - workers)].any()
+        assert np.array_equal(product, (coefficients[None, None] @ b)[0, 0])
+
+
+def test_decodings_rejects_a_responsive_array_of_another_shape_or_dtype():
+    code = build_cyclic_encoding(6, 2, 0)
+    rows = np.ones((3, 6), dtype=bool)
+    for bad in (rows.astype(int), rows.astype(float), rows[0], rows[:, :5], np.ones((3, 7), dtype=bool),
+                rows[..., None], [[1] * 6]):
+        with pytest.raises(ValueError, match=r"^responsive must be a \(k, 6\) boolean array, got "):
+            decodings(code, bad)
+    rows[1, :3] = rows[2, :2] = False
+    with pytest.raises(NotDecodable, match="^3 responsive workers, need 4 for sigma=2$"):  # the first short row
+        decodings(code, rows)
+    assert [x.shape for x in decodings(code, np.ones((0, 6), dtype=bool))] == [(0, 6), (0, 6), (0,)]
 
 
 def test_verify_cap():

@@ -318,22 +318,28 @@ def used_workers(n, sigma, tasks):
 
 
 def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
-    calls, real = [], descent._straggler_decodings
+    calls, real = [], descent.decodings
 
-    def counted(code, stragglers):
-        calls.append((code.sigma, [frozenset(range(code.n)) - frozenset(row.tolist()) for row in stragglers]))
-        return real(code, stragglers)
+    def counted(code, responsive):
+        used = {frozenset(np.flatnonzero(row)[:code.n - code.sigma].tolist()) for row in responsive}
+        calls.append((code.sigma, used))
+        return real(code, responsive)
 
-    monkeypatch.setattr(descent, "_straggler_decodings", counted)
+    monkeypatch.setattr(descent, "decodings", counted)
     ds = make_dataset(96, 4, 0.1, seed=16)
     ngc = build_ngc(12, 5, seed=16)
-    factorisations, real_svd = [], codes.np.linalg.svd
+    factorisations, real_svd, solved, real_inv = [], codes.np.linalg.svd, [], codes.np.linalg.inv
 
     def counted_svd(*args, **kwargs):
         factorisations.append(1)
         return real_svd(*args, **kwargs)
 
+    def counted_inv(blocks):
+        solved.append(len(blocks))  # one sigma x sigma block per straggler set solved
+        return real_inv(blocks)
+
     monkeypatch.setattr(codes.np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(codes.np.linalg, "inv", counted_inv)
     cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=12)
     run = run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
     keys = set()
@@ -343,12 +349,28 @@ def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
     assert len(calls) == len({sigma for sigma, _ in calls})  # at most one call per sigma
     assert len(rows) == len(set(rows)) == len(keys) < len(run.records)
     assert set(rows) == keys
+    assert solved == [len(sets) for _, sets in calls]  # each call solves each of its distinct sets once
     sigmas = {sigma for sigma, _ in keys}
     assert len(calls) == len(factorisations) == len(sigmas)  # one call and one SVD per decoded sigma
     # a fresh run solves and factors its decodings again: the code keeps no factors between runs
     run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
-    assert sum(len(sets) for _, sets in calls) == 2 * len(keys)
+    assert sum(solved) == 2 * len(keys)
     assert len(calls) == len(factorisations) == 2 * len(sigmas)
+
+
+@pytest.mark.parametrize("n, s_max, p_e", [(12, 5, 0.05), (64, 8, 0.02)])
+def test_plan_rows_are_each_decoding_times_the_dense_matrix(n, s_max, p_e):
+    # the row a B the plan holds has the bits of decode_row's a times the component's dense B,
+    # taken as the (k, 1, n) stack the plan once formed itself
+    ngc = build_ngc(n, s_max, seed=33)
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=p_e, n=n)
+    _, sigma, tasks, _ = descent._iteration_trials(cluster, s_max, 33, 150)
+    rows = descent._plan(ngc, sigma, tasks)
+    assert len(set(sigma.tolist())) > 2
+    for s in set(sigma.tolist()):
+        ts = np.flatnonzero(sigma == s)
+        a = np.array([decode_row(ngc.components[s], np.flatnonzero(tasks[t] >= s + 1)) for t in ts])
+        assert np.array_equal(rows[ts], (a[:, None] @ ngc.components[s].dense())[:, 0])
 
 
 def test_run_descent_memory_does_not_grow_with_the_decoded_sigmas():
@@ -477,19 +499,20 @@ def test_run_descent_raises_the_first_failed_decoding_before_any_update(k, monke
         patterns.setdefault((sigma, tuple(sorted(set(range(12)) - set(used_workers(12, sigma, tasks).tolist())))),
                             len(patterns))
     assert len(patterns) > k
-    real = descent._straggler_decodings
+    real = descent.decodings
 
-    def failing_from_pattern_k(code, stragglers):
+    def failing_from_pattern_k(code, responsive):
         # a NaN residual for the k-th new pattern, and one of its own for each later one, so that any
         # failure but the first in iteration order shows in the message
-        a, residuals = real(code, stragglers)
-        for i, row in enumerate(stragglers):
-            index = patterns[code.sigma, tuple(row.tolist())]
+        a, ab, residuals = real(code, responsive)
+        for i, row in enumerate(responsive):
+            used = set(np.flatnonzero(row)[:code.n - code.sigma].tolist())
+            index = patterns[code.sigma, tuple(sorted(set(range(code.n)) - used))]
             if index >= k - 1:
                 residuals[i] = math.nan if index == k - 1 else 1.0 + index
-        return a, residuals
+        return a, ab, residuals
 
-    monkeypatch.setattr(descent, "_straggler_decodings", failing_from_pattern_k)
+    monkeypatch.setattr(descent, "decodings", failing_from_pattern_k)
     expected = raised_by(lambda: coded_iteration_loop(ds, ngc, 100, 0.1, cluster, seed=23))
     assert expected == (NumericalFailure, "decode residual nan above 1e-08")
     updates.clear()
