@@ -83,11 +83,15 @@ CASES = {
         ["gd-demo", "--n", "12", "--smax", "5", "--seed", "3", "--out", "coded.csv"],
         ["gd-demo", "--n", "12", "--smax", "0", "--seed", "3", "--out", "uncoded.csv"],
     ]),
-    "construct-n256": ({}, [  # a 2.8 MB code file, above verify's cap; its gd-demo run fails the decode gate
+    "construct-n256": ({}, [  # a 2.8 MB code file whose sampled audit fails (exit 2); its gd-demo fails the decode gate
         ["construct", "--n", "256", "--smax", "32", "--seed", "2", "--out", "code.json"],
         ["verify", "code.json"],
         ["gd-demo", "--n", "256", "--smax", "32", "--m", "4096", "--c", "16", "--iterations", "100", "--seed", "2",
          "--out", "gd.csv"],
+    ]),
+    "verify-n13-n64": ({}, [  # verify decodes every straggler set at n = 13 and samples above sigma = 3 at n = 64
+        *[step for n, s_max in (("13", "2"), ("64", "8")) for step in (
+            ["construct", "--n", n, "--smax", s_max, "--out", f"c{n}.json"], ["verify", f"c{n}.json"])],
     ]),
     "gd-demo-n64": ({}, [  # the decoding path at n=64, where almost every responsive set is new
         ["gd-demo", "--n", "64", "--smax", "8", "--m", "4096", "--c", "16", "--iterations", "200", "--seed", "3",

@@ -17,11 +17,13 @@ code file hold only the n (sigma + 1) window coefficients. ``decodings`` holds t
 ``decode_row``, ``verify_gradient_code`` and the descent plan: a row decodes from its n - sigma smallest
 responsive workers, and each call solves each distinct set once from one SVD of B, keeping nothing on the
 code: every a with a B = 1 is a0 + M z, M spanning B's left null space, so a set is one sigma x sigma solve.
+``verify_gradient_code`` audits a component at any n on a list of straggler sets bounded by ``VERIFY_BUDGET``.
 """
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 
@@ -30,7 +32,8 @@ import numpy as np
 DECODE_TOL = 1e-8
 NULLSPACE_TOL = 1e-10
 MAX_BUILD_ATTEMPTS = 8
-VERIFY_CAP = 12
+VERIFY_BUDGET = 2**28  # multiply-adds: verify decodes every straggler set when C(n, sigma) n^2 fits
+VERIFY_CHUNK = 2**20  # responsive-mask entries per decodings call
 
 
 class CodeError(Exception):
@@ -51,10 +54,6 @@ class NumericalFailure(CodeError):
 
 class MissingGradient(CodeError):
     """A worker response references a partial gradient it never computed."""
-
-
-class CapExceeded(CodeError):
-    """Exhaustive verification requested above the enumeration cap."""
 
 
 def cyclic_support(i: int, sigma: int, n: int) -> np.ndarray:
@@ -230,6 +229,9 @@ class VerificationReport:
     support_ok: bool
     decodable_ok: bool
     max_residual: float
+    exhaustive: bool  # every sigma-subset was decoded, not a sample
+    patterns: int
+    worst: tuple[int, ...]  # the stragglers of max_residual
 
     @property
     def passed(self) -> bool:
@@ -237,19 +239,31 @@ class VerificationReport:
 
 
 def verify_gradient_code(code: EncodingMatrix) -> VerificationReport:
-    """Exhaustively check the defining properties at the code's tolerance sigma.
+    """Check the defining properties at the code's tolerance sigma on one deterministic list of straggler sets.
 
-    Decodes every sigma-subset of stragglers in one call, so n is capped
-    (CapExceeded above ``VERIFY_CAP``). The residual gate is ``DECODE_TOL``, as in
-    ``decode_row``. The support is ok when no window holds a zero; a NaN residual
-    counts as undecodable.
+    The list is every sigma-subset when the work C(n, sigma) n^2 fits ``VERIFY_BUDGET``; above it, the n contiguous
+    sets, then uniform sets drawn from SeedSequence([n, sigma]) up to that work. ``decodings`` decodes it in chunks of
+    ``VERIFY_CHUNK`` mask entries, each set to the residual ``decode_row`` would leave. The residual gate is
+    ``DECODE_TOL``. The support is ok when no window holds a zero; a NaN residual counts as undecodable.
     """
-    if code.n > VERIFY_CAP:
-        raise CapExceeded(f"n={code.n} above exhaustive verification cap {VERIFY_CAP}")
-    stragglers = np.array(list(itertools.combinations(range(code.n), code.sigma)), dtype=int, ndmin=2)
-    responsive = ~np.eye(code.n, dtype=bool)[stragglers].any(axis=1)  # the complement of each subset
-    max_residual = float(decodings(code, responsive)[2].max())  # a NaN residual propagates and fails
-    return VerificationReport(bool(code.windows.all()), bool(max_residual <= DECODE_TOL), max_residual)
+    n, sigma = code.n, code.sigma
+    rows, exhaustive = max(1, VERIFY_CHUNK // n), math.comb(n, sigma) * n * n <= VERIFY_BUDGET
+    if exhaustive:
+        subsets = itertools.combinations(range(n), sigma)
+        chunks = (np.array(c, dtype=int, ndmin=2) for c in iter(lambda: list(itertools.islice(subsets, rows)), []))
+    else:
+        rng, drawn = np.random.default_rng(np.random.SeedSequence([n, sigma])), max(0, VERIFY_BUDGET // n**2 - n)
+        chunks = itertools.chain(np.split((np.arange(n)[:, None] + np.arange(sigma)) % n, range(rows, n, rows)), (
+            rng.random((min(rows, drawn - i), n)).argsort(axis=1)[:, :sigma] for i in range(0, drawn, rows)))
+    worst = []  # per chunk: its max residual (the first NaN, if any) and that set's stragglers
+    for stragglers in chunks:
+        responsive = np.ones((len(stragglers), n), dtype=bool)
+        responsive[np.arange(len(stragglers))[:, None], stragglers] = False
+        residuals = decodings(code, responsive)[2]
+        worst.append((residuals[i := int(np.argmax(residuals))], tuple(np.flatnonzero(~responsive[i]).tolist())))
+    max_residual, pattern = worst[int(np.argmax([w[0] for w in worst]))]  # a NaN residual propagates and fails
+    return VerificationReport(bool(code.windows.all()), bool(max_residual <= DECODE_TOL), float(max_residual),
+                              exhaustive, math.comb(n, sigma) if exhaustive else n + drawn, pattern)
 
 
 def verify_nesting(ngc: NestedGradientCode):

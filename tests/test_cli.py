@@ -76,7 +76,8 @@ def test_construct_writes_a_code_that_fails_verification_then_exits_2(tmp_path, 
     assert main_without_warnings(["construct", "--n", "6", "--smax", "2", "--seed", "3", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: code file failed verification\n"
-    assert "sigma=2: support FAIL, decodable FAIL, max residual 1.000e+00\n" in captured.out
+    assert ("sigma=2: support FAIL, decodable FAIL, max residual 1.000e+00 at stragglers [0, 1], "
+            "exhaustive: 15 patterns\n" in captured.out)
     assert not code_from_json(out.read_text()).components[2].windows.any()
 
 
@@ -110,7 +111,8 @@ def test_verify_accepts_good_and_rejects_tampered_files(tmp_path, capsys):
     assert main_without_warnings(["verify", str(bad)]) == 2
     # an all-zero component decodes nothing, with no LinAlgError or divide-by-zero warning on the way
     captured = capsys.readouterr()
-    assert "sigma=2: support FAIL, decodable FAIL, max residual 1.000e+00\n" in captured.out
+    assert ("sigma=2: support FAIL, decodable FAIL, max residual 1.000e+00 at stragglers [0, 1], "
+            "exhaustive: 15 patterns\n" in captured.out)
     assert captured.err == "error: code file failed verification\n"
 
 
@@ -122,7 +124,8 @@ def test_verify_fails_a_code_with_subnormal_coefficients_without_a_warning(windo
         {"sigma": 0, "windows": [1, 1, 1]}, {"sigma": 1, "windows": windows}]}))
     assert main_without_warnings(["verify", str(path)]) == 2
     captured = capsys.readouterr()
-    assert "sigma=1: support ok, decodable FAIL, max residual nan\n" in captured.out
+    assert "sigma=1: support ok, decodable FAIL, max residual nan at stragglers [0], exhaustive: 3 patterns\n" in (
+        captured.out)
     assert captured.err == "error: code file failed verification\n"
     with warnings.catch_warnings(), pytest.raises(NumericalFailure, match="^decode residual .* above 1e-08$"):
         warnings.simplefilter("error")
@@ -134,7 +137,8 @@ def test_verify_missing_file_is_validation_error(tmp_path):
 
 
 def test_verify_rejects_a_tolerance_that_is_not_finite_and_positive(tmp_path, capsys):
-    # verify gates at DECODE_TOL and caps at VERIFY_CAP, as construct does: it takes no --tol, --cap or --config
+    # verify gates at DECODE_TOL and checks its fixed pattern budget, as construct does: it takes no --tol, --cap
+    # or --config
     out = tmp_path / "code.json"
     main(["construct", "--n", "6", "--smax", "2", "--seed", "3", "--out", str(out)])
     capsys.readouterr()
@@ -637,9 +641,13 @@ def test_verify_rejects_the_old_dense_format_as_a_malformed_component(tmp_path, 
 
 
 def test_construct_at_n256_writes_n_sigma_plus_one_numbers_per_component(tmp_path, capsys):
+    # the file is written first; seed 2 has components that fail the sampled audit, so construct then exits 2
     path = tmp_path / "code.json"
-    assert main(["construct", "--n", "256", "--smax", "32", "--seed", "2", "--out", str(path)]) == 0
-    assert "\n  verification skipped (n=256 above cap 12)\n" in capsys.readouterr().out
+    assert main(["construct", "--n", "256", "--smax", "32", "--seed", "2", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "\nsigma=1: support ok, decodable ok, " in captured.out and ", exhaustive: 256 patterns\n" in captured.out
+    assert ", decodable FAIL, max residual " in captured.out and ", sampled: 4096 patterns\n" in captured.out
+    assert captured.err == "error: code file failed verification\n"
     assert path.stat().st_size < 5_000_000
     assert path.read_text().count("\n") == 1  # one compact JSON line
     doc = json.loads(path.read_text())

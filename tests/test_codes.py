@@ -12,14 +12,13 @@ from hypothesis import strategies as st
 import ngcodes.codes
 from ngcodes.cli import main
 from ngcodes.codes import (
-    CapExceeded,
     ConstructionFailed,
     DECODE_TOL,
     EncodingMatrix,
     MissingGradient,
     NestedGradientCode,
     NotDecodable,
-    VERIFY_CAP,
+    NumericalFailure,
     build_cyclic_encoding,
     build_ngc,
     code_from_json,
@@ -328,10 +327,13 @@ def test_a_stack_of_straggler_patterns_decodes_each_as_alone(n, s_max, seed):
             alone, _, alone_residual = decodings(code, responsive_to(n, [row]))
             assert np.array_equal(coefficients, alone[0]) and residual == alone_residual[0]
             assert np.array_equal(coefficients, decode_row(code, set(range(n)) - set(row.tolist())))
-        if n <= VERIFY_CAP:
-            worst = max(decodings(code, responsive_to(n, [pattern]))[2][0]
-                        for pattern in itertools.combinations(range(n), sigma))
-            assert verify_gradient_code(code).max_residual == worst
+        if n == 12 or sigma in (2, 3, s_max):  # exhaustive at n = 12, and up to sigma = 3 (2) at n = 64 (128)
+            report = verify_gradient_code(code)
+            assert report.max_residual == decodings(code, responsive_to(n, [report.worst]))[2][0]
+            assert report.exhaustive == (n == 12 or sigma <= (3 if n == 64 else 2))
+            if n == 12:  # the worst of every pattern decoded alone
+                assert report.max_residual == max(decodings(code, responsive_to(n, [pattern]))[2][0]
+                                                  for pattern in itertools.combinations(range(n), sigma))
 
 
 @pytest.mark.parametrize("n, sigma, seed", [(12, 5, 42), (64, 8, 2)])
@@ -376,9 +378,36 @@ def test_decodings_rejects_a_responsive_array_of_another_shape_or_dtype():
     assert [x.shape for x in decodings(code, np.ones((0, 6), dtype=bool))] == [(0, 6), (0, 6), (0,)]
 
 
-def test_verify_cap():
-    with pytest.raises(CapExceeded):
-        verify_gradient_code(build_cyclic_encoding(13, 0, 0))
+@pytest.mark.parametrize("sigma, seed", [(0, 0), (1, 3), (2, 5), (4, 7), (6, 1)])
+def test_verify_above_n12_decodes_every_subset_to_its_residual_alone(sigma, seed):
+    code = build_cyclic_encoding(13, sigma, seed)
+    residuals = [decodings(code, responsive_to(13, [pattern]))[2][0]
+                 for pattern in itertools.combinations(range(13), sigma)]
+    report = verify_gradient_code(code)
+    assert report.exhaustive and report.patterns == math.comb(13, sigma) == len(residuals)
+    assert report.max_residual == max(residuals) <= DECODE_TOL and report.passed
+    assert residuals.index(report.max_residual) == list(itertools.combinations(range(13), sigma)).index(report.worst)
+
+
+def test_verify_at_n256_names_a_failing_pair():
+    # a known defect of this code (no draw passes the audit at every n yet): the sampled audit finds a pair of
+    # stragglers whose decoding misses DECODE_TOL
+    code = build_ngc(256, 2, 6).components[2]
+    report = verify_gradient_code(code)
+    assert not report.exhaustive and report.patterns == 2**28 // 256**2
+    assert report.support_ok and not report.decodable_ok and not report.passed and len(report.worst) == 2
+    with pytest.raises(NumericalFailure, match="^decode residual .* above 1e-08$"):
+        decode_row(code, set(range(256)) - set(report.worst))
+
+
+@pytest.mark.parametrize("n, sigma", [(13, 4), (64, 5)])
+def test_verify_gives_equal_reports_on_two_calls_and_in_smaller_chunks(n, sigma, monkeypatch):
+    # the pattern list and each pattern's residual do not depend on how the list is chunked
+    code = build_cyclic_encoding(n, sigma, 1)
+    report = verify_gradient_code(code)
+    assert report == verify_gradient_code(code) and report.exhaustive == (n == 13)
+    monkeypatch.setattr(ngcodes.codes, "VERIFY_CHUNK", n * 100)
+    assert verify_gradient_code(code) == report
 
 
 def test_encode_response_identity_row():
