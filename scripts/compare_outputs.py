@@ -105,6 +105,13 @@ CASES = {
         [], ["frobnicate"], ["--n", "3", "simulate"], ["simulate", "--out", "x.csv", "--bogus", "1"],
         ["construct"], ["analyze"], ["simulate"], ["gd-demo"],
     ]),
+    "parser-paths": ({}, [  # an abbreviated flag, a type error in = form, a second positional, a repeated flag
+        ["analyze", "--ste", "3", "--ou", "abbrev.csv"],
+        ["analyze", "--n=x", "--out", "x.csv"],
+        ["verify", "a.json", "b.json"],
+        ["analyze", "--steps", "3", "--steps", "4", "--out", "repeated.csv"],
+        ["gd-demo", "-h"],
+    ]),
     "code-files": ({**MALFORMED, "tampered.json": json.dumps(CODE), "dense.json": json.dumps(DENSE),
                     "subnormal.json": json.dumps(SUBNORMAL)}, [
         ["construct", "--n", "4", "--smax", "4", "--seed", "1", "--out", "bad-tolerance.json"],

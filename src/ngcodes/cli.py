@@ -14,10 +14,14 @@ failure.
 Each setting is declared once, in ``SETTINGS``, with its flag, type and
 default; ``COMMANDS`` names the settings of each subcommand, and the parser is
 built from the two, so every setting is a flag and a flag not given takes its
-default. A call builds the parser of only the subcommand it runs, and of all
-five when its first word names none (as for the top-level help). ``verify``
-reads only its path; ``construct`` prints ``verify``'s report of the code it
-wrote, at every n. ``--out`` is required by every command that writes.
+default. A call whose first word names a subcommand parses the words after
+it with that subcommand's own parser (prog ``ngcodes <name>``), which gives
+the same help, usage errors and parsed settings as that subcommand of the
+full parser. The full parser, all five under ``ngcodes``, is built only when
+the first word names none, as for the top-level help and its ``command``
+errors. ``verify`` reads only its path; ``construct`` prints ``verify``'s
+report of the code it wrote, at every n. ``--out`` is required by every
+command that writes.
 """
 from __future__ import annotations
 
@@ -221,29 +225,36 @@ COMMANDS = {
 }
 
 
+def _add_settings(parser: _Parser, name: str) -> _Parser:
+    handler, _, dests = COMMANDS[name]
+    for dest in dests:
+        flag, kind, default, text = SETTINGS[dest]
+        option = {"dest": dest, "required": dest == "out", "default": default} if flag.startswith("--") else {}
+        parser.add_argument(flag, type=kind, help=text, **option)
+    parser.set_defaults(func=handler, command=name)
+    return parser
+
+
 def build_parser(command=None) -> _Parser:
-    """The parser of every subcommand, or of ``command`` alone when it names one."""
+    """The parser of subcommand ``command`` alone, for the words after its name; else that of all five."""
+    if command in COMMANDS:
+        return _add_settings(_Parser(prog=f"ngcodes {command}"), command)
     parser = _Parser(prog="ngcodes", description=(
         "Construct and verify nested gradient codes, write analytic and simulated latency CDFs, and run "
         "the coded gradient-descent demo. Outputs are CSV with 12-significant-digit floats; latency curves "
         "are over t - gamma. Exit codes: 0 success, 1 invalid parameters, 2 numerical or construction failure."))
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in [command] if command in COMMANDS else COMMANDS:
-        handler, text, dests = COMMANDS[name]
-        sub = subs.add_parser(name, help=text)
-        for dest in dests:
-            flag, kind, default, text = SETTINGS[dest]
-            option = {"dest": dest, "required": dest == "out", "default": default} if flag.startswith("--") else {}
-            sub.add_argument(flag, type=kind, help=text, **option)
-        sub.set_defaults(func=handler)
+    for name, (_, text, _) in COMMANDS.items():
+        _add_settings(subs.add_parser(name, help=text), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)  # a call runs one subcommand: build that one
+    command = argv[0] if argv and argv[0] in COMMANDS else None  # a call runs one subcommand: parse with its parser
+    parser = build_parser(command)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv[1:] if command else argv)
         return args.func(args)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -125,9 +125,10 @@ def _block_moments(data: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np
     return data.transpose(0, 2, 1) @ data, _block_gradients(data, labels)
 
 
-def _gram_gradients(gram: np.ndarray, moments: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    # X_i^T (X_i theta - y_i) = G_i theta - b_i of every block: O(n c^2), whatever the block size
-    return gram @ theta - moments
+def _gram_gradients(gram: np.ndarray, moments: np.ndarray, theta: np.ndarray, out=None) -> np.ndarray:
+    # X_i^T (X_i theta - y_i) = G_i theta - b_i of every block: O(n c^2), whatever the block size; into ``out``
+    # (n, c) if given. One gemv of the (n c, c) stack is faster but rounds some rows differently (OpenBLAS, c = 10)
+    return np.subtract(np.matmul(gram, theta, out=out), moments, out=out)
 
 
 def _losses(dataset: Dataset, gram: np.ndarray, moments: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -270,16 +271,16 @@ def run_descent(
     rows = _plan(ngc, sigma, tasks)
     gram, moments = _block_moments(*partition(dataset, ngc.n))
     step = eta / dataset.m
-    theta = np.zeros(dataset.c)
+    theta, gradients = np.zeros(dataset.c), np.empty(moments.shape)
     thetas, decoded, full = (np.empty((iterations, dataset.c)) for _ in range(3))
     for t, row in enumerate(rows):
-        gradients = _gram_gradients(gram, moments, theta)
-        decoded[t] = row @ gradients
-        full[t] = gradients.sum(axis=0)
-        theta = thetas[t] = theta - step * decoded[t]
+        _gram_gradients(gram, moments, theta, gradients)
+        np.dot(row, gradients, out=decoded[t])
+        gradients.sum(axis=0, out=full[t])
+        theta = np.subtract(theta, np.multiply(decoded[t], step), out=thetas[t])
     losses, errors = _losses(dataset, gram, moments, thetas).tolist(), _recovery_errors(decoded, full).tolist()
-    records = [IterationRecord(t, losses[t], errors[t], int(sigma[t]), float(latency[t]), int(resamples[t]))
-               for t in range(iterations)]
+    records = map(IterationRecord, range(iterations), losses, errors, sigma.tolist(), latency.tolist(),
+                  resamples.tolist())
     return DescentRun(thetas=tuple(thetas), records=tuple(records))
 
 

@@ -528,9 +528,9 @@ def subcommands(parser):
 
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
 def test_the_parser_of_one_subcommand_equals_that_subcommand_of_the_full_parser(name):
-    alone = subcommands(cli.build_parser(name))
-    assert list(alone) == [name]
-    assert alone[name].format_help() == subcommands(cli.build_parser())[name].format_help()
+    alone = cli.build_parser(name)
+    assert {a.dest for a in alone._actions} == {"help", *cli.COMMANDS[name][2]}  # that subcommand's settings alone
+    assert alone.format_help() == subcommands(cli.build_parser())[name].format_help()
 
 
 REPRESENTATIVE_ARGV = {
@@ -558,9 +558,26 @@ def test_the_removed_config_flag_is_an_unknown_argument(name, tmp_path, monkeypa
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
 def test_the_parser_of_one_subcommand_parses_as_the_full_parser(name):
     argv = REPRESENTATIVE_ARGV[name]
-    parsed = cli.build_parser(name).parse_args(argv)
+    parsed = cli.build_parser(name).parse_args(argv[1:])
     assert parsed == cli.build_parser().parse_args(argv)
     assert parsed.command == name and parsed.func is cli.COMMANDS[name][0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--t", "3", "--out", "x.csv"],  # an abbreviation of two flags
+    ["analyze", "--n=x", "--out", "x.csv"],
+    ["verify", "a.json", "b.json"],
+    ["gd-demo", "--m", "4", "--m", "-", "--out", "x.csv"],
+    ["simulate", "--out"],
+    ["construct", "--", "--out", "x.json"],
+])
+def test_a_named_subcommand_gives_the_usage_error_of_the_full_parser(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(cli._UsageError) as error:
+        cli.build_parser().parse_args(argv)
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {error.value}\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_main_without_argv_reads_the_command_line(tmp_path, monkeypatch, capsys):

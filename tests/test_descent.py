@@ -457,15 +457,16 @@ def coded_iteration_loop(ds, ngc, iterations, eta, cluster, seed):
 @pytest.mark.parametrize("s_max", [0, 3, 5])
 @pytest.mark.parametrize("p_e", [0.05, 0.3])
 def test_run_descent_equals_one_coded_iteration_per_outcome(s_max, p_e, round_rows):
-    ds = make_dataset(60, 4, 0.2, seed=21)
-    ngc = build_ngc(12, s_max, seed=21)
-    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=p_e, n=12)
-    eta = default_learning_rate(ds, 40)
-    run = run_descent(ds, ngc, 40, eta, cluster, seed=21)
-    thetas, records = coded_iteration_loop(ds, ngc, 40, eta, cluster, seed=21)
-    assert list(run.records) == records
-    assert len(run.thetas) == len(thetas)
-    assert all(np.array_equal(a, b) for a, b in zip(run.thetas, thetas))
+    for n, c in ((12, 4), (12, 1), (12, 3), (7, 3)):  # 60 rows split into 7 blocks end in padding
+        ds = make_dataset(60, c, 0.2, seed=21)
+        ngc = build_ngc(n, s_max, seed=21)
+        cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=p_e, n=n)
+        eta = default_learning_rate(ds, 40)
+        run = run_descent(ds, ngc, 40, eta, cluster, seed=21)
+        thetas, records = coded_iteration_loop(ds, ngc, 40, eta, cluster, seed=21)
+        assert list(run.records) == records, (n, c)
+        assert len(run.thetas) == len(thetas)
+        assert all(np.array_equal(a, b) for a, b in zip(run.thetas, thetas)), (n, c)
 
 
 def raised_by(call):
