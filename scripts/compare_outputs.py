@@ -101,6 +101,13 @@ CASES = {
         ["gd-demo", "--n", "64", "--smax", "8", "--m", "256", "--c", "16", "--iterations", "37", "--seed", "3",
          "--out", "coded.csv"],
     ]),
+    "gd-demo-stream": ({}, [  # resamples over 3+ chunks, padding of a block or more, m < n, the resample limit
+        ["gd-demo", "--n", "12", "--smax", "1", "--pe", "0.3", "--m", "600", "--c", "4", "--iterations", "300",
+         "--seed", "9", "--out", "resamples.csv"],
+        ["gd-demo", "--n", "4", "--smax", "2", "--m", "5", "--c", "3", "--iterations", "20", "--out", "padded.csv"],
+        ["gd-demo", "--n", "16", "--smax", "2", "--m", "5", "--c", "3", "--iterations", "5", "--out", "few-rows.csv"],
+        ["gd-demo", "--n", "12", "--smax", "2", "--pe", "1", "--iterations", "5", "--out", "dead.csv"],
+    ]),
     "usage-errors": ({}, [
         [], ["frobnicate"], ["--n", "3", "simulate"], ["simulate", "--out", "x.csv", "--bogus", "1"],
         ["construct"], ["analyze"], ["simulate"], ["gd-demo"],

@@ -4,10 +4,10 @@ latency curves, and run the coded gradient-descent demo.
 Every output file is CSV: a header row, then one line per record, fields
 joined by commas with no quoting and each line ended by CRLF (as the csv
 module writes them), floats as ``%.12g`` and the integer columns (``iter``,
-``decoded_sigma``) as integers. Outputs are byte-identical across runs for
-fixed seeds. Latency curves are emitted over t - gamma (the communication
-delay is a fixed offset for every scheme); the analytic and simulated
-commands share that convention, so their outputs are directly comparable.
+``decoded_sigma``) as integers. Outputs are byte-identical across runs for a fixed
+seed, numpy version and BLAS thread count. Latency curves are emitted over t - gamma
+(the communication delay is a fixed offset for every scheme); the analytic and
+simulated commands share that convention, so their outputs are directly comparable.
 Exit codes: 0 success, 1 invalid parameters, 2 numerical or construction
 failure.
 

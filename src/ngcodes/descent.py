@@ -21,12 +21,14 @@ iteration: (iterations, n).
 
 For least squares a block's gradient X_i^T (X_i theta - y_i) is
 G_i theta - b_i, with G_i = X_i^T X_i and b_i = X_i^T y_i fixed for the run.
-A run forms them once, so an iteration costs O(n c^2), not O(m c): one batched
-product gives all n block gradients, and the iteration's row a B times them
-gives the decoded sum. The loop keeps each theta and each iteration's decoded
-and direct gradient sums. After it, the recovery errors come from the sums,
-and the losses 0.5 ||X theta - y||^2 from an exact expansion about the
-least-squares point: one O(m c) residual per run, then O(c^2) per theta.
+A run forms them once, from the dataset in place (the one partial block is
+padded on its own), so its peak holds one dataset, not two; an iteration then
+costs O(n c^2), not O(m c): one batched product gives all n block gradients,
+and the iteration's row a B times them gives the decoded sum. The loop keeps
+each theta and each iteration's decoded and direct gradient sums. After it,
+the recovery errors come from the sums, and the losses 0.5 ||X theta - y||^2
+from an exact expansion about the least-squares point: one O(m c) residual
+per run, then O(c^2) per theta.
 """
 from __future__ import annotations
 
@@ -103,16 +105,12 @@ def partition(dataset: Dataset, n: int) -> tuple[np.ndarray, np.ndarray]:
     return data.reshape(n, rows // n, dataset.c), labels.reshape(n, rows // n)
 
 
-def _block_gradients(data: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    # residual^T X of each block, as one batched product over the leading block axis
-    return (residual[..., None, :] @ data)[..., 0, :]
-
-
 def partial_gradient(data: np.ndarray, labels: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Squared-error gradient summed over a block's rows: (c,) for one block,
     data (size, c) and labels (size,); (n, c) for a stack of blocks, data
     (n, size, c) and labels (n, size)."""
-    return _block_gradients(data, data @ theta - labels)
+    residual = data @ theta - labels
+    return (residual[..., None, :] @ data)[..., 0, :]  # residual^T X of each block, as one batched product
 
 
 def dataset_loss(dataset: Dataset, theta: np.ndarray) -> float:
@@ -120,9 +118,26 @@ def dataset_loss(dataset: Dataset, theta: np.ndarray) -> float:
     return 0.5 * float(residual @ residual)
 
 
-def _block_moments(data: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X_i^T X_i (n, c, c) and X_i^T y_i (n, c) of each block of ``partition``'s data and labels."""
-    return data.transpose(0, 2, 1) @ data, _block_gradients(data, labels)
+def _block_moments(data: np.ndarray, labels: np.ndarray, gram=None, moments=None) -> tuple[np.ndarray, np.ndarray]:
+    """X_i^T X_i (n, c, c) and X_i^T y_i (n, c) of each block of ``partition``'s data and labels; into
+    ``gram`` and ``moments`` if given."""
+    into = None if moments is None else moments[:, None]
+    return np.matmul(data.transpose(0, 2, 1), data, out=gram), np.matmul(labels[:, None], data, out=into)[:, 0]
+
+
+def _dataset_moments(dataset: Dataset, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_block_moments(*partition(dataset, n))`` bit for bit, from the dataset in place: the whole blocks
+    through a reshaped view, the one partial block zero-padded on its own, the blocks past the end 0."""
+    (m, c), size = dataset.data.shape, -(-dataset.m // n)
+    whole, rows = m // size, m - m % size
+    gram, moments = np.zeros((n, c, c)), np.zeros((n, c))
+    _block_moments(dataset.data[:rows].reshape(whole, size, c), dataset.labels[:rows].reshape(whole, size),
+                   gram[:whole], moments[:whole])
+    if rows < m:
+        data, labels = np.zeros((1, size, c)), np.zeros((1, size))
+        data[0, :m - rows], labels[0, :m - rows] = dataset.data[rows:], dataset.labels[rows:]
+        _block_moments(data, labels, gram[whole:whole + 1], moments[whole:whole + 1])
+    return gram, moments
 
 
 def _gram_gradients(gram: np.ndarray, moments: np.ndarray, theta: np.ndarray, out=None) -> np.ndarray:
@@ -228,7 +243,7 @@ def _iteration_trials(cluster: ClusterParams, s_max: int, seed: int, iterations:
     columns = (np.empty(iterations), np.empty(iterations, int), np.empty((iterations, cluster.n), int),
                np.empty(iterations, int))
     done, run = 0, 0  # run: undecodable trials since the last decodable one
-    for latency, sigma, tasks in _decided_chunks(Scheme("ngc", s_max), cluster, seed):
+    for latency, sigma, tasks in _decided_chunks(Scheme("ngc", s_max), cluster, seed, decodable=iterations):
         ok = np.flatnonzero(sigma >= 0)[:iterations - done]
         # the trials before each decodable one, then after the last if iterations are still pending
         gaps = np.diff(ok, prepend=-1, append=sigma.size)[:iterations - done] - 1
@@ -269,7 +284,7 @@ def run_descent(
         raise ValueError(f"cluster has n={cluster.n} workers but code expects {ngc.n}")
     latency, sigma, tasks, resamples = _iteration_trials(cluster, ngc.s_max, seed, iterations)
     rows = _plan(ngc, sigma, tasks)
-    gram, moments = _block_moments(*partition(dataset, ngc.n))
+    gram, moments = _dataset_moments(dataset, ngc.n)
     step = eta / dataset.m
     theta, gradients = np.zeros(dataset.c), np.empty(moments.shape)
     thetas, decoded, full = (np.empty((iterations, dataset.c)) for _ in range(3))

@@ -15,7 +15,9 @@ Stream rule: trials come in chunks of max(1, 2**15 // (n * u_max)) trials,
 u_max being the largest layer, and chunk c draws from
 ``default_rng(SeedSequence([seed, c]))``. This module alone draws:
 ``run_experiment`` reads the first ``trials`` trials, and coded descent reads
-the decodable ngc trials as its iterations. Results are a function of
+the decodable ngc trials as its iterations. A reader may stop inside a chunk:
+its uniforms are still drawn in full, its waits only up to the last trial read
+(descent reads no waits of an undecodable trial). Results are a function of
 (scheme, trials, seed, cluster) alone, and distinct seeds give independent
 streams. ``run_experiment`` returns the curve, the mean and 95th-percentile
 tasks done by a worker in a trial, and the trials decoded at each sigma and at
@@ -59,11 +61,20 @@ def _finish_times(p: ClusterParams, uniforms: np.ndarray, waits: np.ndarray, lay
     return alive, times
 
 
-def _draw(rng: np.random.Generator, p: ClusterParams, trials: int, layers):
-    """Alive flags (trials, n) and finish times (len(layers), trials, n) of the
-    tasks numbered ``layers``, inf when failed; draws waits for layers[-1] tasks."""
-    uniforms = rng.random((trials, p.n))
-    return _finish_times(p, uniforms, rng.standard_exponential((trials, p.n, layers[-1])), layers)
+def _draw(rng: np.random.Generator, p: ClusterParams, trials: int, layers, tolerance=0, decodable=math.inf):
+    """Alive flags (trials, n) and finish times (len(layers), trials, n) of the tasks numbered ``layers``, inf
+    when failed; draws waits for layers[-1] tasks. With ``decodable`` the trials end at the ``decodable``-th
+    one with at most ``tolerance`` failed workers, and only those up to it draw waits: the trials after the
+    last such one wait 0, which does not change their decision."""
+    uniforms, read = rng.random((trials, p.n)), trials
+    if decodable < math.inf:
+        ok = np.flatnonzero((uniforms < p.p_e).sum(axis=1) <= tolerance)[:decodable]
+        read = int(ok[-1]) + 1 if ok.size else 0
+        uniforms = uniforms if ok.size < decodable else uniforms[:read]
+    waits = np.empty((len(uniforms), p.n, layers[-1]))
+    rng.standard_exponential(out=waits[:read])  # numpy's waits of `read` trials begin a whole chunk's
+    waits[read:] = 0
+    return _finish_times(p, uniforms, waits, layers)
 
 
 def _decide(scheme: Scheme, p: ClusterParams, alive: np.ndarray, times: np.ndarray):
@@ -95,14 +106,18 @@ def _decide(scheme: Scheme, p: ClusterParams, alive: np.ndarray, times: np.ndarr
     return latency, sigma, tasks
 
 
-def _decided_chunks(scheme: Scheme, p: ClusterParams, seed: int, trials: float = math.inf):
-    """``_decide`` on chunk c = 0, 1, ... of the stream rule, the last one cut
-    short to make ``trials`` in all; without ``trials`` the chunks never end."""
+def _decided_chunks(scheme: Scheme, p: ClusterParams, seed: int, trials: float = math.inf, decodable: float = math.inf):
+    """``_decide`` on chunk c = 0, 1, ... of the stream rule, ending after
+    ``trials`` trials or at the ``decodable``-th that decodes (``_draw``);
+    without either the chunks never end."""
     _check_tolerance(scheme, p)
     chunk, c = max(1, CHUNK_ELEMENTS // (p.n * scheme.layers[-1])), 0
-    while c * chunk < trials:
+    while c * chunk < trials and decodable > 0:
         rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
-        yield _decide(scheme, p, *_draw(rng, p, min(chunk, trials - c * chunk), scheme.layers))
+        decided = _decide(scheme, p, *_draw(rng, p, min(chunk, trials - c * chunk), scheme.layers,
+                                            scheme.tolerance, decodable))
+        decodable -= np.count_nonzero(decided[1] >= 0) if decodable < math.inf else 0
+        yield decided
         c += 1
 
 

@@ -650,3 +650,93 @@ def test_a_non_finite_loss_is_the_direct_dataset_loss(m, c, iterations, eta, noi
     assert not np.isfinite(direct).all()
     assert np.array_equal(np.isfinite(run.losses), np.isfinite(direct))
     assert np.array_equal(run.losses[~np.isfinite(direct)], direct[~np.isfinite(direct)], equal_nan=True)
+
+
+@pytest.mark.parametrize("m, c, n", [
+    (48, 3, 12),     # m % n = 0
+    (4096, 32, 12),  # 11 whole blocks of 342 rows and one partial block of 334
+    (61, 4, 12),     # one partial block of 1 row, then an all-zero block
+    (50, 3, 12),     # whole blocks, then two all-zero blocks
+    (5, 3, 4),       # two whole blocks, a 1-row block and an all-zero block
+    (5, 3, 16),      # m < n: five 1-row blocks, then eleven all-zero blocks
+    (60, 16, 7),     # c = 16 exceeds the 9 rows of a block; the last block holds 6
+    (7, 2, 1),       # one block
+])
+def test_moments_from_the_dataset_in_place_equal_the_partitioned_moments(m, c, n):
+    ds = make_dataset(m, c, 0.3, seed=m + c + n)
+    expected = descent._block_moments(*partition(ds, n))
+    for got, want in zip(descent._dataset_moments(ds, n), expected):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
+def full_chunk_trials(cluster, s_max, seed, iterations, chunks):
+    """Oracle: ``_iteration_trials``' columns, read from whole decided chunks with no decodable quota;
+    the size of each chunk read is appended to ``chunks``."""
+    columns = (np.empty(iterations), np.empty(iterations, int), np.empty((iterations, cluster.n), int),
+               np.empty(iterations, int))
+    done, run = 0, 0
+    for latency, sigma, tasks in simulator._decided_chunks(Scheme("ngc", s_max), cluster, seed):
+        chunks.append(sigma.size)
+        ok = np.flatnonzero(sigma >= 0)[:iterations - done]
+        gaps = np.diff(ok, prepend=-1, append=sigma.size)[:iterations - done] - 1
+        gaps[0] += run
+        if (gaps > descent.MAX_RESAMPLES).any():
+            raise UndecodableIteration(f"iteration {done + int(np.argmax(gaps > descent.MAX_RESAMPLES))}: "
+                                       f"no decodable draw in {descent.MAX_RESAMPLES} resamples")
+        for column, values in zip(columns, (latency[ok], sigma[ok], tasks[ok], gaps[:ok.size])):
+            column[done:done + ok.size] = values
+        done, run = done + ok.size, gaps[-1]
+        if done == iterations:
+            return columns
+
+
+def raised_or_returned(call):
+    try:
+        return call()
+    except UndecodableIteration as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("s_max, p_e, chunk_elements, iterations", [
+    *[(s_max, p_e, 2**9, 300) for s_max in (0, 1, 5) for p_e in (0.05, 0.3, 0.6)],
+    (0, 0.05, None, 3000), (1, 0.05, None, 3000), (5, 0.3, None, 3000),  # the simulator's own chunk size
+])
+def test_descent_trials_equal_those_of_whole_decided_chunks(s_max, p_e, chunk_elements, iterations, monkeypatch):
+    if chunk_elements:
+        monkeypatch.setattr(simulator, "CHUNK_ELEMENTS", chunk_elements)
+    cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=p_e, n=12)
+    chunks = []
+    expected = raised_or_returned(lambda: full_chunk_trials(cluster, s_max, 41, iterations, chunks))
+    got = raised_or_returned(lambda: descent._iteration_trials(cluster, s_max, 41, iterations))
+    assert len(chunks) >= 3
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert not isinstance(got, str)
+        for a, b in zip(got, expected):  # latency, sigma, tasks, resamples
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("s_max", [0, 2, 5])
+def test_a_cluster_that_never_decodes_gives_up_as_the_whole_chunk_reader_and_draws_no_waits(s_max, monkeypatch):
+    dead = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=1.0, n=12)
+    expected = raised_or_returned(lambda: full_chunk_trials(dead, s_max, 19, 200, []))
+    assert expected == "iteration 0: no decodable draw in 1000 resamples"
+    waits = []
+    default_rng = np.random.default_rng
+
+    class Counted:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def random(self, size):
+            return self.rng.random(size)
+
+        def standard_exponential(self, size=None, out=None):
+            waits.append(np.size(out) if size is None else math.prod(size))
+            return self.rng.standard_exponential(size, out=out)
+
+    monkeypatch.setattr(np.random, "default_rng", Counted)
+    assert raised_or_returned(lambda: descent._iteration_trials(dead, s_max, 19, 200)) == expected
+    assert waits and sum(waits) == 0

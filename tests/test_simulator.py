@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import ngcodes.simulator as simulator
 from ngcodes.cli import main
 from ngcodes.latency import WAIT_BOUND, ClusterParams, Scheme, _layer_cdf, latency_curve
 from ngcodes.simulator import (
@@ -397,3 +399,43 @@ def test_run_experiment_memory_does_not_grow_with_trials_times_workers():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("n, u", [(8, 4), (12, 1), (12, 6)])
+def test_waits_of_a_prefix_of_trials_are_the_prefix_of_a_whole_chunks_waits(n, u):
+    # numpy's fill property that lets a chunk stop drawing waits at any trial: after the chunk's uniforms,
+    # the waits of k trials are the first k trials of the whole chunk's, drawn with or without ``out``
+    chunk = max(1, CHUNK_ELEMENTS // (n * u))
+
+    def after_uniforms():
+        rng = np.random.default_rng(np.random.SeedSequence([7, 3]))
+        rng.random((chunk, n))
+        return rng
+
+    whole = after_uniforms().standard_exponential((chunk, n, u))
+    for k in (0, 1, 2, 17, chunk // 2, chunk - 1, chunk):
+        into = np.empty((k, n, u))
+        after_uniforms().standard_exponential(out=into)
+        assert after_uniforms().standard_exponential((k, n, u)).tobytes() == whole[:k].tobytes()
+        assert into.tobytes() == whole[:k].tobytes()
+
+
+@pytest.mark.parametrize("scheme", [Scheme("ngc", 0), Scheme("ngc", 3), Scheme("gc", 2), Scheme("uncoded", 0)])
+@pytest.mark.parametrize("p_e", [0.0, 0.05, 0.3, 0.6, 1.0])
+@pytest.mark.parametrize("decodable", [1, 5, 300])
+def test_a_stream_read_to_a_decodable_quota_is_a_prefix_of_the_whole_chunks(scheme, p_e, decodable, monkeypatch):
+    # the trials of a chunk after its last decodable trial read draw no waits, yet read as _decide gives them
+    monkeypatch.setattr(simulator, "CHUNK_ELEMENTS", 2**9)
+    p = dataclasses.replace(FIG_PARAMS, p_e=p_e)
+    whole = simulator._decided_chunks(scheme, p, 13)
+    read = 0
+    for chunk, (cut, full) in enumerate(zip(simulator._decided_chunks(scheme, p, 13, decodable=decodable), whole)):
+        size = cut[0].size
+        for a, b in zip(cut, full):
+            assert a.dtype == b.dtype and a.tobytes() == b[:size].tobytes()
+        read += int(np.count_nonzero(cut[1] >= 0))
+        if chunk == 50:  # a cluster that rarely decodes meets its quota much later
+            assert read < decodable
+            break
+    else:  # the stream ended: at its quota, on a decodable trial
+        assert read == decodable and cut[1][-1] >= 0
