@@ -97,8 +97,12 @@ CASES = {
         ["gd-demo", "--n", "64", "--smax", "8", "--m", "4096", "--c", "16", "--iterations", "200", "--seed", "3",
          "--out", "coded.csv"],
     ]),
-    "gd-demo-gram": ({}, [  # c exceeds the 4 rows of a block, and the loss pass ends in a partial block
+    "gd-demo-gram": ({}, [  # c = 16 exceeds the 4 rows of a block, and m = 256 splits into 64 whole blocks
         ["gd-demo", "--n", "64", "--smax", "8", "--m", "256", "--c", "16", "--iterations", "37", "--seed", "3",
+         "--out", "coded.csv"],
+    ]),
+    "gd-demo-repeats": ({}, [  # each decoded sigma repeats its few used sets hundreds of times in one call
+        ["gd-demo", "--n", "4", "--smax", "2", "--m", "64", "--c", "4", "--iterations", "2000", "--seed", "3",
          "--out", "coded.csv"],
     ]),
     "gd-demo-stream": ({}, [  # resamples over 3+ chunks, padding of a block or more, m < n, the resample limit

@@ -15,8 +15,8 @@ H has no rows and each window is the single 1 on block i). The cyclic windows gr
 so each worker can serve every level of the family from a single layered task schedule. A component and its
 code file hold only the n (sigma + 1) window coefficients. ``decodings`` holds the decoding rule for
 ``decode_row``, ``verify_gradient_code`` and the descent plan: a row decodes from its n - sigma smallest
-responsive workers, and each call solves each distinct set once from one SVD of B, keeping nothing on the
-code: every a with a B = 1 is a0 + M z, M spanning B's left null space, so a set is one sigma x sigma solve.
+responsive workers, and each call solves every row it is given from one SVD of B, keeping nothing on the
+code: every a with a B = 1 is a0 + M z, M spanning B's left null space, so a row is one sigma x sigma solve.
 ``verify_gradient_code`` audits a component at any n on a list of straggler sets bounded by ``VERIFY_BUDGET``.
 """
 from __future__ import annotations
@@ -33,7 +33,7 @@ DECODE_TOL = 1e-8
 NULLSPACE_TOL = 1e-10
 MAX_BUILD_ATTEMPTS = 8
 VERIFY_BUDGET = 2**28  # multiply-adds: verify decodes every straggler set when C(n, sigma) n^2 fits
-VERIFY_CHUNK = 2**20  # responsive-mask entries per decodings call
+VERIFY_CHUNK = 2**24  # floats per decodings call: a set holds about 8 n + 2 sigma^2 (its rows and M blocks)
 
 
 class CodeError(Exception):
@@ -163,12 +163,12 @@ def decodings(code: EncodingMatrix, responsive) -> tuple[np.ndarray, np.ndarray,
     (0 on every other worker), its row a B and its residual |a B - 1|max: arrays (k, n), (k, n) and (k,).
     NotDecodable for the first row with fewer than n - sigma responsive workers; ValueError for another shape or dtype.
 
-    Each distinct used-worker set is solved once, from one SVD of B: each of two passes solves for the rest 1 - a B
-    through the pseudo-inverse on the top n - sigma singular values and moves the step along M, the left singular
-    vectors of the sigma smallest, to 0 on the stragglers. A singular M block's set, or one whose solve overflows
-    (a subnormal B), shows as its residual. Every product is taken one set at a time, as a (k, 1, n) stack, so a
-    set's bits are the same alone, in ``decode_row``, in ``verify_gradient_code`` and in any batch that holds no
-    exactly singular M block (one sends the whole batch to ``pinv``).
+    Each row is solved as given, all from one SVD of B: each of two passes solves for the rest 1 - a B through the
+    pseudo-inverse on the top n - sigma singular values and moves the step along M, the left singular vectors of
+    the sigma smallest, to 0 on the row's stragglers. A singular M block's row, or one whose solve overflows (a
+    subnormal B), shows as its residual. Every product is taken one row at a time, as a (k, 1, n) stack, so a row's
+    bits are the same alone, in ``decode_row``, in ``verify_gradient_code`` and in any batch that holds no exactly
+    singular M block (one sends the whole batch to ``pinv``).
     """
     responsive = np.asarray(responsive)
     n, need = code.n, code.n - code.sigma
@@ -177,9 +177,7 @@ def decodings(code: EncodingMatrix, responsive) -> tuple[np.ndarray, np.ndarray,
     if (short := responsive.sum(axis=1) < need).any():
         raise NotDecodable(f"{responsive[short.argmax()].sum()} responsive workers, need {need} for sigma={code.sigma}")
     used = responsive & (np.cumsum(responsive, axis=1) <= need)
-    slot = {}  # used-worker set -> its place among the distinct sets, in order of first appearance
-    which = np.array([slot.setdefault(row.tobytes(), len(slot)) for row in used], dtype=int)
-    stragglers = np.nonzero(~used[np.unique(which, return_index=True)[1]])[1].reshape(len(slot), code.sigma)
+    stragglers = np.nonzero(~used)[1].reshape(len(used), code.sigma)
     u, s, vt = np.linalg.svd(b := code.dense())
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in a residual no gate passes
         scale = np.divide(1.0, s[:need], out=np.zeros(need), where=s[:need] > 0)  # 0, not 1/0, for a zero value
@@ -196,7 +194,7 @@ def decodings(code: EncodingMatrix, responsive) -> tuple[np.ndarray, np.ndarray,
             step[sets, 0, stragglers] = 0.0
             a += step
             rest = 1.0 - (ab := a @ b)
-        return a[which, 0], ab[which, 0], np.abs(rest[:, 0]).max(axis=1)[which]
+        return a[:, 0], ab[:, 0], np.abs(rest[:, 0]).max(axis=1)
 
 
 def decode_row(code: EncodingMatrix, responsive_set) -> np.ndarray:
@@ -243,11 +241,11 @@ def verify_gradient_code(code: EncodingMatrix) -> VerificationReport:
 
     The list is every sigma-subset when the work C(n, sigma) n^2 fits ``VERIFY_BUDGET``; above it, the n contiguous
     sets, then uniform sets drawn from SeedSequence([n, sigma]) up to that work. ``decodings`` decodes it in chunks of
-    ``VERIFY_CHUNK`` mask entries, each set to the residual ``decode_row`` would leave. The residual gate is
+    ``VERIFY_CHUNK`` floats, each set to the residual ``decode_row`` would leave. The residual gate is
     ``DECODE_TOL``. The support is ok when no window holds a zero; a NaN residual counts as undecodable.
     """
     n, sigma = code.n, code.sigma
-    rows, exhaustive = max(1, VERIFY_CHUNK // n), math.comb(n, sigma) * n * n <= VERIFY_BUDGET
+    rows, exhaustive = max(1, VERIFY_CHUNK // (8 * n + 2 * sigma**2)), math.comb(n, sigma) * n * n <= VERIFY_BUDGET
     if exhaustive:
         subsets = itertools.combinations(range(n), sigma)
         chunks = (np.array(c, dtype=int, ndmin=2) for c in iter(lambda: list(itertools.islice(subsets, rows)), []))

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -337,7 +338,7 @@ def test_a_stack_of_straggler_patterns_decodes_each_as_alone(n, s_max, seed):
 
 
 @pytest.mark.parametrize("n, sigma, seed", [(12, 5, 42), (64, 8, 2)])
-def test_decodings_solves_each_used_set_once_and_gives_each_row_its_bits_alone(n, sigma, seed, monkeypatch):
+def test_decodings_solves_each_row_as_given_and_gives_it_its_bits_alone(n, sigma, seed, monkeypatch):
     code = build_cyclic_encoding(n, sigma, seed)
     rng = np.random.default_rng(seed)
     base = responsive_to(n, [rng.choice(n, sigma, replace=False) for _ in range(4)])
@@ -354,7 +355,7 @@ def test_decodings_solves_each_used_set_once_and_gives_each_row_its_bits_alone(n
 
     monkeypatch.setattr(ngcodes.codes.np.linalg, "inv", counted_inv)
     a, ab, residuals = decodings(code, batch)
-    assert solved == [len(set(used))] and len(set(used)) < len(batch)
+    assert solved == [len(batch)] and len(set(used)) < len(batch)  # a repeated used set is solved again
     b = code.dense()
     for row, workers, coefficients, product, residual in zip(batch, used, a, ab, residuals):
         alone = decodings(code, row[None])
@@ -408,6 +409,20 @@ def test_verify_gives_equal_reports_on_two_calls_and_in_smaller_chunks(n, sigma,
     assert report == verify_gradient_code(code) and report.exhaustive == (n == 13)
     monkeypatch.setattr(ngcodes.codes, "VERIFY_CHUNK", n * 100)
     assert verify_gradient_code(code) == report
+
+
+def test_verify_peak_counts_the_sigma_by_sigma_blocks_a_chunk_holds():
+    # at n = 256, sigma = 96 the M blocks and their inverses, not the n mask entries, dominate each set: the 4096
+    # sets in one call would peak near 560 MiB
+    code = build_cyclic_encoding(256, 96, 1)
+    tracemalloc.start()
+    try:
+        report = verify_gradient_code(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.patterns == 4096 and not report.exhaustive
+    assert peak < 150 * 2**20
 
 
 def test_encode_response_identity_row():

@@ -317,12 +317,12 @@ def used_workers(n, sigma, tasks):
     return np.flatnonzero(tasks >= sigma + 1)[:n - sigma]
 
 
-def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
+def test_run_descent_solves_each_decoded_iteration_as_given(monkeypatch):
     calls, real = [], descent.decodings
 
     def counted(code, responsive):
-        used = {frozenset(np.flatnonzero(row)[:code.n - code.sigma].tolist()) for row in responsive}
-        calls.append((code.sigma, used))
+        need = code.n - code.sigma
+        calls.append((code.sigma, [frozenset(np.flatnonzero(row)[:need].tolist()) for row in responsive]))
         return real(code, responsive)
 
     monkeypatch.setattr(descent, "decodings", counted)
@@ -335,27 +335,25 @@ def test_run_descent_decodes_each_responsive_set_once(monkeypatch):
         return real_svd(*args, **kwargs)
 
     def counted_inv(blocks):
-        solved.append(len(blocks))  # one sigma x sigma block per straggler set solved
+        solved.append(len(blocks))  # one sigma x sigma block per row solved
         return real_inv(blocks)
 
     monkeypatch.setattr(codes.np.linalg, "svd", counted_svd)
     monkeypatch.setattr(codes.np.linalg, "inv", counted_inv)
     cluster = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=12)
     run = run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
-    keys = set()
+    expected = {}  # sigma -> the used set of each iteration decoded at it, in iteration order
     for (_, sigma, tasks), _ in oracle_outcomes(cluster, ngc.s_max, 16, len(run.records)):
-        keys.add((sigma, frozenset(used_workers(12, sigma, tasks).tolist())))
-    rows = [(sigma, used) for sigma, sets in calls for used in sets]
+        expected.setdefault(sigma, []).append(frozenset(used_workers(12, sigma, tasks).tolist()))
     assert len(calls) == len({sigma for sigma, _ in calls})  # at most one call per sigma
-    assert len(rows) == len(set(rows)) == len(keys) < len(run.records)
-    assert set(rows) == keys
-    assert solved == [len(sets) for _, sets in calls]  # each call solves each of its distinct sets once
-    sigmas = {sigma for sigma, _ in keys}
-    assert len(calls) == len(factorisations) == len(sigmas)  # one call and one SVD per decoded sigma
+    assert dict(calls) == expected and sum(map(len, expected.values())) == len(run.records)
+    assert any(len(set(sets)) < len(sets) for sets in expected.values())  # a used set repeats
+    assert solved == [len(sets) for _, sets in calls]  # each row solved as given, repeats included
+    assert len(calls) == len(factorisations) == len(expected)  # one call and one SVD per decoded sigma
     # a fresh run solves and factors its decodings again: the code keeps no factors between runs
     run_descent(ds, ngc, 100, default_learning_rate(ds, 100), cluster, seed=16)
-    assert sum(solved) == 2 * len(keys)
-    assert len(calls) == len(factorisations) == 2 * len(sigmas)
+    assert sum(solved) == 2 * len(run.records)
+    assert len(calls) == len(factorisations) == 2 * len(expected)
 
 
 @pytest.mark.parametrize("n, s_max, p_e", [(12, 5, 0.05), (64, 8, 0.02)])
