@@ -93,6 +93,10 @@ CASES = {
         *[step for n, s_max in (("13", "2"), ("64", "8")) for step in (
             ["construct", "--n", n, "--smax", s_max, "--out", f"c{n}.json"], ["verify", f"c{n}.json"])],
     ]),
+    "construct-n700": ({}, [  # the n contiguous sets of sigma = 1 are every straggler set: an exhaustive audit
+        ["construct", "--n", "700", "--smax", "1", "--out", "code.json"],
+        ["verify", "code.json"],
+    ]),
     "gd-demo-n64": ({}, [  # the decoding path at n=64, where almost every responsive set is new
         ["gd-demo", "--n", "64", "--smax", "8", "--m", "4096", "--c", "16", "--iterations", "200", "--seed", "3",
          "--out", "coded.csv"],

@@ -32,7 +32,7 @@ import numpy as np
 DECODE_TOL = 1e-8
 NULLSPACE_TOL = 1e-10
 MAX_BUILD_ATTEMPTS = 8
-VERIFY_BUDGET = 2**28  # multiply-adds: verify decodes every straggler set when C(n, sigma) n^2 fits
+VERIFY_BUDGET = 2**28  # multiply-adds: verify decodes max(n, VERIFY_BUDGET // n^2) straggler sets
 VERIFY_CHUNK = 2**24  # floats per decodings call: a set holds about 8 n + 2 sigma^2 (its rows and M blocks)
 
 
@@ -165,10 +165,11 @@ def decodings(code: EncodingMatrix, responsive) -> tuple[np.ndarray, np.ndarray,
 
     Each row is solved as given, all from one SVD of B: each of two passes solves for the rest 1 - a B through the
     pseudo-inverse on the top n - sigma singular values and moves the step along M, the left singular vectors of
-    the sigma smallest, to 0 on the row's stragglers. A singular M block's row, or one whose solve overflows (a
-    subnormal B), shows as its residual. Every product is taken one row at a time, as a (k, 1, n) stack, so a row's
-    bits are the same alone, in ``decode_row``, in ``verify_gradient_code`` and in any batch that holds no exactly
-    singular M block (one sends the whole batch to ``pinv``).
+    the sigma smallest, to 0 on the row's stragglers. The first pass's 1 B+ is the same for every row, so it is
+    taken once. A singular M block's row, or one whose solve overflows (a subnormal B), shows as its residual.
+    Every product is taken row by row (``np.vecmat``, ``np.matvec``), so a row's bits are the same alone, in
+    ``decode_row``, in ``verify_gradient_code`` and in any batch that holds no exactly singular M block (one sends
+    the whole batch to ``pinv``).
     """
     responsive = np.asarray(responsive)
     n, need = code.n, code.n - code.sigma
@@ -186,15 +187,14 @@ def decodings(code: EncodingMatrix, responsive) -> tuple[np.ndarray, np.ndarray,
             inverse = np.linalg.inv(null[stragglers])
         except np.linalg.LinAlgError:
             inverse = np.linalg.pinv(null[stragglers])
-        sets = np.arange(len(stragglers))[:, None]
-        a, rest = np.zeros((len(stragglers), 1, n)), np.ones((len(stragglers), 1, n))  # rest = 1 - 0 B
+        a, rest = np.zeros((len(stragglers), n)), np.ones((1, n))  # rest = 1 - 0 B, one row shared by all
         for _ in range(2):
-            step = rest @ pinv
-            step -= (inverse @ step[sets, 0, stragglers][..., None]).transpose(0, 2, 1) @ null.T
-            step[sets, 0, stragglers] = 0.0
+            step = np.vecmat(rest, pinv)
+            step = step - np.vecmat(np.matvec(inverse, np.take_along_axis(step, stragglers, axis=1)), null.T)
+            np.put_along_axis(step, stragglers, 0.0, axis=1)
             a += step
-            rest = 1.0 - (ab := a @ b)
-        return a[:, 0], ab[:, 0], np.abs(rest[:, 0]).max(axis=1)
+            rest = 1.0 - (ab := np.vecmat(a, b))
+        return a, ab, np.abs(rest).max(axis=1)
 
 
 def decode_row(code: EncodingMatrix, responsive_set) -> np.ndarray:
@@ -239,18 +239,20 @@ class VerificationReport:
 def verify_gradient_code(code: EncodingMatrix) -> VerificationReport:
     """Check the defining properties at the code's tolerance sigma on one deterministic list of straggler sets.
 
-    The list is every sigma-subset when the work C(n, sigma) n^2 fits ``VERIFY_BUDGET``; above it, the n contiguous
-    sets, then uniform sets drawn from SeedSequence([n, sigma]) up to that work. ``decodings`` decodes it in chunks of
-    ``VERIFY_CHUNK`` floats, each set to the residual ``decode_row`` would leave. The residual gate is
-    ``DECODE_TOL``. The support is ok when no window holds a zero; a NaN residual counts as undecodable.
+    The list holds max(n, ``VERIFY_BUDGET`` // n^2) sets: every sigma-subset when there are no more (so sigma = 1
+    at any n), else the n contiguous sets, then uniform sets drawn from SeedSequence([n, sigma]). ``decodings``
+    decodes it in chunks of ``VERIFY_CHUNK`` floats, each set to the residual ``decode_row`` would leave. The
+    residual gate is ``DECODE_TOL``. The support is ok when no window holds a zero; a NaN residual counts as
+    undecodable.
     """
     n, sigma = code.n, code.sigma
-    rows, exhaustive = max(1, VERIFY_CHUNK // (8 * n + 2 * sigma**2)), math.comb(n, sigma) * n * n <= VERIFY_BUDGET
+    patterns, rows = max(n, VERIFY_BUDGET // n**2), max(1, VERIFY_CHUNK // (8 * n + 2 * sigma**2))
+    exhaustive = math.comb(n, sigma) <= patterns
     if exhaustive:
         subsets = itertools.combinations(range(n), sigma)
         chunks = (np.array(c, dtype=int, ndmin=2) for c in iter(lambda: list(itertools.islice(subsets, rows)), []))
     else:
-        rng, drawn = np.random.default_rng(np.random.SeedSequence([n, sigma])), max(0, VERIFY_BUDGET // n**2 - n)
+        rng, drawn = np.random.default_rng(np.random.SeedSequence([n, sigma])), patterns - n
         chunks = itertools.chain(np.split((np.arange(n)[:, None] + np.arange(sigma)) % n, range(rows, n, rows)), (
             rng.random((min(rows, drawn - i), n)).argsort(axis=1)[:, :sigma] for i in range(0, drawn, rows)))
     worst = []  # per chunk: its max residual (the first NaN, if any) and that set's stragglers
@@ -261,7 +263,7 @@ def verify_gradient_code(code: EncodingMatrix) -> VerificationReport:
         worst.append((residuals[i := int(np.argmax(residuals))], tuple(np.flatnonzero(~responsive[i]).tolist())))
     max_residual, pattern = worst[int(np.argmax([w[0] for w in worst]))]  # a NaN residual propagates and fails
     return VerificationReport(bool(code.windows.all()), bool(max_residual <= DECODE_TOL), float(max_residual),
-                              exhaustive, math.comb(n, sigma) if exhaustive else n + drawn, pattern)
+                              exhaustive, math.comb(n, sigma) if exhaustive else patterns, pattern)
 
 
 def verify_nesting(ngc: NestedGradientCode):

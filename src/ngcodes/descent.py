@@ -109,8 +109,7 @@ def partial_gradient(data: np.ndarray, labels: np.ndarray, theta: np.ndarray) ->
     """Squared-error gradient summed over a block's rows: (c,) for one block,
     data (size, c) and labels (size,); (n, c) for a stack of blocks, data
     (n, size, c) and labels (n, size)."""
-    residual = data @ theta - labels
-    return (residual[..., None, :] @ data)[..., 0, :]  # residual^T X of each block, as one batched product
+    return np.vecmat(data @ theta - labels, data)  # residual^T X of each block
 
 
 def dataset_loss(dataset: Dataset, theta: np.ndarray) -> float:
@@ -121,8 +120,7 @@ def dataset_loss(dataset: Dataset, theta: np.ndarray) -> float:
 def _block_moments(data: np.ndarray, labels: np.ndarray, gram=None, moments=None) -> tuple[np.ndarray, np.ndarray]:
     """X_i^T X_i (n, c, c) and X_i^T y_i (n, c) of each block of ``partition``'s data and labels; into
     ``gram`` and ``moments`` if given."""
-    into = None if moments is None else moments[:, None]
-    return np.matmul(data.transpose(0, 2, 1), data, out=gram), np.matmul(labels[:, None], data, out=into)[:, 0]
+    return np.matmul(data.transpose(0, 2, 1), data, out=gram), np.vecmat(labels, data, out=moments)
 
 
 def _dataset_moments(dataset: Dataset, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,7 +141,7 @@ def _dataset_moments(dataset: Dataset, n: int) -> tuple[np.ndarray, np.ndarray]:
 def _gram_gradients(gram: np.ndarray, moments: np.ndarray, theta: np.ndarray, out=None) -> np.ndarray:
     # X_i^T (X_i theta - y_i) = G_i theta - b_i of every block: O(n c^2), whatever the block size; into ``out``
     # (n, c) if given. One gemv of the (n c, c) stack is faster but rounds some rows differently (OpenBLAS, c = 10)
-    return np.subtract(np.matmul(gram, theta, out=out), moments, out=out)
+    return np.subtract(np.matvec(gram, theta, out=out), moments, out=out)
 
 
 def _losses(dataset: Dataset, gram: np.ndarray, moments: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -154,7 +152,7 @@ def _losses(dataset: Dataset, gram: np.ndarray, moments: np.ndarray, thetas: np.
     G = gram.sum(axis=0)
     theta0 = np.linalg.lstsq(G, moments.sum(axis=0))[0]
     r0, delta = dataset.data @ theta0 - dataset.labels, thetas - theta0
-    losses = 0.5 * float(r0 @ r0) + np.einsum("ij,ij->i", delta, r0 @ dataset.data + 0.5 * (delta[:, None] @ G)[:, 0])
+    losses = 0.5 * float(r0 @ r0) + np.einsum("ij,ij->i", delta, r0 @ dataset.data + 0.5 * np.vecmat(delta, G))
     for t in np.flatnonzero(~np.isfinite(losses)):
         losses[t] = dataset_loss(dataset, thetas[t])
     return losses
@@ -244,18 +242,17 @@ def _iteration_trials(cluster: ClusterParams, s_max: int, seed: int, iterations:
                np.empty(iterations, int))
     done, run = 0, 0  # run: undecodable trials since the last decodable one
     for latency, sigma, tasks in _decided_chunks(Scheme("ngc", s_max), cluster, seed, decodable=iterations):
-        ok = np.flatnonzero(sigma >= 0)[:iterations - done]
-        # the trials before each decodable one, then after the last if iterations are still pending
-        gaps = np.diff(ok, prepend=-1, append=sigma.size)[:iterations - done] - 1
+        ok = np.flatnonzero(sigma >= 0)
+        # the trials before each decodable one, then after the last (none in the stream's last chunk)
+        gaps = np.diff(ok, prepend=-1, append=sigma.size) - 1
         gaps[0] += run
         if (gaps > MAX_RESAMPLES).any():
             raise UndecodableIteration(f"iteration {done + int(np.argmax(gaps > MAX_RESAMPLES))}: "
                                        f"no decodable draw in {MAX_RESAMPLES} resamples")
-        for column, values in zip(columns, (latency[ok], sigma[ok], tasks[ok], gaps[:ok.size])):
+        for column, values in zip(columns, (latency[ok], sigma[ok], tasks[ok], gaps[:-1])):
             column[done:done + ok.size] = values
         done, run = done + ok.size, gaps[-1]
-        if done == iterations:
-            return columns
+    return columns
 
 
 def run_descent(

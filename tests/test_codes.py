@@ -390,6 +390,23 @@ def test_verify_above_n12_decodes_every_subset_to_its_residual_alone(sigma, seed
     assert residuals.index(report.max_residual) == list(itertools.combinations(range(13), sigma)).index(report.worst)
 
 
+@pytest.mark.parametrize("sigma, exhaustive", [(1, True), (12, True), (2, False)])
+def test_verify_calls_a_list_of_every_subset_exhaustive_whatever_the_budget(sigma, exhaustive, monkeypatch):
+    # 2000 // 13^2 = 11 sets fit the budget, so the list holds the n = 13 contiguous sets: at sigma = 1 and 12
+    # they are every sigma-subset, at sigma = 2 a sample of the 78
+    monkeypatch.setattr(ngcodes.codes, "VERIFY_BUDGET", 2000)
+    code = build_cyclic_encoding(13, sigma, 1)
+    contiguous = [tuple(sorted((start + np.arange(sigma)) % 13)) for start in range(13)]
+    every = list(itertools.combinations(range(13), sigma))
+    assert (set(contiguous) == set(every)) == exhaustive
+    sets = every if exhaustive else contiguous  # the list in the order verify decodes it
+    residuals = [decodings(code, responsive_to(13, [pattern]))[2][0] for pattern in sets]
+    report = verify_gradient_code(code)
+    assert report.exhaustive == exhaustive and report.patterns == 13
+    assert report.max_residual == max(residuals) <= DECODE_TOL and report.passed
+    assert residuals.index(report.max_residual) == sets.index(report.worst)
+
+
 def test_verify_at_n256_names_a_failing_pair():
     # a known defect of this code (no draw passes the audit at every n yet): the sampled audit finds a pair of
     # stragglers whose decoding misses DECODE_TOL
