@@ -151,6 +151,16 @@ CASES = {
         ["analyze", "--n", HUGE, "--out", "x.csv"],
         ["analyze", "--steps", SIZE, "--out", "x.csv"],
     ]),
+    "simulate-chunks": ({}, [  # ngc:3 at n=8 draws chunks of 1024 trials: one trial, one short of a chunk, one over
+        *[["simulate", "--schemes", "ngc:3", "--n", "8", "--trials", trials, "--seed", "4", "--steps", "20",
+           "--out", f"ngc3-{trials}.csv"] for trials in ("1", "1023", "1025")],
+        ["simulate", "--schemes", "uncoded,ngc:0", "--n", "1", "--trials", "3000", "--seed", "4", "--steps", "20",
+         "--out", "n1.csv"],
+        ["simulate", "--schemes", "ngc:7", "--n", "8", "--pe", "0.3", "--trials", "3000", "--seed", "4",
+         "--steps", "20", "--out", "ngc7.csv"],
+        ["simulate", "--schemes", "uncoded,gc:3,ngc:3", "--pe", "1", "--trials", "1500", "--seed", "4",
+         "--steps", "20", "--out", "pe1.csv"],
+    ]),
     "simulate-errors": ({}, [
         ["simulate", "--schemes", "ngc:3", "--lambda", "nan", "--trials", "10", "--out", "x.csv"],
         ["simulate", "--schemes", "ngc:1", "--n", "4", "--lambda", "5e-324", "--out", "x.csv"],

@@ -241,15 +241,16 @@ def _iteration_trials(cluster: ClusterParams, s_max: int, seed: int, iterations:
     columns = (np.empty(iterations), np.empty(iterations, int), np.empty((iterations, cluster.n), int),
                np.empty(iterations, int))
     done, run = 0, 0  # run: undecodable trials since the last decodable one
-    for latency, sigma, tasks in _decided_chunks(Scheme("ngc", s_max), cluster, seed, decodable=iterations):
+    for latency, sigma, times in _decided_chunks(Scheme("ngc", s_max), cluster, seed, decodable=iterations):
         ok = np.flatnonzero(sigma >= 0)
+        tasks = np.count_nonzero(times[:, ok] <= latency[ok, None], axis=0)  # finite latencies: failed count 0
         # the trials before each decodable one, then after the last (none in the stream's last chunk)
         gaps = np.diff(ok, prepend=-1, append=sigma.size) - 1
         gaps[0] += run
         if (gaps > MAX_RESAMPLES).any():
             raise UndecodableIteration(f"iteration {done + int(np.argmax(gaps > MAX_RESAMPLES))}: "
                                        f"no decodable draw in {MAX_RESAMPLES} resamples")
-        for column, values in zip(columns, (latency[ok], sigma[ok], tasks[ok], gaps[:-1])):
+        for column, values in zip(columns, (latency[ok], sigma[ok], tasks, gaps[:-1])):
             column[done:done + ok.size] = values
         done, run = done + ok.size, gaps[-1]
     return columns

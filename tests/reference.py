@@ -3,9 +3,12 @@
 ``ngc_latency_cdf_zero_shift`` is the rho = 0 nested-scheme CDF in closed
 Poisson form (acceptance criterion 6 checks ``latency_curve`` against it),
 ``plain_descent`` the uncoded gradient-descent trajectory that coded descent
-must reproduce, and ``csv_bytes`` with ``fmt`` the csv-module writer whose
-bytes the command line's CSV files must equal.
+must reproduce, ``csv_bytes`` with ``fmt`` the csv-module writer whose
+bytes the command line's CSV files must equal, and ``kernel_trials`` the
+simulator kernel's trials with the tasks each worker did, as readers of the
+kernel count them.
 """
+import copy
 import csv
 import io
 import math
@@ -14,6 +17,7 @@ import numpy as np
 
 from ngcodes.descent import Dataset, DescentRun, IterationRecord, dataset_loss
 from ngcodes.latency import ClusterParams, InvalidParams, Scheme, _check_tolerance, _decode_cdf
+from ngcodes.simulator import _decide, _draw, _workspace
 
 
 def _zero_shift_reach(ts: np.ndarray, s_bar: int, p: ClusterParams) -> np.ndarray:
@@ -75,3 +79,29 @@ def csv_bytes(header, rows) -> bytes:
     writer.writerow(header)
     writer.writerows(rows)
     return buffer.getvalue().encode()
+
+
+def kernel_draw(rng, p: ClusterParams, trials: int, layers):
+    """The kernel's alive flags (trials, n), replayed from the uniforms its
+    draw begins with, and its finish times (len(layers), trials, n) of
+    ``trials`` trials drawn from ``rng`` into a fresh workspace."""
+    alive = copy.deepcopy(rng).random((trials, p.n)) >= p.p_e
+    return alive, _draw(rng, p, trials, layers, _workspace(p, layers, trials))
+
+
+def tasks_done(scheme: Scheme, alive: np.ndarray, times: np.ndarray, latency: np.ndarray) -> np.ndarray:
+    """Tasks done per worker (trials, n): the nested scheme stops every worker
+    at the latency and counts the layers it finished by then, a fixed-load
+    scheme runs every alive worker through all of its tasks; a failed worker
+    does none."""
+    if scheme.kind == "ngc":
+        return np.sum(times <= latency[:, None], axis=0) * alive
+    return scheme.layers[-1] * alive
+
+
+def kernel_trials(rng, scheme: Scheme, p: ClusterParams, trials: int):
+    """Latency, sigma and tasks done (trials, n) of ``trials`` kernel trials
+    drawn from ``rng``."""
+    alive, times = kernel_draw(rng, p, trials, scheme.layers)
+    latency, sigma = _decide(scheme, p, times, np.empty_like(times))
+    return latency, sigma, tasks_done(scheme, alive, times, latency)

@@ -30,8 +30,8 @@ from ngcodes.descent import (
     default_learning_rate,
 )
 from ngcodes.latency import ClusterParams, Scheme
-from ngcodes.simulator import _decide, _draw, run_experiment
-from reference import plain_descent
+from ngcodes.simulator import run_experiment
+from reference import kernel_trials, plain_descent
 
 FIG_PARAMS = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=8)
 
@@ -248,8 +248,7 @@ def stream_trials(cluster, s_max, seed):
     chunk = max(1, simulator.CHUNK_ELEMENTS // (cluster.n * (s_max + 1)))
     for c in itertools.count():
         rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
-        alive, times = _draw(rng, cluster, chunk, scheme.layers)
-        latency, sigma, tasks = _decide(scheme, cluster, alive, times)
+        latency, sigma, tasks = kernel_trials(rng, scheme, cluster, chunk)
         for k in range(chunk):
             yield float(latency[k]), int(sigma[k]), tasks[k]
 
@@ -674,7 +673,8 @@ def full_chunk_trials(cluster, s_max, seed, iterations, chunks):
     columns = (np.empty(iterations), np.empty(iterations, int), np.empty((iterations, cluster.n), int),
                np.empty(iterations, int))
     done, run = 0, 0
-    for latency, sigma, tasks in simulator._decided_chunks(Scheme("ngc", s_max), cluster, seed):
+    for latency, sigma, times in simulator._decided_chunks(Scheme("ngc", s_max), cluster, seed):
+        tasks = np.sum(times <= latency[:, None], axis=0)  # an undecodable trial is never read
         chunks.append(sigma.size)
         ok = np.flatnonzero(sigma >= 0)[:iterations - done]
         gaps = np.diff(ok, prepend=-1, append=sigma.size)[:iterations - done] - 1
@@ -728,8 +728,8 @@ def test_a_cluster_that_never_decodes_gives_up_as_the_whole_chunk_reader_and_dra
         def __init__(self, seed):
             self.rng = default_rng(seed)
 
-        def random(self, size):
-            return self.rng.random(size)
+        def random(self, size=None, out=None):
+            return self.rng.random(size, out=out)
 
         def standard_exponential(self, size=None, out=None):
             waits.append(np.size(out) if size is None else math.prod(size))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -11,12 +12,12 @@ from ngcodes.latency import WAIT_BOUND, ClusterParams, Scheme, _layer_cdf, laten
 from ngcodes.simulator import (
     CHUNK_ELEMENTS,
     _decide,
-    _draw,
     _finish_times,
     _percentile,
     run_experiment,
     simulate_ngc_iteration,
 )
+from reference import kernel_draw, kernel_trials
 
 FIG_PARAMS = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=8)
 
@@ -27,13 +28,11 @@ def dkw_band(trials, confidence=0.99):
 
 def draw_all(rng, p, trials, u_max):
     """The kernel's draw with every task column stored, as (trials, n, u_max)."""
-    alive, times = _draw(rng, p, trials, range(1, u_max + 1))
+    alive, times = kernel_draw(rng, p, trials, range(1, u_max + 1))
     return alive, np.moveaxis(times, 0, -1)
 
 
-def simulate(rng, scheme, p, trials):
-    """Latency, sigma and tasks done of ``trials`` fresh kernel draws from ``rng``."""
-    return _decide(scheme, p, *_draw(rng, p, trials, scheme.layers))
+simulate = kernel_trials  # latency, sigma and tasks done of fresh kernel draws
 
 
 def one_trial(scheme, seed, p):
@@ -284,16 +283,17 @@ def test_decision_of_a_stack_equals_the_decision_of_each_row():
     # a trial's decision does not depend on the other trials of its chunk
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.3, n=8)
     for scheme in (Scheme("ngc", 3), Scheme("gc", 2), Scheme("uncoded")):
-        alive, times = _draw(np.random.default_rng(5), p, 300, scheme.layers)
-        stacked = _decide(scheme, p, alive, times)
+        _, times = kernel_draw(np.random.default_rng(5), p, 300, scheme.layers)
+        order = np.empty_like(times)
+        stacked = _decide(scheme, p, times, order)
         assert np.any(stacked[1] == -1) and np.any(stacked[1] >= 0)
         for k in range(0, 300, 7):
-            alone = _decide(scheme, p, alive[k:k + 1], times[:, k:k + 1])
+            alone = _decide(scheme, p, times[:, k:k + 1], order)
             for a, b in zip(stacked, alone):
                 assert np.array_equal(a[k:k + 1], b)
 
 
-def argmin_decide(scheme, p, alive, times):
+def argmin_decide(scheme, p, times):
     """``_decide`` with an argmin over the layer axis whatever its length: the
     reference for its one-layer shortcut."""
     layers = np.array(scheme.layers)
@@ -301,15 +301,7 @@ def argmin_decide(scheme, p, alive, times):
     quorum = order[np.arange(layers.size), :, p.n - layers]
     best = np.argmin(quorum, axis=0)
     latency = quorum[best, np.arange(quorum.shape[1])]
-    sigma = np.where(np.isinf(latency), -1, layers[best] - 1)
-    if scheme.kind == "ngc":
-        tasks = np.zeros(alive.shape, dtype=np.intp)
-        for column in times:
-            tasks += column <= latency[:, None]
-        tasks *= alive
-    else:
-        tasks = int(layers[-1]) * alive
-    return latency, sigma, tasks
+    return latency, np.where(np.isinf(latency), -1, layers[best] - 1)
 
 
 @pytest.mark.parametrize("scheme", [Scheme("uncoded"), Scheme("gc", 0), Scheme("gc", 3),
@@ -317,10 +309,10 @@ def argmin_decide(scheme, p, alive, times):
 @pytest.mark.parametrize("p_e", [0.0, 0.3, 1.0])
 def test_decide_equals_the_argmin_decision_byte_for_byte(scheme, p_e):
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=p_e, n=8)
-    alive, times = _draw(np.random.default_rng(11), p, 500, scheme.layers)
+    _, times = kernel_draw(np.random.default_rng(11), p, 500, scheme.layers)
     coarse = np.round(times)  # monotone, so each worker's times still rise; many ties
     for drawn in (times, coarse):
-        got, want = _decide(scheme, p, alive, drawn), argmin_decide(scheme, p, alive, drawn)
+        got, want = _decide(scheme, p, drawn, np.empty_like(drawn)), argmin_decide(scheme, p, drawn)
         for a, b in zip(got, want):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     if p_e == 1.0:
@@ -382,9 +374,9 @@ def test_stored_layer_columns_equal_the_cumsum_reference(p_e):
         reference = np.cumsum(waits * (1.0 / p.lam), axis=2)
         reference += p.gamma + p.eps + p.rho * np.arange(1, layers[-1] + 1)
         reference[uniforms < p.p_e] = math.inf
-        alive, times = _finish_times(p, uniforms, waits.copy(), layers)
-        assert np.array_equal(alive, uniforms >= p.p_e)
-        assert times.shape == (len(layers), 50, p.n)
+        times = np.empty((len(layers), 50, p.n))
+        assert _finish_times(p, uniforms, waits.copy(), layers, times) is times
+        assert np.array_equal(np.isfinite(times), np.broadcast_to(uniforms >= p.p_e, times.shape))
         for k, u in enumerate(layers):
             assert times[k].tobytes() == reference[:, :, u - 1].tobytes()
 
@@ -424,18 +416,111 @@ def test_waits_of_a_prefix_of_trials_are_the_prefix_of_a_whole_chunks_waits(n, u
 @pytest.mark.parametrize("p_e", [0.0, 0.05, 0.3, 0.6, 1.0])
 @pytest.mark.parametrize("decodable", [1, 5, 300])
 def test_a_stream_read_to_a_decodable_quota_is_a_prefix_of_the_whole_chunks(scheme, p_e, decodable, monkeypatch):
-    # the trials of a chunk after its last decodable trial read draw no waits, yet read as _decide gives them
+    # the trials of a chunk after its last decodable trial read draw no waits, yet decide as in the whole
+    # chunk, and their workers fail as there, so each does the tasks it does there
     monkeypatch.setattr(simulator, "CHUNK_ELEMENTS", 2**9)
     p = dataclasses.replace(FIG_PARAMS, p_e=p_e)
     whole = simulator._decided_chunks(scheme, p, 13)
     read = 0
     for chunk, (cut, full) in enumerate(zip(simulator._decided_chunks(scheme, p, 13, decodable=decodable), whole)):
         size = cut[0].size
-        for a, b in zip(cut, full):
+        for a, b in zip(cut[:2], full):  # latency, sigma
             assert a.dtype == b.dtype and a.tobytes() == b[:size].tobytes()
+        drawn = int(np.flatnonzero(cut[1] >= 0)[-1]) + 1 if np.any(cut[1] >= 0) else 0  # trials with waits
+        assert cut[2].shape == (len(scheme.layers), size, p.n)
+        assert cut[2][:, :drawn].tobytes() == full[2][:, :drawn].tobytes()
+        assert np.array_equal(np.isinf(cut[2]), np.isinf(full[2][:, :size]))
         read += int(np.count_nonzero(cut[1] >= 0))
         if chunk == 50:  # a cluster that rarely decodes meets its quota much later
             assert read < decodable
             break
     else:  # the stream ended: at its quota, on a decodable trial
         assert read == decodable and cut[1][-1] >= 0
+
+
+@pytest.mark.parametrize("first, second", [
+    ((Scheme("ngc", 3), 21, math.inf), (Scheme("ngc", 3), 22, math.inf)),
+    ((Scheme("ngc", 3), 21, math.inf), (Scheme("gc", 2), 21, math.inf)),
+    ((Scheme("ngc", 1), 5, 40), (Scheme("ngc", 1), 5, math.inf)),  # a decodable quota beside a whole reader
+])
+def test_readers_in_lockstep_give_the_chunks_of_each_read_alone(first, second, monkeypatch):
+    # each reader draws into a workspace of its own, so one reader's next chunk leaves the other's be
+    monkeypatch.setattr(simulator, "CHUNK_ELEMENTS", 2**9)
+    p = dataclasses.replace(FIG_PARAMS, p_e=0.3)
+
+    def reader(scheme, seed, decodable):
+        return simulator._decided_chunks(scheme, p, seed, trials=2000, decodable=decodable)
+
+    def alone(args):  # each chunk copied before the reader advances
+        return [[a.copy() for a in chunk] for chunk in reader(*args)]
+
+    expected = alone(first), alone(second)
+    lockstep = [[], []]
+    for chunks in itertools.zip_longest(reader(*first), reader(*second)):
+        for got, chunk in zip(lockstep, chunks):  # read both chunks, then advance both readers
+            if chunk is not None:
+                got.append([a.copy() for a in chunk])
+    assert len(expected[0]) >= 3 and len(expected[1]) >= 3
+    for got, want in zip(lockstep, expected):
+        assert len(got) == len(want)
+        for a, b in zip(itertools.chain(*got), itertools.chain(*want)):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def previous_experiment(scheme, trials, seed, p, grid):
+    """``run_experiment`` on the kernel as it was before one workspace served every chunk: each chunk draws into
+    fresh arrays, its decision gives every worker's tasks done, and the loads are a ``bincount`` of those."""
+    layers, u_max = np.array(scheme.layers), scheme.layers[-1]
+    chunk = max(1, CHUNK_ELEMENTS // (p.n * u_max))
+    latencies, counts, loads = [], np.zeros(u_max + 1, dtype=np.int64), np.zeros(u_max + 1, dtype=np.int64)
+    for c, start in enumerate(range(0, trials, chunk)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, c]))
+        uniforms = rng.random((min(chunk, trials - start), p.n))
+        waits = np.empty((*uniforms.shape, u_max))
+        rng.standard_exponential(out=waits)
+        alive = uniforms >= p.p_e
+        waits *= 1.0 / p.lam
+        shifts = p.gamma + p.eps + p.rho * np.arange(1, u_max + 1)
+        running = np.where(alive, waits[:, :, 0], math.inf)
+        times = np.empty((layers.size, *alive.shape))
+        summed = 1
+        for k, u in enumerate(scheme.layers):
+            for r in range(summed, u):
+                running += waits[:, :, r]
+            summed = u
+            np.add(running, shifts[u - 1], out=times[k])
+        order = np.sort(times, axis=2)
+        quorum = order[np.arange(layers.size), :, p.n - layers]
+        best = np.argmin(quorum, axis=0)
+        latency = quorum[best, np.arange(quorum.shape[1])]
+        sigma = np.where(np.isinf(latency), -1, layers[best] - 1)
+        if scheme.kind == "ngc":
+            tasks = np.zeros(alive.shape, dtype=np.intp)
+            for column in times:
+                tasks += column <= latency[:, None]
+            tasks *= alive
+        else:
+            tasks = u_max * alive
+        latencies.append(latency)
+        counts += np.bincount(sigma + 1, minlength=u_max + 1)
+        loads += np.bincount(tasks.ravel(), minlength=u_max + 1)
+    values = np.searchsorted(np.sort(np.concatenate(latencies)), grid, side="right") / trials
+    return (values, int(loads @ np.arange(u_max + 1)) / (trials * p.n), _percentile(loads, 95),
+            tuple(counts[1:].tolist()), int(counts[0]))
+
+
+@pytest.mark.parametrize("scheme, n", [(scheme, n) for n in (1, 8, 64) for scheme in (
+    Scheme("uncoded"), Scheme("gc", 0), Scheme("gc", 3), Scheme("ngc", 0), Scheme("ngc", 3), Scheme("ngc", 7))
+    if scheme.tolerance < n])
+@pytest.mark.parametrize("p_e", [0.0, 0.3, 1.0])
+def test_run_experiment_equals_the_fresh_array_kernel_byte_for_byte(scheme, n, p_e):
+    # pins the per-layer load counts (an undecodable trial's failed workers do no task) and a short last chunk
+    p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=p_e, n=n)
+    grid = np.linspace(2.0, 18.0, 40)
+    chunk = max(1, CHUNK_ELEMENTS // (n * scheme.layers[-1]))
+    for trials in sorted({1, max(1, chunk - 1), chunk, 2 * chunk + 5}):
+        got = run_experiment(scheme, trials, 23, p, grid)
+        values, mean_load, p95_load, decoded, undecodable = previous_experiment(scheme, trials, 23, p, grid)
+        assert got.curve.values.tobytes() == values.tobytes()
+        assert (got.mean_load, got.p95_load, got.decoded, got.undecodable) == (
+            mean_load, p95_load, decoded, undecodable)
