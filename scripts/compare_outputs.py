@@ -71,6 +71,12 @@ CASES = {
         ["analyze", "--schemes", "ngc:31", "--n", "64", *HEADLINE, "--t-min", "8", "--t-max", "40",
          "--steps", "25", "--out", "ngc31-n64.csv"],
     ]),
+    "analyze-large": ({}, [  # ngc where the engine drops the counts that can no longer decode
+        ["analyze", "--schemes", "uncoded,gc:16,ngc:16", "--n", "64", *HEADLINE, "--t-min", "4", "--t-max", "60",
+         "--steps", "50", "--out", "n64.csv"],
+        ["analyze", "--schemes", "ngc:32", "--n", "256", *HEADLINE, "--t-min", "10", "--t-max", "130",
+         "--steps", "50", "--out", "ngc32-n256.csv"],
+    ]),
     "formatting": ({}, [
         ["analyze", "--schemes", "uncoded,gc:3,ngc:3", "--pe", "1", "--t-min", "1e-300", "--t-max", "1e300",
          "--steps", "9", "--out", "extreme.csv"],

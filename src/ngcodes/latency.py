@@ -9,23 +9,22 @@ sigma = 0), the nested scheme at the first of layers 1..s_max + 1.
 Every scheme is evaluated by one engine. Failures fold into the per-worker
 probability q_u(t) = (1 - p_e) F_u(t) of having finished at least u tasks by
 t, so a failed worker is one that never reaches any layer. The quorum counts
-N_u (workers with >= u tasks) are nested, N_u >= N_v for u < v, and the engine
-walks the allowed layers top down: N_top ~ Bin(n, q_top), and given N_v the
-next lower allowed layer adds N_u - N_v ~ Bin(n - N_v, (q_u - q_v)/(1 - q_v)).
-The mass with N_u > n - u decodes at layer u and leaves the recursion; what
-leaves, summed over the layers, is the CDF. With more than s_max failures no
-layer can reach its quorum, so no separate sum over failure counts is needed.
-The binomials are evaluated in log space in saddle-point form, so nothing
-overflows and no precision is lost at large n. Each layer above the bottom
-one carries the O(n^2) terms of the mass that misses its quorum down; the
-bottom layer evaluates only its quorum tail, the terms that decode. A grid
-point costs O(1) for uncoded, O(sigma) for gc:sigma and O(s_max * n^2) for
-ngc:s_max. Each layer evaluates its binomials Bin(n - k, .) in blocks of
-consecutive counts k, one call per block: a block holds as many counts as fit
-in BLOCK_TERMS terms (one per value and grid point), and a single count when
-one count alone has more. Small n thus costs few numpy calls; the sums still
-run count by count in ascending k. The memory is at most the block budget per
-call, plus O(n) per grid point.
+N_u (workers with >= u tasks) are nested, and the engine walks the allowed
+layers upward from N_0 = n: given N_a at the allowed layer a below, N_u ~
+Bin(N_a, q_u / q_a). The mass with N_u > n - u decodes at layer u and leaves
+the walk; what leaves, summed over the layers, is the CDF. The counts fall
+and the quorums drop by one per layer, so a count N_u <= n - top, top the
+highest allowed layer, can never decode and is dropped: only the counts
+n - top + 1 .. n - u stay live. With more than s_max failures no layer
+reaches its quorum, so no separate sum over failure counts is needed. The
+binomials are evaluated in log space in saddle-point form, so nothing
+overflows and no precision is lost at large n. A grid point costs O(1) for
+uncoded, O(sigma) for gc:sigma and top (top + 1) (top + 2) / 6 = O(s_max^3)
+terms for ngc, whatever n. One call evaluates a block of live counts, as many
+as fit in BLOCK_TERMS terms at top terms (the most a count has) per count and
+grid point, or one count alone; the sums still run count by count in
+ascending order. The memory is the block budget per call, plus O(s_max) per
+grid point.
 """
 from __future__ import annotations
 
@@ -253,43 +252,44 @@ def _decode_cdf(reach: np.ndarray, layers: list[int], p: ClusterParams) -> np.nd
     """P(some allowed layer is decodable by t), elementwise over the grid.
 
     ``layers`` ascends and ``reach[i]`` is F_{layers[i]}(t), shape
-    (len(layers), len(grid)). Walking down from the top, ``mass[k]`` is
-    P(N_v = k and no allowed layer >= v decodable), so k <= n - v. Mass that
-    reaches a layer's quorum is summed rather than subtracted from 1, which
-    keeps small probabilities accurate.
+    (len(layers), len(grid)). The walk goes up the allowed layers from N_0 = n;
+    ``mass[i]`` is P(N_a = counts[i] and no allowed layer <= a decodable) at
+    the allowed layer a just passed, so past the first layer the live counts
+    are n - top + 1 .. n - a: top - a rows per grid point, at most s_max.
+    Live count k costs k - n + top terms per grid point: O(1) for uncoded,
+    O(sigma) for gc:sigma and O(s_max^3) over the walk for ngc. Mass that
+    reaches a quorum is summed, not subtracted from 1, which keeps small
+    probabilities accurate.
     """
-    n = p.n
+    n, top = p.n, layers[-1]
+    low = n - top + 1  # a count below this reaches no quorum at any allowed layer
     q = (1.0 - p.p_e) * reach
     stirling = _stirling_errors(n)
     decoded = np.zeros(q.shape[1])
-    mass = np.ones((1, q.shape[1]))  # no worker sits above the top layer
-    above = np.zeros(q.shape[1])
-    for u, q_u in zip(reversed(layers), q[::-1]):
-        # a worker short of the layer above reaches layer u with probability r (0 if none is short)
-        r = np.clip(np.divide(q_u - above, 1.0 - above, out=np.zeros_like(above), where=above < 1), 0.0, 1.0)
-        keep = n - u + 1
-        bottom = u == layers[0]  # no layer below reads its undecoded mass
-        lower = None if bottom else np.zeros((keep, q.shape[1]))
-        # count k evaluates Bin(n - k, r) at j = 0..n - k, the bottom layer only at its
-        # quorum tail of u values; count 0 has the most values
-        step = max(1, BLOCK_TERMS // ((u if bottom else n + 1) * q.shape[1]))  # counts per call
-        for first in range(0, len(mass), step):
-            ks = range(first, min(first + step, len(mass)))
-            js = [np.arange(keep - k if bottom else 0, n - k + 1) for k in ks]
+    counts, mass, q_below = range(n, n + 1), np.ones((1, q.shape[1])), np.ones(q.shape[1])  # N_0 = n
+    step = max(1, BLOCK_TERMS // (top * q.shape[1]))  # counts per call; no count has more than top values
+    for u, q_u in zip(layers, q):
+        # a worker that reached the allowed layer below reaches u with probability r (0 if none can)
+        r = np.clip(np.divide(q_u, q_below, out=np.zeros_like(q_u), where=q_below > 0), 0.0, 1.0)
+        live = n - u + 1 - low  # the counts low .. n - u miss the quorum and stay live
+        carried = np.zeros((live, q.shape[1]))
+        for first in range(0, len(counts), step):
+            ks = counts[first : first + step]
+            js = [np.arange(low, k + 1) for k in ks]  # count k evaluates Bin(k, r) at j = low .. k
             if len(ks) == 1:
-                joint = _binom_pmf(n - first, js[0], r, stirling)
+                joint = _binom_pmf(ks[0], js[0], r, stirling)
             else:
-                sizes = np.repeat([n - k for k in ks], [len(j) for j in js])
+                sizes = np.repeat(ks, [len(j) for j in js])
                 joint = _binom_pmf(sizes, np.concatenate(js), r, stirling)
             row = 0
-            for k, j in zip(ks, js):  # ascending k, as the sums require
+            for m, j in zip(mass[first : first + step], js):  # ascending counts, as the sums require
                 rows = joint[row : row + len(j)]
                 row += len(j)
-                rows *= mass[k]
-                if not bottom:
-                    lower[k:] += rows[: keep - k]
-                decoded += (rows if bottom else rows[keep - k :]).sum(axis=0)
-        mass, above = lower, q_u
+                rows *= m
+                carried[: len(j)] += rows[:live]
+                if len(j) > live:  # only counts above n - u reach the quorum
+                    decoded += rows[live:].sum(axis=0)
+        counts, mass, q_below = range(low, low + live), carried, q_u
     return np.clip(decoded, 0.0, 1.0)
 
 

@@ -263,8 +263,10 @@ def dense_binom_pmf(size, j, p, stirling):
 
 
 def dense_decode_cdf(reach, layers, p):
-    """Reference: ``_decode_cdf`` as it stood when every layer, the bottom one
-    included, evaluated all n - k + 1 binomial terms."""
+    """Reference: the quorum recursion down the layers, as ``_decode_cdf`` stood
+    before it walked upward: given N_v at the allowed layer above, the next
+    lower one adds Bin(n - N_v, (q_u - q_v) / (1 - q_v)), and every count
+    0..n - u evaluates all n - k + 1 binomial terms."""
     n = p.n
     q = (1.0 - p.p_e) * reach
     stirling = _stirling_errors(n)
@@ -282,6 +284,20 @@ def dense_decode_cdf(reach, layers, p):
             decoded += joint[keep - k :].sum(axis=0)
         mass, above = lower, q_u
     return np.clip(decoded, 0.0, 1.0)
+
+
+def assert_matches_dense(scheme, ts, got, expected, where):
+    """uncoded and gc bit for bit; ngc within 1e-13 relative wherever the
+    reference is above 1e-300, and bit for bit where it is exactly 0 or 1 at
+    t = -1, 1e6 and inf."""
+    if scheme.kind != "ngc":
+        assert got.tobytes() == expected.tobytes(), where
+        return
+    big = expected > 1e-300
+    gap = np.abs(got - expected)
+    assert (gap[big] <= 1e-13 * expected[big]).all(), (where, (gap[big] / expected[big]).max())
+    exact = np.isin(ts, [-1.0, 1e6, np.inf]) & np.isin(expected, [0.0, 1.0])
+    assert (got[exact] == expected[exact]).all(), where
 
 
 def bitwise_schemes(n):
@@ -306,48 +322,94 @@ def test_latency_curve_is_bit_identical_to_the_dense_engine(n):
         ts = bitwise_grid(scheme, p)
         reach = np.stack([_layer_cdf(u, ts, p) for u in scheme.layers])
         expected = dense_decode_cdf(reach, scheme.layers, p)
-        assert latency_curve(scheme, ts, p).values.tobytes() == expected.tobytes(), (scheme.label, rho, p_e)
+        assert_matches_dense(scheme, ts, latency_curve(scheme, ts, p).values, expected, (scheme.label, rho, p_e))
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 8, 14])
 def test_zero_shift_route_is_bit_identical_to_the_dense_engine(n):
     for s_max, p_e in itertools.product(range(n), (0.05, 1.0)):
         p = ClusterParams(lam=0.5, rho=0.0, gamma=0.2, eps=0.1, p_e=p_e, n=n)
-        for t in (-1.0, p.gamma + p.eps, 2.0, 4.0 * (s_max + 1), 1e6, np.inf):
-            expected = dense_decode_cdf(_zero_shift_reach(np.array([t]), s_max, p), list(range(1, s_max + 2)), p)
-            got = ngc_latency_cdf_zero_shift(t, s_max, p)
-            assert np.float64(got).tobytes() == expected[0].tobytes(), (s_max, p_e, t)
+        ts = np.array([-1.0, p.gamma + p.eps, 2.0, 4.0 * (s_max + 1), 1e6, np.inf])
+        got = np.array([ngc_latency_cdf_zero_shift(t, s_max, p) for t in ts])
+        expected = np.concatenate([dense_decode_cdf(_zero_shift_reach(np.array([t]), s_max, p),
+                                                    list(range(1, s_max + 2)), p) for t in ts])
+        assert_matches_dense(Scheme("ngc", s_max), ts, got, expected, (s_max, p_e))
+
+
+@pytest.mark.parametrize("n, s_max", [(128, 16), (256, 32)])
+def test_ngc_matches_the_dense_engine_at_large_n(n, s_max):
+    p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=n)
+    scheme = Scheme("ngc", s_max)
+    top = p.gamma + p.eps + (s_max + 1) * (p.rho + 1.0 / p.lam)  # the top layer's mean finish time
+    ts = np.linspace(0.25 * top, 1.5 * top, 5)  # across the rise, from about 1e-4 to 1 - 1e-6
+    reach = np.stack([_layer_cdf(u, ts, p) for u in scheme.layers])
+    expected = dense_decode_cdf(reach, scheme.layers, p)
+    assert (expected > 1e-300).all()
+    assert_matches_dense(scheme, ts, latency_curve(scheme, ts, p).values, expected, (n, s_max))
 
 
 @pytest.mark.parametrize("budget", ["one term", "two counts"])
 @pytest.mark.parametrize("n", [8, 14, 32])
-def test_every_block_split_is_bit_identical_to_the_dense_engine(n, budget, monkeypatch):
-    # the benchmark's sizes never reach these splits: one count per call, and
-    # counts 0 and 1 of each layer above the bottom one in the first call
-    calls = []  # (counts in the call, whether it is above the bottom layer: those evaluate j = 0)
+def test_every_block_split_gives_the_bits_of_the_default_split(n, budget, monkeypatch):
+    # the benchmark's sizes never reach these splits: one live count per call,
+    # and two per call on every layer that has more
+    per_call = []  # live counts per call: a size per value holds one distinct size per count
 
     def recording(size, j, p, stirling):
-        calls.append((len(set(np.atleast_1d(size).tolist())), bool(j[0] == 0)))
+        per_call.append(len(set(np.atleast_1d(size).tolist())))
         return _binom_pmf(size, j, p, stirling)
 
-    monkeypatch.setattr("ngcodes.latency._binom_pmf", recording)
     for s_max, p_e in itertools.product(range(n), (0.0, 0.05, 1.0)):
         p = ClusterParams(lam=0.5, rho=0.5, gamma=0.2, eps=0.1, p_e=p_e, n=n)
         scheme = Scheme("ngc", s_max)
         ts = bitwise_grid(scheme, p)
-        monkeypatch.setattr("ngcodes.latency.BLOCK_TERMS", 1 if budget == "one term" else 2 * (n + 1) * len(ts))
-        reach = np.stack([_layer_cdf(u, ts, p) for u in scheme.layers])
-        expected = dense_decode_cdf(reach, scheme.layers, p)
-        assert latency_curve(scheme, ts, p).values.tobytes() == expected.tobytes(), (s_max, p_e)
-    if budget == "one term":
-        assert max(counts for counts, _ in calls) == 1
-    else:
-        assert max(counts for counts, above in calls if above) == 2
+        expected = latency_curve(scheme, ts, p).values
+        with monkeypatch.context() as patch:
+            patch.setattr("ngcodes.latency._binom_pmf", recording)
+            patch.setattr("ngcodes.latency.BLOCK_TERMS", 1 if budget == "one term" else 2 * (s_max + 1) * len(ts))
+            assert latency_curve(scheme, ts, p).values.tobytes() == expected.tobytes(), (s_max, p_e)
+    assert max(per_call) == (1 if budget == "one term" else 2)
+
+
+def multinomial_cdf(scheme, ts, p):
+    """Oracle: the sum of multinomial weights over the worker levels. Each
+    worker sits at a level j = 0..u_max, its tasks done capped at u_max (a
+    failed worker at 0), with probability q_j - q_{j+1}, where q_j = (1 - p_e)
+    F_j(t), q_0 = 1 and q_{u_max + 1} = 0. Every composition of n into level
+    counts is enumerated; those whose N_u (the workers at levels >= u) reach
+    the quorum n - u + 1 of some allowed layer are summed, with weights from
+    lgamma in log space, 0 log 0 counted as 0, and ``math.fsum``."""
+    n, u_max = p.n, scheme.tolerance + 1
+    q = [np.ones(len(ts))] + [(1.0 - p.p_e) * _layer_cdf(u, ts, p) for u in range(1, u_max + 1)]
+    levels = np.array(q) - np.array(q[1:] + [np.zeros(len(ts))])  # (u_max + 1, grid)
+    # N_{u_max} <= ... <= N_1 <= n, one composition each
+    reached = np.array(list(itertools.combinations_with_replacement(range(n + 1), u_max)))[:, ::-1]
+    bounds = np.hstack([np.full((len(reached), 1), n), reached, np.zeros((len(reached), 1), dtype=int)])
+    quorums = np.array([n - u + 1 for u in range(1, u_max + 1)])
+    allowed = np.array([u in scheme.layers for u in range(1, u_max + 1)])
+    counts = -np.diff(bounds[((reached >= quorums) & allowed).any(axis=1)], axis=1)  # (compositions, u_max + 1)
+    log_coef = math.lgamma(n + 1) - np.vectorize(math.lgamma)(counts + 1.0).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_levels = np.where(counts[:, :, None] > 0, counts[:, :, None] * np.log(levels)[None], 0.0)
+    weights = np.exp(log_coef[:, None] + log_levels.sum(axis=1))
+    return np.array([math.fsum(column) for column in weights.T])
+
+
+@pytest.mark.parametrize("n, s_max", [(16, 3), (32, 3), (64, 3), (128, 2)])
+def test_latency_curve_matches_the_multinomial_oracle(n, s_max):
+    p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=n)
+    ts = np.linspace(2.0, 18.0, 9)
+    for scheme in (Scheme("ngc", s_max), Scheme("gc", s_max)):
+        expected = multinomial_cdf(scheme, ts, p)
+        big = expected > 1e-300
+        assert big.sum() >= 5, scheme.label
+        gap = np.abs(latency_curve(scheme, ts, p).values - expected)
+        assert (gap[big] <= 1e-12 * expected[big]).all(), (scheme.label, (gap[big] / expected[big]).max())
 
 
 def test_latency_curve_memory_stays_bounded_at_large_n():
-    # one count per call and O(n) per grid point take 1.4 MB here; a block budget
-    # that traded memory for speed would not fit
+    # one block budget per call and O(s_max) per grid point take 0.5 MB here; a block
+    # budget that traded memory for speed would not fit
     p = ClusterParams(lam=0.5, rho=0.5, gamma=0.0, eps=0.1, p_e=0.05, n=256)
     tracemalloc.start()
     try:
